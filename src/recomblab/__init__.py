@@ -77,7 +77,6 @@ from .profiles import (
     gaussian_tv,
     gaussian_tv_asymptotics,
     gaussian_tv_complement,
-    gaussian_tv_quadrature,
     l1_from_l2_bound,
     lowerbound_experiment_continuous,
     lowerbound_experiment_discrete,

@@ -4,8 +4,8 @@ Every subcommand reads its parameters from flags (optionally prefilled from a
 key=value config file; flags win), runs one experiment, writes CSV outputs
 plus a JSON run manifest, and exits 0 on success.  Outputs are a pure
 function of (config, seed) byte for byte; the manifest additionally records
-wall-clock time, output checksums, any capacity caps that fired, and the
-random-substream derivation identifier.
+wall-clock time, peak resident memory, output checksums, any capacity caps
+that fired, and the random-substream derivation identifier.
 
 Exit codes: 2 for configuration errors, 3 for capacity errors, 4 for
 numerical invariant violations.
@@ -17,9 +17,9 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import re
+import resource
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -228,6 +228,7 @@ class RunContext:
             "stream_algorithm": STREAM_ALGORITHM,
             "started_at": self.started_at,
             "wall_seconds": round(time.perf_counter() - self._clock, 6),
+            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             "parameters": self.parameters,
             "outputs": self.outputs,
             "capacity_events": self.capacity_events,
@@ -317,8 +318,7 @@ def _sample_martingale(
     on the worker count, so the concatenated batch is reproducible for any
     parallelism degree.
     """
-    if method == "auto":
-        method = "direct" if 2.0 * total * math.exp(t) <= 250_000_000 else "cascade"
+    method = yule.resolve_martingale_method(t, total, method)
     sizes = _chunk_plan(total)
 
     def run_chunk(task: tuple) -> yule.MartingaleBatch:

@@ -17,9 +17,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad, simpson
 from scipy.special import erfc, gammaln
-from scipy.stats import binom
+
+# The private ufuncs that scipy.stats.binom evaluates for in-support
+# arguments (0 <= k < n for cdf and sf, 0 <= k <= n for pmf, 0 <= p <= 1).
+# Calling them directly keeps scipy.stats out of the package import; the
+# dependency on scipy internals is pinned bitwise to scipy.stats.binom by
+# tests/test_profiles.py.
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 
 from .cube import Pmf
 from .discrete import mono_mixture_tv
@@ -72,30 +77,6 @@ def gaussian_tv_complement(s: float) -> float:
     return math.erfc(z_star / root2) + math.erf(
         z_star / (root2 * math.sqrt(1.0 + s))
     )
-
-
-def gaussian_tv_quadrature(s: float) -> float:
-    """Same distance by direct quadrature of the two densities.
-
-    Integrates |pdf of N(0,1+s) - pdf of N(0,1)| without using the cdf
-    formula; the crossing point only splits the domain so the integrand is
-    smooth on each piece.  Serves as the independent oracle for gaussian_tv.
-    """
-    if s < 0:
-        raise InvalidDistributionError(f"variance excess must be >= 0, got {s}")
-    if s == 0:
-        return 0.0
-    sd2 = math.sqrt(1.0 + s)
-
-    def gap(z: float) -> float:
-        wide = math.exp(-z * z / (2.0 * (1.0 + s))) / (_SQRT_2PI * sd2)
-        narrow = math.exp(-z * z / 2.0) / _SQRT_2PI
-        return abs(wide - narrow)
-
-    z_star = math.sqrt((1.0 + s) * math.log1p(s) / s)
-    inner, _ = quad(gap, 0.0, z_star, limit=200)
-    outer, _ = quad(gap, z_star, np.inf, limit=200)
-    return inner + outer
 
 
 @dataclass(frozen=True)
@@ -166,6 +147,15 @@ def mono_tv_large_n_limit(t: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson's rule on an odd number of points spaced h apart.
+
+    This is scipy.integrate.simpson's even-spacing expression, bit for bit;
+    the odd point count is the caller's precondition.
+    """
+    return np.sum(y[0:-1:2] + 4.0 * y[1::2] + y[2::2]) * (h / 3.0)
+
+
 def mixture_profile_tv(
     window: float,
     martingale_values: Sequence[float],
@@ -187,6 +177,7 @@ def mixture_profile_tv(
         raise InvalidDistributionError("martingale samples must be finite and > 0")
     excess = math.exp(-window / 2.0) * values
     half_pts = int(math.ceil(z_max / dz))
+    # an odd point count, as _simpson requires
     grid = np.linspace(-z_max, z_max, 2 * half_pts + 1)
     h = z_max / half_pts
 
@@ -200,7 +191,7 @@ def mixture_profile_tv(
         block *= scale
         mix[start : start + zz.size] = block.mean(axis=1)
     integrand = np.abs(mix - 1.0) * np.exp(-grid * grid / 2.0) / _SQRT_2PI
-    interior = simpson(integrand, dx=h)
+    interior = _simpson(integrand, h)
 
     root2 = math.sqrt(2.0)
     outside_mixture = float(np.mean(erfc(z_max / (root2 * np.sqrt(1.0 + excess)))))
@@ -359,7 +350,7 @@ def _square_tail_given_bias(block_size: int, up_prob, threshold: int):
         return float(out) if out.ndim == 0 else out
     b_hi = (p + s) // 2
     b_lo = (p - s) // 2
-    out = binom.sf(b_hi - 1, p, up) + binom.cdf(b_lo, p, up)
+    out = _binom_sf(b_hi - 1, p, up) + _binom_cdf(b_lo, p, up)
     return float(out) if out.ndim == 0 else out
 
 
@@ -438,15 +429,15 @@ def lowerbound_experiment_discrete(
     k_min = -(-alpha // 15)
 
     q_pi = float(_square_tail_given_bias(p, 0.5, threshold))
-    pi_a = float(binom.sf(k_min - 1, alpha, q_pi))
+    pi_a = float(_binom_sf(k_min - 1, alpha, q_pi))
 
     leaves = 1 << t
     counts = np.arange(leaves + 1)
-    leaf_weights = binom.pmf(counts, leaves, 0.5)
+    leaf_weights = _binom_pmf(counts, leaves, 0.5)
     up = counts / leaves
     bias = 2.0 * up - 1.0
     q_mu = float(leaf_weights @ _square_tail_given_bias(p, up, threshold))
-    mu_ac = float(binom.cdf(k_min - 1, alpha, q_mu))
+    mu_ac = float(_binom_cdf(k_min - 1, alpha, q_mu))
 
     # moments of the squared magnetization under the evolved block law,
     # both from the closed-form leaf-bias moments and from the mixture
@@ -547,7 +538,7 @@ def lowerbound_experiment_continuous(
     k_min = -(-alpha // 15)
 
     q_pi = float(_square_tail_given_bias(p, 0.5, threshold))
-    pi_a = float(binom.sf(k_min - 1, alpha, q_pi))
+    pi_a = float(_binom_sf(k_min - 1, alpha, q_pi))
 
     p2, p3, p4 = _second_moment_coeffs(p)
     decay = math.exp(-t / 2.0)
@@ -567,7 +558,7 @@ def lowerbound_experiment_continuous(
         q_draw = signs @ w
         tails = _square_tail_given_bias(p, (1.0 + q_draw) / 2.0, threshold)
         block_tails[i] = tails.mean()
-        mix_pmf += binom.pmf(counts_grid, alpha, block_tails[i])
+        mix_pmf += _binom_pmf(counts_grid, alpha, block_tails[i])
 
         # first-moment check: formula vs the same trees' sign-mixture
         formula = p + p2 * m2
@@ -582,10 +573,10 @@ def lowerbound_experiment_continuous(
         if second_formula > second_cap * (1.0 + 1e-12):
             second_ok = False
     mix_pmf /= m
-    pi_pmf = binom.pmf(counts_grid, alpha, q_pi)
+    pi_pmf = _binom_pmf(counts_grid, alpha, q_pi)
     block_count_tv = 0.5 * float(np.abs(mix_pmf - pi_pmf).sum())
 
-    below = binom.cdf(k_min - 1, alpha, block_tails)
+    below = _binom_cdf(k_min - 1, alpha, block_tails)
     mu_ac = float(below.mean())
     mu_se = float(below.std(ddof=1)) / math.sqrt(m)
     return ContinuousBlockReport(

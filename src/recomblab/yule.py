@@ -531,6 +531,19 @@ def _cascade_martingale_batch(
     return pool_w[:m], pool_l[:m]
 
 
+def resolve_martingale_method(
+    t: float, m: int, method: str = "auto", node_budget: int = _BATCH_NODE_BUDGET
+) -> str:
+    """The sampler that `method` names for m samples at horizon t.
+
+    `auto` simulates every tree in full while the expected node count
+    2 m e^t stays within budget and otherwise picks the cascade sampler.
+    """
+    if method != "auto":
+        return method
+    return "direct" if 2.0 * m * math.exp(t) <= node_budget else "cascade"
+
+
 def martingale_samples(
     t: float,
     m: int,
@@ -540,16 +553,14 @@ def martingale_samples(
 ) -> MartingaleBatch:
     """Sample m martingale values at horizon t.
 
-    `auto` simulates every tree in full while the expected node count
-    2 m e^t stays within budget and otherwise switches to the cascade
-    sampler, whose per-sample law is exact up to pool-bootstrap reuse.
+    `auto` is resolved by `resolve_martingale_method`; the cascade
+    sampler's per-sample law is exact up to pool-bootstrap reuse.
     """
     if t < 0:
         raise ValueError("horizon must be >= 0")
     if m < 1:
         raise ValueError("need at least one sample")
-    if method == "auto":
-        method = "direct" if 2.0 * m * math.exp(t) <= node_budget else "cascade"
+    method = resolve_martingale_method(t, m, method, node_budget)
     if method == "direct":
         values, counts = _direct_martingale_batch(t, m, rng)
     elif method == "cascade":

@@ -18,18 +18,34 @@ from recomblab.errors import NumericalInvariantError
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_python(args, cwd, env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "recomblab.cli", *args],
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def run_cli(args, cwd, env_extra=None):
+    return run_python(["-m", "recomblab.cli", *args], cwd, env_extra)
+
+
+def test_cli_import_keeps_scipy_stats_and_integrate_out(tmp_path):
+    # each command is a fresh process; either module adds about a second
+    # to its start
+    probe = (
+        "import sys, recomblab.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    r = run_python(["-c", probe], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 # -----------------------------------------------------------------------
@@ -103,6 +119,7 @@ def test_manifest_records_checksums_and_parameters(tmp_path):
     assert manifest["parameters"]["n"] == 64
     assert manifest["parameters"]["lambda_grid"] == [-2.0, -1.0, 0.0, 1.0, 2.0]
     assert manifest["wall_seconds"] >= 0
+    assert manifest["peak_rss_kb"] > 0
     (entry,) = manifest["outputs"]
     blob = (out / entry["file"]).read_bytes()
     assert hashlib.sha256(blob).hexdigest() == entry["sha256"]

@@ -52,14 +52,19 @@ def test_collide_is_symmetric_and_commutative_bitwise():
     np.testing.assert_array_equal(ab.weights, ba.weights)
 
 
-def test_collide_ranked_path_agrees_with_pairs_path():
+@pytest.mark.parametrize("n", [6, 10, 12, 14])
+def test_collide_ranked_path_agrees_with_pairs_path(n):
+    # the whole range where both kernels run; the definitional oracle
+    # joins where it is affordable
     rng = np.random.default_rng(5)
-    n = 6
-    fa = wht_forward(random_pmf(n, rng)).coeffs
-    fb = wht_forward(random_pmf(n, rng)).coeffs
+    a, b = random_pmf(n, rng), random_pmf(n, rng)
+    fa, fb = wht_forward(a).coeffs, wht_forward(b).coeffs
     pairs = collide_coeffs(fa, fb, n, method="pairs")
     ranked = collide_coeffs(fa, fb, n, method="ranked")
     np.testing.assert_allclose(pairs, ranked, atol=1e-13)
+    if n <= 10:
+        direct = wht_forward(collide_direct(a, b)).coeffs
+        np.testing.assert_allclose(pairs, direct, atol=1e-13)
 
 
 def test_collide_halves_singletons_against_uniform():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, simpson
+from scipy.stats import binom
 
 from recomblab import (
     BlockSpec,
@@ -14,7 +16,6 @@ from recomblab import (
     gaussian_tv,
     gaussian_tv_asymptotics,
     gaussian_tv_complement,
-    gaussian_tv_quadrature,
     l1_from_l2_bound,
     lowerbound_experiment_continuous,
     lowerbound_experiment_discrete,
@@ -25,6 +26,7 @@ from recomblab import (
     two_valued_extremal_density,
 )
 from recomblab.errors import ConfigError, InvalidDistributionError
+from recomblab.profiles import _binom_cdf, _binom_pmf, _binom_sf, _simpson
 from recomblab.streams import rng_substream
 
 
@@ -33,11 +35,32 @@ from recomblab.streams import rng_substream
 # -----------------------------------------------------------------------
 
 
+def gaussian_tv_quadrature(s: float) -> float:
+    """Same distance by direct quadrature of the two densities.
+
+    Integrates |pdf of N(0,1+s) - pdf of N(0,1)| without using the cdf
+    formula; the crossing point only splits the domain so the integrand is
+    smooth on each piece.  Serves as the independent oracle for gaussian_tv.
+    """
+    sd2 = math.sqrt(1.0 + s)
+    root_2pi = math.sqrt(2.0 * math.pi)
+
+    def gap(z: float) -> float:
+        wide = math.exp(-z * z / (2.0 * (1.0 + s))) / (root_2pi * sd2)
+        narrow = math.exp(-z * z / 2.0) / root_2pi
+        return abs(wide - narrow)
+
+    z_star = math.sqrt((1.0 + s) * math.log1p(s) / s)
+    inner, _ = quad(gap, 0.0, z_star, limit=200)
+    outer, _ = quad(gap, z_star, np.inf, limit=200)
+    return inner + outer
+
+
 def test_gaussian_tv_against_quadrature_grid():
     for s in np.logspace(-3, 6, 19):
         closed = gaussian_tv(s)
-        quad = gaussian_tv_quadrature(s)
-        assert closed == pytest.approx(quad, abs=1e-8), s
+        quadrature = gaussian_tv_quadrature(s)
+        assert closed == pytest.approx(quadrature, abs=1e-8), s
 
 
 def test_gaussian_tv_fixed_values():
@@ -132,6 +155,14 @@ def test_mixture_profile_monotone_in_window():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("points", [3, 5, 101, 24_001])
+def test_simpson_sum_is_scipy_simpson_bit_for_bit(points):
+    rng = rng_substream(21, 5)
+    y = rng.standard_normal(points) * np.exp(-np.linspace(-6.0, 6.0, points) ** 2)
+    h = 12.0 / (points - 1)
+    assert np.array_equal(_simpson(y, h), simpson(y, dx=h))
+
+
 def test_mixture_profile_rejects_empty_batch():
     with pytest.raises(InvalidDistributionError):
         mixture_profile_tv(0.0, np.array([]))
@@ -189,6 +220,34 @@ def test_l1_l2_bound_input_validation():
 # -----------------------------------------------------------------------
 # block experiments
 # -----------------------------------------------------------------------
+
+
+# block sizes and block counts the experiments reach: 80 * 2^t in the
+# discrete experiment, sqrt(80 n) e^(t/4) / sqrt(damp) in the continuous one
+# (229, 363 and 598 for the test, README and benchmark runs), n // block size
+# for the block counts, 2^t for the leaf counts
+_BINOM_SIZES = [1, 2, 4, 5, 8, 64, 80, 160, 229, 363, 598, 640, 1280]
+
+
+def _binom_probs():
+    rng = rng_substream(21, 6)
+    edges = np.array([0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12])
+    return np.concatenate([edges, rng.uniform(size=200)])
+
+
+@pytest.mark.parametrize("n", _BINOM_SIZES)
+def test_binomial_ufuncs_are_scipy_stats_binom_bit_for_bit(n):
+    probs = _binom_probs()[None, :]
+    below = np.arange(n)[:, None]
+    support = np.arange(n + 1)[:, None]
+    assert np.array_equal(_binom_pmf(support, n, probs), binom.pmf(support, n, probs))
+    assert np.array_equal(_binom_cdf(below, n, probs), binom.cdf(below, n, probs))
+    assert np.array_equal(_binom_sf(below, n, probs), binom.sf(below, n, probs))
+    # the experiments call with Python scalars too
+    for k in (0, n // 2, n - 1):
+        for q in (0.0, 0.5, 1.0, 0.3):
+            assert _binom_cdf(k, n, q) == binom.cdf(k, n, q)
+            assert _binom_sf(k, n, q) == binom.sf(k, n, q)
 
 
 def test_block_spec_partition():

@@ -33,6 +33,7 @@ from recomblab import (
     wht_forward,
     wild_mc_estimate,
 )
+from recomblab import yule
 from recomblab.streams import rng_substream
 
 
@@ -239,6 +240,17 @@ def test_martingale_batch_mean_and_bound():
     assert batch.values.max() <= math.exp(t / 2.0) + 1e-12
     z = (batch.values.mean() - 1.0) / (batch.values.std(ddof=1) / math.sqrt(m))
     assert abs(z) < 4.0
+
+
+def test_auto_method_rule_is_the_node_budget():
+    # direct while the expected node count 2 m e^t fits the budget
+    budget = yule._BATCH_NODE_BUDGET
+    m = 10_000
+    t_edge = math.log(budget / (2.0 * m))
+    assert yule.resolve_martingale_method(t_edge - 1e-9, m) == "direct"
+    assert yule.resolve_martingale_method(t_edge + 1e-9, m) == "cascade"
+    assert yule.resolve_martingale_method(t_edge + 1e-9, m, "direct") == "direct"
+    assert yule.resolve_martingale_method(0.0, m, "cascade") == "cascade"
 
 
 def test_martingale_below_one_probability():
