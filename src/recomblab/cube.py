@@ -239,18 +239,16 @@ def product_pmf(biases) -> Pmf:
 def product_fourier(biases) -> FourierTable:
     """Character table of the product measure: coeffs[S] = prod of biases on S.
 
-    Built by dynamic programming over the lowest set bit, so the singleton
-    coefficients reproduce the inputs bit-for-bit.
+    Built by doubling from the highest site down, so every product is taken
+    from the highest site to the lowest and the singleton coefficients
+    reproduce the inputs bit-for-bit.
     """
     b = np.asarray(biases, dtype=np.float64)
     _check_sites(b.size)
-    n = b.size
-    coeffs = np.empty(1 << n)
-    coeffs[0] = 1.0
-    for s in range(1, 1 << n):
-        low = s & (-s)
-        coeffs[s] = coeffs[s ^ low] * b[low.bit_length() - 1]
-    return FourierTable(n, coeffs)
+    coeffs = np.array([1.0])
+    for bias in b[::-1]:
+        coeffs = np.kron(coeffs, [1.0, bias])
+    return FourierTable(b.size, coeffs)
 
 
 def stationary_product(pmf: Pmf) -> Pmf:
@@ -322,12 +320,16 @@ _KINDS = {"pmf", "fourier"}
 
 
 def values_to_csv(path, values: np.ndarray) -> None:
-    """Write a dense vector as ``index,value`` rows with deterministic bytes."""
+    """Write a dense vector as ``index,value`` rows with deterministic bytes.
+
+    Neither an index nor a float repr ever needs csv quoting, so the rows
+    are joined directly, in the bytes a csv writer with a newline terminator
+    would produce.
+    """
+    floats = np.asarray(values, dtype=np.float64).tolist()
+    rows = "".join([f"{i},{v!r}\n" for i, v in enumerate(floats)])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "value"])
-        for i, v in enumerate(values):
-            writer.writerow([i, repr(float(v))])
+        fh.write("index,value\n" + rows)
 
 
 def values_from_csv(path) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Dense cube representations: pmf/Fourier tables and their invariants."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,13 @@ from recomblab import (
     wht_forward,
     wht_inverse,
 )
-from recomblab.cube import fourier_from_csv, fourier_to_csv, pmf_from_csv, pmf_to_csv
+from recomblab.cube import (
+    fourier_from_csv,
+    fourier_to_csv,
+    pmf_from_csv,
+    pmf_to_csv,
+    values_to_csv,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -135,6 +144,26 @@ def test_product_fourier_is_subset_product():
     np.testing.assert_allclose(table.coeffs, roundtrip.coeffs, atol=1e-12)
 
 
+def _product_fourier_lowest_bit(biases):
+    """Oracle: coeffs[S] = coeffs[S minus its lowest site] * bias of that site."""
+    n = biases.size
+    coeffs = np.empty(1 << n)
+    coeffs[0] = 1.0
+    for s in range(1, 1 << n):
+        low = s & (-s)
+        coeffs[s] = coeffs[s ^ low] * biases[low.bit_length() - 1]
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 16])
+def test_product_fourier_doubling_is_the_lowest_bit_dp_bit_for_bit(n):
+    biases = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    table = product_fourier(biases)
+    np.testing.assert_array_equal(table.coeffs, _product_fourier_lowest_bit(biases))
+    singletons = table.coeffs[1 << np.arange(n)]
+    np.testing.assert_array_equal(singletons, biases)
+
+
 def test_stationary_product_keeps_biases_only():
     pmf = random_pmf(4, RNG)
     stat = stationary_product(pmf)
@@ -153,6 +182,23 @@ def test_balanced_checks():
     bal = random_balanced_pmf(4, RNG)
     assert is_balanced(bal)
     assert np.abs(all_biases(bal)).max() < 1e-12
+
+
+def test_values_csv_bytes_are_the_csv_writer_bytes(tmp_path):
+    values = np.concatenate(
+        [
+            RNG.standard_normal(60),
+            [0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 1e300, np.inf, -np.inf, np.nan],
+        ]
+    )
+    path = tmp_path / "values.csv"
+    values_to_csv(path, values)
+    expect = io.StringIO(newline="")
+    writer = csv.writer(expect, lineterminator="\n")
+    writer.writerow(["index", "value"])
+    for i, v in enumerate(values):
+        writer.writerow([i, repr(float(v))])
+    assert path.read_bytes() == expect.getvalue().encode()
 
 
 def test_csv_roundtrips(tmp_path):

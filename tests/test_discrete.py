@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from recomblab import (
+    BudgetError,
     CapacityError,
     collide,
     collide_coeffs,
@@ -32,6 +34,8 @@ from recomblab import (
     uniform_pmf,
     wht_forward,
 )
+from recomblab import discrete
+from recomblab.discrete import PAIRS_AUTO_SITE_MAX, _disjoint_pair_tables
 from recomblab.streams import rng_substream
 
 
@@ -65,6 +69,42 @@ def test_collide_ranked_path_agrees_with_pairs_path(n):
     if n <= 10:
         direct = wht_forward(collide_direct(a, b)).coeffs
         np.testing.assert_allclose(pairs, direct, atol=1e-13)
+
+
+def test_auto_collision_crossover_is_pinned():
+    # pairs through n = 10, ranked from n = 11; the pair table of an
+    # n = 11..14 collision is never built unless asked for
+    assert PAIRS_AUTO_SITE_MAX == 10
+    rng = np.random.default_rng(11)
+    _disjoint_pair_tables.cache_clear()
+    for n, kernel in ((10, "pairs"), (11, "ranked"), (12, "ranked")):
+        f = wht_forward(random_pmf(n, rng)).coeffs
+        g = wht_forward(random_pmf(n, rng)).coeffs
+        np.testing.assert_array_equal(
+            collide_coeffs(f, g, n), collide_coeffs(f, g, n, method=kernel)
+        )
+    _disjoint_pair_tables.cache_clear()
+    for n in (11, 12):
+        f = wht_forward(random_pmf(n, rng)).coeffs
+        collide_coeffs(f, f, n)
+    assert _disjoint_pair_tables.cache_info().misses == 0
+    f = wht_forward(random_pmf(10, rng)).coeffs
+    collide_coeffs(f, f, 10)
+    assert _disjoint_pair_tables.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "n, kernel",
+    [(n, "pairs") for n in (4, 10, 12)] + [(n, "ranked") for n in (4, 10, 12, 16)],
+)
+def test_self_collision_shortcut_is_the_two_operand_path(n, kernel):
+    # passing one array twice takes the shortcut; a copy takes the general path
+    f = wht_forward(random_pmf(n, np.random.default_rng(n))).coeffs
+    for start in (f, wht_forward(monochromatic_pmf(n)).coeffs):
+        np.testing.assert_array_equal(
+            collide_coeffs(start, start, n, kernel),
+            collide_coeffs(start, start.copy(), n, kernel),
+        )
 
 
 def test_collide_halves_singletons_against_uniform():
@@ -181,6 +221,91 @@ def test_mono_mixture_tv_matches_dense_evolution():
         mono = monochromatic_pmf(n)
         exact = tv_distance(evolve_discrete(mono, t), uniform_pmf(n))
         assert mono_mixture_tv(n, t) == pytest.approx(exact, abs=1e-12)
+
+
+def _mono_mixture_tv_all_m(n: int, t: int) -> float:
+    """Oracle: the mixture distance summed over every occupation count m.
+
+    Same leaf-count truncation and log-space terms as `mono_mixture_tv`, but
+    no occupation-count window; rows go in small chunks, which changes no
+    row's value.
+    """
+    leaves = 1 << t
+    half_width = math.sqrt(0.5 * leaves * math.log(2.0 / discrete._TRUNCATED_MASS))
+    klo = max(1, math.ceil(leaves / 2 - half_width))
+    khi = min(leaves - 1, math.floor(leaves / 2 + half_width))
+    kept = max(0, khi - klo + 1)
+    log_half = math.log(2.0)
+    target = -n * log_half
+    log_mean = np.full(n + 1, -np.inf)
+    if kept > 0:
+        k = np.arange(klo, khi + 1, dtype=np.float64)
+        log_weight = (
+            gammaln(leaves + 1)
+            - gammaln(k + 1)
+            - gammaln(leaves - k + 1)
+            - leaves * log_half
+        )
+        log_up = np.log(k / leaves)
+        log_down = np.log((leaves - k) / leaves)
+        chunk = max(1, (1 << 20) // kept)
+        for start in range(0, n + 1, chunk):
+            m = np.arange(start, min(start + chunk, n + 1), dtype=np.float64)
+            mat = log_weight[None, :] + m[:, None] * log_up[None, :]
+            mat += (n - m)[:, None] * log_down[None, :]
+            log_mean[start : start + m.size] = logsumexp(mat, axis=1)
+    log_mean[0] = np.logaddexp(log_mean[0], -leaves * log_half)
+    log_mean[n] = np.logaddexp(log_mean[n], -leaves * log_half)
+    log_choose = (
+        gammaln(n + 1)
+        - gammaln(np.arange(n + 1) + 1.0)
+        - gammaln(n - np.arange(n + 1) + 1.0)
+    )
+    terms = []
+    for m in range(n + 1):
+        la = log_mean[m]
+        if la == target:
+            continue
+        hi, lo = (la, target) if la > target else (target, la)
+        gap = lo - hi
+        if gap > -log_half:
+            log_abs = hi + math.log(-math.expm1(gap))
+        else:
+            log_abs = hi + math.log1p(-math.exp(gap))
+        terms.append(math.exp(log_choose[m] + log_abs))
+    return 0.5 * math.fsum(terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 257, 1000, 4096, 10_000])
+def test_mono_mixture_window_drops_at_most_the_certified_mass(n):
+    for t in range(19):
+        windowed = mono_mixture_tv(n, t)
+        full = _mono_mixture_tv_all_m(n, t)
+        assert abs(windowed - full) <= discrete._TRUNCATED_MASS, (n, t)
+        if n == 4096 and 8 <= t <= 16:
+            # the windows of `profile-discrete --n 4096` keep their bytes
+            assert windowed == full, t
+
+
+def test_mono_mixture_budget_counts_the_evaluated_cells(monkeypatch):
+    with pytest.raises(BudgetError):
+        mono_mixture_tv(5, 61)
+    # the whole m-range of n = 10^6 would be 10^6 + 1 rows; the window that
+    # is over budget at t = 30 is far narrower
+    with pytest.raises(BudgetError) as big:
+        mono_mixture_tv(10**6, 30)
+    assert big.value.stats["counts"] < 10**5
+    monkeypatch.setattr(discrete, "_MIXTURE_CELL_BUDGET", 0)
+    with pytest.raises(BudgetError) as small:
+        mono_mixture_tv(4096, 12)
+    stats = small.value.stats
+    cells = stats["counts"] * stats["kept_terms"]
+    assert stats["counts"] < 4096 + 1
+    monkeypatch.setattr(discrete, "_MIXTURE_CELL_BUDGET", cells - 1)
+    with pytest.raises(BudgetError):
+        mono_mixture_tv(4096, 12)
+    monkeypatch.setattr(discrete, "_MIXTURE_CELL_BUDGET", cells)
+    assert mono_mixture_tv(4096, 12) == _mono_mixture_tv_all_m(4096, 12)
 
 
 def test_mono_mixture_tv_edges():
