@@ -175,6 +175,9 @@ class RunContext:
     parameters: Dict[str, object]
     outputs: List[Dict[str, object]] = field(default_factory=list)
     capacity_events: List[Dict[str, object]] = field(default_factory=list)
+    # which algorithm each `auto` picked, and how much work it did
+    resolved: Dict[str, object] = field(default_factory=dict)
+    counters: Dict[str, object] = field(default_factory=dict)
     started_at: str = ""
     _clock: float = 0.0
 
@@ -232,6 +235,8 @@ class RunContext:
             "parameters": self.parameters,
             "outputs": self.outputs,
             "capacity_events": self.capacity_events,
+            "resolved": self.resolved,
+            "counters": self.counters,
             "exit_status": status,
         }
         path = self.path(f"{self.command.replace('-', '_')}_manifest.json")
@@ -310,13 +315,15 @@ def _chunk_plan(total: int) -> List[int]:
 
 
 def _sample_martingale(
-    t: float, total: int, seed: int, workers: int, method: str
+    ctx: RunContext, t: float, total: int, seed: int, workers: int, method: str
 ) -> yule.MartingaleBatch:
     """Chunked martingale sampling with order fixed by task id.
 
     The sampler choice and the chunk plan depend only on (t, total), never
     on the worker count, so the concatenated batch is reproducible for any
-    parallelism degree.
+    parallelism degree.  Each cascade chunk grows its own pool; the manifest
+    gets the resolved sampler and, for the cascade, the pool size and the
+    final-stage draws and expected repeat draws summed over chunks.
     """
     method = yule.resolve_martingale_method(t, total, method)
     sizes = _chunk_plan(total)
@@ -332,12 +339,24 @@ def _sample_martingale(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, tasks))
-    return yule.MartingaleBatch(
+    batch = yule.MartingaleBatch(
         horizon=float(t),
         values=np.concatenate([p.values for p in parts]),
         leaf_counts=np.concatenate([p.leaf_counts for p in parts]),
         method=method,
+        pool_size=max(p.pool_size for p in parts),
+        pool_draws=sum(p.pool_draws for p in parts),
+        expected_repeat_draws=sum(p.expected_repeat_draws for p in parts),
     )
+    ctx.resolved["martingale_method"] = method
+    if method == "cascade":
+        ctx.resolved["cascade_sampler_version"] = yule.CASCADE_SAMPLER_VERSION
+        ctx.counters.update(
+            cascade_pool_size=batch.pool_size,
+            cascade_pool_draws=batch.pool_draws,
+            cascade_expected_repeat_draws=batch.expected_repeat_draws,
+        )
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +405,9 @@ def _cmd_profile_discrete(ns, ctx: RunContext) -> int:
 
 def _cmd_profile_continuous(ns, ctx: RunContext) -> int:
     _require(ns, "lambda_grid", "seed")
-    batch = _sample_martingale(ns.horizon, ns.samples, ns.seed, ns.workers, ns.method)
+    batch = _sample_martingale(
+        ctx, ns.horizon, ns.samples, ns.seed, ns.workers, ns.method
+    )
     points = profiles.continuous_profile(ns.lambda_grid, batch.values, dz=ns.z_step)
     rows = [(p.window, p.scale, p.tv, p.bound_upper, p.bound_lower) for p in points]
     ctx.write_rows(ns.out, ["lambda", "scale", "tv", "upper", "lower"], rows)
@@ -405,7 +426,7 @@ def _cmd_fragmentation(ns, ctx: RunContext) -> int:
 
 def _cmd_martingale(ns, ctx: RunContext) -> int:
     _require(ns, "t", "samples", "seed")
-    batch = _sample_martingale(ns.t, ns.samples, ns.seed, ns.workers, ns.method)
+    batch = _sample_martingale(ctx, ns.t, ns.samples, ns.seed, ns.workers, ns.method)
     rows = [
         (i, float(ns.t), float(v), int(c))
         for i, (v, c) in enumerate(zip(batch.values, batch.leaf_counts))
@@ -417,7 +438,7 @@ def _cmd_martingale(ns, ctx: RunContext) -> int:
 def _cmd_w_tail(ns, ctx: RunContext) -> int:
     _require(ns, "samples", "seed", "eps")
     horizon = ns.horizon if ns.t is None else ns.t
-    batch = _sample_martingale(horizon, ns.samples, ns.seed, ns.workers, ns.method)
+    batch = _sample_martingale(ctx, horizon, ns.samples, ns.seed, ns.workers, ns.method)
     rows = []
     for eps in ns.eps:
         est = yule.tail_probability_from_samples(batch.values, eps)

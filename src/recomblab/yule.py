@@ -21,7 +21,7 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,11 @@ from .discrete import collide_coeffs
 MAX_LEAVES_DEFAULT = 1 << 22
 _TREE_MEASURE_CELL_CAP = 1 << 26
 _BATCH_NODE_BUDGET = 250_000_000
+# cascade sampler: stage length, smallest bootstrap pool, and the version of
+# its draw order, bumped whenever seeded cascade output changes bytes
+CASCADE_STAGE = 2.0
+CASCADE_MIN_POOL = 1 << 20
+CASCADE_SAMPLER_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +422,20 @@ def leaf_weight_martingale(tree: YuleTree) -> MartingaleSample:
 
 @dataclass(frozen=True)
 class MartingaleBatch:
-    """Batch of martingale values with the leaf count of each tree."""
+    """Batch of martingale values with the leaf count of each tree.
+
+    A cascade batch also reports its bootstrap: the pool size, the pool
+    entries its final stage drew, and the expected number of repeated
+    draws draws^2 / (2 pool_size).  A direct batch leaves them at zero.
+    """
 
     horizon: float
     values: np.ndarray
     leaf_counts: np.ndarray
     method: str
+    pool_size: int = 0
+    pool_draws: int = 0
+    expected_repeat_draws: float = 0.0
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -488,12 +501,8 @@ def _direct_martingale_batch(
 
 
 def _cascade_martingale_batch(
-    t: float,
-    m: int,
-    rng: np.random.Generator,
-    stage: float = 2.0,
-    pool_size: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    t: float, m: int, rng: np.random.Generator
+) -> MartingaleBatch:
     """Time-chunked sampler built on the branching composition identity.
 
     A tree of horizon a+d is a tree of horizon d whose leaves root
@@ -501,34 +510,59 @@ def _cascade_martingale_batch(
 
         value(a+d) = e^{d/2} * sum over leaves x of 4^-depth(x) * value_x(a),
 
-    and leaf counts compose additively.  Each stage extends a pool of
-    (value, leaf count) samples by `stage` time units, drawing the subtree
-    samples from the previous pool with replacement.  That bootstrap reuse
-    is the only approximation: with pool size P and a handful of leaves per
-    stage tree, the chance that one output reuses a pool entry twice is
-    O(leaves^2 / P), and sample means stay exactly unbiased.
+    and leaf counts compose additively.  The horizon splits into stages of
+    `CASCADE_STAGE` time units, the first one taking the remainder.  A pool
+    of `max(m, CASCADE_MIN_POOL)` (value, leaf count) samples is grown
+    directly over the first stage and extended by every later stage but the
+    last, each drawing its subtree samples from the previous pool with
+    replacement.  The final stage grows only the m trees that are kept.
+    Given the previous pool, the first m of P final-stage trees are m
+    independent stage trees whose leaves pick pool entries uniformly, so
+    growing just those m has exactly the law of growing P and keeping m;
+    only the order of the random draws differs.  With a single stage there
+    is no pool, and the sampler is the direct one on m trees.
+
+    The bootstrap reuse is the only approximation: with pool size P and a
+    handful of leaves per stage tree, the chance that one output reuses a
+    pool entry twice is O(leaves^2 / P), and sample means stay exactly
+    unbiased.  The batch reports P, the final stage's draws D and the
+    expected number of repeated draws D^2 / (2P).
     """
-    if pool_size is None:
-        pool_size = max(m, 1 << 20)
-    nstages = max(1, math.ceil(t / stage))
-    first = t - (nstages - 1) * stage
+    nstages = max(1, math.ceil(t / CASCADE_STAGE))
+    first = t - (nstages - 1) * CASCADE_STAGE
+    if nstages == 1:
+        values, counts = _direct_martingale_batch(first, m, rng)
+        return MartingaleBatch(float(t), values, counts, "cascade")
+    pool_size = max(m, CASCADE_MIN_POOL)
     pool_w, pool_l = _direct_martingale_batch(first, pool_size, rng)
-    grow = math.exp(stage / 2.0)
-    for _ in range(nstages - 1):
-        new_w = np.zeros(pool_size)
-        new_l = np.zeros(pool_size, dtype=np.int64)
+    grow = math.exp(CASCADE_STAGE / 2.0)
+    for stage in range(1, nstages):
+        width = m if stage == nstages - 1 else pool_size
+        new_w = np.zeros(width)
+        new_l = np.zeros(width, dtype=np.int64)
+        draws = 0
 
         def on_frozen(ids: np.ndarray, depths: np.ndarray) -> None:
+            nonlocal draws
+            draws += ids.size
             pick = rng.integers(0, pool_size, size=ids.size)
             w = np.ldexp(1.0, -2 * depths.astype(np.int32)) * pool_w[pick]
-            new_w[:] += np.bincount(ids, weights=w, minlength=pool_size)
+            new_w[:] += np.bincount(ids, weights=w, minlength=width)
             new_l[:] += np.bincount(
-                ids, weights=pool_l[pick].astype(np.float64), minlength=pool_size
+                ids, weights=pool_l[pick].astype(np.float64), minlength=width
             ).astype(np.int64)
 
-        _wave_batch(stage, pool_size, rng, on_frozen)
+        _wave_batch(CASCADE_STAGE, width, rng, on_frozen)
         pool_w, pool_l = grow * new_w, new_l
-    return pool_w[:m], pool_l[:m]
+    return MartingaleBatch(
+        float(t),
+        pool_w,
+        pool_l,
+        "cascade",
+        pool_size=pool_size,
+        pool_draws=draws,
+        expected_repeat_draws=draws * draws / (2.0 * pool_size),
+    )
 
 
 def resolve_martingale_method(
@@ -563,13 +597,10 @@ def martingale_samples(
     method = resolve_martingale_method(t, m, method, node_budget)
     if method == "direct":
         values, counts = _direct_martingale_batch(t, m, rng)
-    elif method == "cascade":
-        values, counts = _cascade_martingale_batch(t, m, rng)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    return MartingaleBatch(
-        horizon=float(t), values=values, leaf_counts=counts, method=method
-    )
+        return MartingaleBatch(float(t), values, counts, method)
+    if method == "cascade":
+        return _cascade_martingale_batch(t, m, rng)
+    raise ValueError(f"unknown sampling method {method!r}")
 
 
 def martingale_limit_samples(

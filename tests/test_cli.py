@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from recomblab import cli
+from recomblab import cli, yule
 from recomblab.errors import NumericalInvariantError
+from recomblab.streams import rng_substream
 
 
 # the directory this process imported recomblab from; the child gets it
@@ -105,6 +106,61 @@ def test_worker_count_does_not_change_output(tmp_path):
     ).read_bytes()
 
 
+def test_cascade_worker_count_does_not_change_output(tmp_path):
+    base = [
+        "w-tail", "--method", "cascade", "--horizon", "3", "--samples", "25000",
+        "--eps", "0.5,0.25", "--seed", "5",
+    ]
+    r1 = run_cli(base + ["--workers", "1", "--out-dir", str(tmp_path / "w1")], tmp_path)
+    r2 = run_cli(base + ["--workers", "2", "--out-dir", str(tmp_path / "w2")], tmp_path)
+    assert r1.returncode == 0, r1.stderr
+    assert r2.returncode == 0, r2.stderr
+    assert (tmp_path / "w1" / "w_tail.csv").read_bytes() == (
+        tmp_path / "w2" / "w_tail.csv"
+    ).read_bytes()
+
+
+def test_manifest_names_the_sampler_and_its_pool(tmp_path):
+    # two chunks, 10 000 and 50 samples, each with its own 2^20 pool
+    out = tmp_path / "run"
+    r = run_cli(
+        [
+            "w-tail", "--method", "cascade", "--horizon", "3", "--samples", "10050",
+            "--eps", "0.5", "--seed", "3", "--out-dir", str(out),
+        ],
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    manifest = json.loads((out / "w_tail_manifest.json").read_text())
+    assert manifest["resolved"] == {
+        "martingale_method": "cascade",
+        "cascade_sampler_version": 2,
+    }
+    chunks = [
+        yule.martingale_samples(
+            3.0, size, rng_substream(3, cli.CHUNK_TASK_BASE + idx), "cascade"
+        )
+        for idx, size in enumerate(cli._chunk_plan(10050))
+    ]
+    assert [c.values.size for c in chunks] == [10000, 50]
+    assert manifest["counters"] == {
+        "cascade_pool_size": 1048576,
+        "cascade_pool_draws": sum(c.pool_draws for c in chunks),
+        "cascade_expected_repeat_draws": sum(
+            c.pool_draws**2 / (2.0 * 1048576) for c in chunks
+        ),
+    }
+
+    r = run_cli(
+        ["martingale", "--t", "1.0", "--samples", "20", "--seed", "3", "--out-dir", str(out)],
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    manifest = json.loads((out / "martingale_manifest.json").read_text())
+    assert manifest["resolved"] == {"martingale_method": "direct"}
+    assert manifest["counters"] == {}
+
+
 def test_manifest_records_checksums_and_parameters(tmp_path):
     out = tmp_path / "run"
     r = run_cli(
@@ -120,6 +176,9 @@ def test_manifest_records_checksums_and_parameters(tmp_path):
     assert manifest["parameters"]["lambda_grid"] == [-2.0, -1.0, 0.0, 1.0, 2.0]
     assert manifest["wall_seconds"] >= 0
     assert manifest["peak_rss_kb"] > 0
+    # an exact command resolves no sampler and counts no pool
+    assert manifest["resolved"] == {}
+    assert manifest["counters"] == {}
     (entry,) = manifest["outputs"]
     blob = (out / entry["file"]).read_bytes()
     assert hashlib.sha256(blob).hexdigest() == entry["sha256"]

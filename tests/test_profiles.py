@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.special import erfc
 from scipy.stats import binom
 
 from recomblab import (
@@ -19,6 +20,7 @@ from recomblab import (
     l1_from_l2_bound,
     lowerbound_experiment_continuous,
     lowerbound_experiment_discrete,
+    martingale_samples,
     mixture_profile_tv,
     mono_mixture_tv,
     mono_tv_large_n_limit,
@@ -161,6 +163,56 @@ def test_simpson_sum_is_scipy_simpson_bit_for_bit(points):
     y = rng.standard_normal(points) * np.exp(-np.linspace(-6.0, 6.0, points) ** 2)
     h = 12.0 / (points - 1)
     assert np.array_equal(_simpson(y, h), simpson(y, dx=h))
+
+
+def _mixture_profile_tv_full_grid(window, martingale_values, z_max=12.0, dz=1e-3):
+    """The mixture profile evaluated on the whole grid [-z_max, z_max].
+
+    The library evaluates the even integrand on the half-line only; this is
+    the full-grid evaluation it replaced, kept as its oracle.
+    """
+    values = np.asarray(martingale_values, dtype=np.float64)
+    excess = math.exp(-window / 2.0) * values
+    half_pts = int(math.ceil(z_max / dz))
+    grid = np.linspace(-z_max, z_max, 2 * half_pts + 1)
+    h = z_max / half_pts
+    coeff = excess / (2.0 * (excess + 1.0))
+    scale = 1.0 / np.sqrt(1.0 + excess)
+    mix = np.empty(grid.size)
+    chunk = max(1, int(8e6) // values.size)
+    for start in range(0, grid.size, chunk):
+        zz = grid[start : start + chunk]
+        block = np.exp(np.outer(zz * zz, coeff))
+        block *= scale
+        mix[start : start + zz.size] = block.mean(axis=1)
+    integrand = np.abs(mix - 1.0) * np.exp(-grid * grid / 2.0) / math.sqrt(2.0 * math.pi)
+    interior = _simpson(integrand, h)
+    root2 = math.sqrt(2.0)
+    outside_mixture = float(np.mean(erfc(z_max / (root2 * np.sqrt(1.0 + excess)))))
+    outside_reference = math.erfc(z_max / root2)
+    return 0.5 * interior + 0.5 * (outside_mixture - outside_reference)
+
+
+@pytest.mark.parametrize("batch", ["martingale", "ones"])
+def test_half_line_mixture_quadrature_is_the_full_grid(batch):
+    if batch == "martingale":
+        values = martingale_samples(6.0, 1000, rng_substream(21, 6)).values
+    else:
+        values = np.ones(8)
+    for lam in range(-4, 5):
+        half = mixture_profile_tv(lam, values)
+        full = _mixture_profile_tv_full_grid(lam, values)
+        assert abs(half - full) <= 1e-15, (lam, half, full)
+
+
+def test_mixture_profile_odd_interval_count_rounds_up():
+    # ceil(12 / dz) = 1201 intervals per half-line; the grid takes 1202
+    dz = 12.0 / 1200.5
+    ones = np.ones(8)
+    for lam in (-4.0, 0.0, 4.0):
+        assert mixture_profile_tv(lam, ones, dz=dz) == pytest.approx(
+            _mixture_profile_tv_full_grid(lam, ones, dz=12.0 / 1202), abs=1e-15
+        )
 
 
 def test_mixture_profile_rejects_empty_batch():

@@ -275,6 +275,41 @@ def test_cascade_agrees_with_direct_at_equal_horizon():
     assert stat < 1.628 * math.sqrt(2.0 / m)
 
 
+def test_cascade_agrees_with_direct_at_horizon_3():
+    # two stages: a pool grown to horizon 1, then 2^20-pool draws for only
+    # the m final-stage trees that are kept
+    t, m = 3.0, 4000
+    direct = martingale_samples(t, m, rng_substream(11, 23), method="direct")
+    cascade = martingale_samples(t, m, rng_substream(11, 24), method="cascade")
+    stat = sps.ks_2samp(direct.values, cascade.values).statistic
+    # 99th percentile of the two-sample KS null at these sizes
+    assert stat < 1.628 * math.sqrt(2.0 / m)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, 2.0])
+def test_single_stage_cascade_is_the_direct_sampler(t):
+    cascade = martingale_samples(t, 3000, rng_substream(11, 25), method="cascade")
+    direct = martingale_samples(t, 3000, rng_substream(11, 25), method="direct")
+    assert np.array_equal(cascade.values, direct.values)
+    assert np.array_equal(cascade.leaf_counts, direct.leaf_counts)
+    assert (cascade.pool_size, cascade.pool_draws) == (0, 0)
+    assert cascade.expected_repeat_draws == 0.0
+
+
+def test_cascade_batch_reports_its_pool():
+    m = 50
+    batch = martingale_samples(3.0, m, rng_substream(11, 26), method="cascade")
+    assert batch.values.shape == batch.leaf_counts.shape == (m,)
+    assert batch.pool_size == yule.CASCADE_MIN_POOL == 1 << 20
+    # every kept tree draws at least one pool entry, and each draw brings
+    # at least one leaf
+    assert m <= batch.pool_draws <= int(batch.leaf_counts.sum())
+    expected = batch.pool_draws**2 / (2.0 * batch.pool_size)
+    assert batch.expected_repeat_draws == expected
+    direct = martingale_samples(3.0, m, rng_substream(11, 26), method="direct")
+    assert (direct.pool_size, direct.pool_draws) == (0, 0)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(
