@@ -322,8 +322,9 @@ def _sample_martingale(
     The sampler choice and the chunk plan depend only on (t, total), never
     on the worker count, so the concatenated batch is reproducible for any
     parallelism degree.  Each cascade chunk grows its own pool; the manifest
-    gets the resolved sampler and, for the cascade, the pool size and the
-    final-stage draws and expected repeat draws summed over chunks.
+    gets the resolved sampler, the tree nodes grown summed over chunks and,
+    for the cascade, the pool size and the final-stage draws and expected
+    repeat draws summed over chunks.
     """
     method = yule.resolve_martingale_method(t, total, method)
     sizes = _chunk_plan(total)
@@ -347,8 +348,10 @@ def _sample_martingale(
         pool_size=max(p.pool_size for p in parts),
         pool_draws=sum(p.pool_draws for p in parts),
         expected_repeat_draws=sum(p.expected_repeat_draws for p in parts),
+        nodes_grown=sum(p.nodes_grown for p in parts),
     )
     ctx.resolved["martingale_method"] = method
+    ctx.counters["nodes_grown"] = batch.nodes_grown
     if method == "cascade":
         ctx.resolved["cascade_sampler_version"] = yule.CASCADE_SAMPLER_VERSION
         ctx.counters.update(
@@ -427,11 +430,7 @@ def _cmd_fragmentation(ns, ctx: RunContext) -> int:
 def _cmd_martingale(ns, ctx: RunContext) -> int:
     _require(ns, "t", "samples", "seed")
     batch = _sample_martingale(ctx, ns.t, ns.samples, ns.seed, ns.workers, ns.method)
-    rows = [
-        (i, float(ns.t), float(v), int(c))
-        for i, (v, c) in enumerate(zip(batch.values, batch.leaf_counts))
-    ]
-    ctx.write_rows(ns.out, ["sample", "t", "W", "leaves"], rows)
+    ctx.write_with(ns.out, batch.to_csv)
     return EXIT_OK
 
 

@@ -423,11 +423,26 @@ def fragmentation_step(
 
 
 def fragmentation_time(n: int, rng: np.random.Generator) -> int:
-    """First round after which every site sits in its own block."""
-    state = initial_fragmentation(n)
-    while not state.fully_fragmented():
-        state = fragmentation_step(state, rng)
-    return state.t
+    """First round after which every site sits in its own block.
+
+    Runs the `fragmentation_step` loop on a bare label array: the same fair
+    bits are drawn in the same order, without a validated state per round.
+    """
+    if n < 1:
+        raise DimensionMismatchError("labels must be a non-empty vector")
+    labels = np.zeros(n, dtype=np.uint64)
+    one = np.uint64(1)
+    t = 0
+    while len(set(labels.tolist())) < n:
+        if t >= FRAGMENTATION_STEP_CAP:
+            raise CapacityError(
+                f"label words are capped at {FRAGMENTATION_STEP_CAP} splitting rounds",
+                t=t,
+            )
+        labels <<= one
+        labels |= rng.integers(0, 2, size=n, dtype=np.uint64)
+        t += 1
+    return t
 
 
 def pair_separation_bound(n: int, t: int) -> float:

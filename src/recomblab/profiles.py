@@ -565,7 +565,10 @@ def lowerbound_experiment_continuous(
         martingale = math.exp(t / 2.0) * m2
         signs = rng.integers(0, 2, size=(inner_samples, w.size)) * 2 - 1
         q_draw = signs @ w
-        tails = _square_tail_given_bias(p, (1.0 + q_draw) / 2.0, threshold)
+        # a tree has few leaves, so its 2^leaves sign patterns repeat: the
+        # tail is evaluated once per distinct bias
+        q_seen, q_index = np.unique(q_draw, return_inverse=True)
+        tails = _square_tail_given_bias(p, (1.0 + q_seen) / 2.0, threshold)[q_index]
         block_tails[i] = tails.mean()
         mix_pmf += _binom_pmf(counts_grid, alpha, block_tails[i])
 

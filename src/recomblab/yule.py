@@ -45,6 +45,8 @@ from .discrete import collide_coeffs
 MAX_LEAVES_DEFAULT = 1 << 22
 _TREE_MEASURE_CELL_CAP = 1 << 26
 _BATCH_NODE_BUDGET = 250_000_000
+# lineages the widest generation wave of one tree chunk may reach
+WAVE_WIDTH = 2e7
 # cascade sampler: stage length, smallest bootstrap pool, and the version of
 # its draw order, bumped whenever seeded cascade output changes bytes
 CASCADE_STAGE = 2.0
@@ -424,8 +426,9 @@ def leaf_weight_martingale(tree: YuleTree) -> MartingaleSample:
 class MartingaleBatch:
     """Batch of martingale values with the leaf count of each tree.
 
-    A cascade batch also reports its bootstrap: the pool size, the pool
-    entries its final stage drew, and the expected number of repeated
+    `nodes_grown` counts the tree nodes the wave kernel simulated for the
+    batch.  A cascade batch also reports its bootstrap: the pool size, the
+    pool entries its final stage drew, and the expected number of repeated
     draws draws^2 / (2 pool_size).  A direct batch leaves them at zero.
     """
 
@@ -436,68 +439,94 @@ class MartingaleBatch:
     pool_size: int = 0
     pool_draws: int = 0
     expected_repeat_draws: float = 0.0
+    nodes_grown: int = 0
 
     def to_csv(self, path) -> None:
+        t = repr(float(self.horizon))
+        rows = zip(self.values.tolist(), self.leaf_counts.tolist())
+        text = "sample,t,W,leaves\n" + "".join(
+            [f"{i},{t},{v!r},{c}\n" for i, (v, c) in enumerate(rows)]
+        )
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["sample", "t", "W", "leaves"])
-            for i, (v, c) in enumerate(zip(self.values, self.leaf_counts)):
-                writer.writerow([i, repr(float(self.horizon)), repr(float(v)), int(c)])
+            fh.write(text)
 
 
 def _wave_batch(
     t: float,
     m: int,
     rng: np.random.Generator,
-    on_frozen: Callable[[np.ndarray, np.ndarray], None],
+    on_frozen: Callable[[np.ndarray, np.ndarray, int], None],
     node_budget: int = 4 * _BATCH_NODE_BUDGET,
-) -> None:
+) -> int:
     """Drive m independent trees to horizon t without materializing them.
 
-    Lineages are processed in generation waves; every frozen leaf is reported
-    to `on_frozen(tree_ids, depths)`.  Trees are chunked so the widest wave
-    stays small.  The per-lineage law is exactly that of the event-driven
-    sampler; only the draw order differs.
+    Lineages are processed in generation waves, so a wave's index is the
+    depth of its lineages.  A wave holds only their death times, in tree
+    order, and a lineage count for each tree still growing; the lineages
+    that outlive t are reported per tree as `on_frozen(trees, counts,
+    depth)`.  Trees are chunked so the widest wave stays near `WAVE_WIDTH`
+    lineages.  The per-lineage law is exactly that of the event-driven
+    sampler; only the draw order differs.  Returns the number of lineages
+    (tree nodes) grown.
     """
     peak = max(1.0, math.exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
-    chunk = max(1, min(m, int(2e7 / peak)))
+    chunk = max(1, min(m, int(WAVE_WIDTH / peak)))
     processed = 0
     for start in range(0, m, chunk):
         width = min(chunk, m - start)
-        tree_id = np.arange(start, start + width, dtype=np.int64)
-        depth = np.zeros(width, dtype=np.int32)
-        birth = np.zeros(width)
-        while tree_id.size:
-            processed += tree_id.size
+        trees = np.arange(start, start + width)
+        # lineages per growing tree: a wave passes the node budget check
+        # (1e9 by default), so the next one has at most 2e9 < 2^31
+        counts = np.ones(width, dtype=np.int32)
+        lineages, depth = width, 0
+        while lineages:
+            processed += lineages
             if processed > node_budget:
                 raise CapacityError(
                     "node budget exhausted while growing batch",
                     horizon=t,
                     nodes=processed,
                 )
-            death = birth + rng.exponential(size=tree_id.size)
-            frozen = death > t
-            if frozen.any():
-                on_frozen(tree_id[frozen], depth[frozen])
-            alive = ~frozen
-            tree_id = np.repeat(tree_id[alive], 2)
-            depth = np.repeat(depth[alive] + 1, 2)
-            birth = np.repeat(death[alive], 2)
+            if depth == 0:
+                # one root lineage per tree: no per-tree sum to take
+                death = rng.standard_exponential(width)
+                alive = death <= t
+                live = alive.astype(np.int32)
+            else:
+                # two children per surviving parent, in tree order
+                parents = death.compress(alive)
+                kids = rng.standard_exponential((parents.size, 2))
+                kids[:, 0] += parents
+                kids[:, 1] += parents
+                death = kids.ravel()
+                alive = death <= t
+                starts = np.cumsum(counts) - counts
+                live = np.add.reduceat(alive, starts, dtype=np.int32)
+            frozen = counts - live
+            hit = frozen > 0
+            if hit.any():
+                on_frozen(trees[hit], frozen[hit], depth)
+            growing = live > 0
+            trees = trees[growing]
+            counts = 2 * live[growing]
+            lineages = int(counts.sum())
+            depth += 1
+    return processed
 
 
 def _direct_martingale_batch(
     t: float, m: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, int]:
     raw = np.zeros(m)
     counts = np.zeros(m, dtype=np.int64)
 
-    def on_frozen(ids: np.ndarray, depths: np.ndarray) -> None:
-        w = np.ldexp(1.0, -2 * depths.astype(np.int32))
-        raw[:] += np.bincount(ids, weights=w, minlength=m)
-        counts[:] += np.bincount(ids, minlength=m)
+    def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
+        # a count times 4^-depth is exactly the sum of that many 4^-depth
+        raw[trees] += frozen * math.ldexp(1.0, -2 * depth)
+        counts[trees] += frozen
 
-    _wave_batch(t, m, rng, on_frozen)
-    return math.exp(t / 2.0) * raw, counts
+    nodes = _wave_batch(t, m, rng, on_frozen)
+    return math.exp(t / 2.0) * raw, counts, nodes
 
 
 def _cascade_martingale_batch(
@@ -531,10 +560,10 @@ def _cascade_martingale_batch(
     nstages = max(1, math.ceil(t / CASCADE_STAGE))
     first = t - (nstages - 1) * CASCADE_STAGE
     if nstages == 1:
-        values, counts = _direct_martingale_batch(first, m, rng)
-        return MartingaleBatch(float(t), values, counts, "cascade")
+        values, counts, nodes = _direct_martingale_batch(first, m, rng)
+        return MartingaleBatch(float(t), values, counts, "cascade", nodes_grown=nodes)
     pool_size = max(m, CASCADE_MIN_POOL)
-    pool_w, pool_l = _direct_martingale_batch(first, pool_size, rng)
+    pool_w, pool_l, nodes = _direct_martingale_batch(first, pool_size, rng)
     grow = math.exp(CASCADE_STAGE / 2.0)
     for stage in range(1, nstages):
         width = m if stage == nstages - 1 else pool_size
@@ -542,17 +571,20 @@ def _cascade_martingale_batch(
         new_l = np.zeros(width, dtype=np.int64)
         draws = 0
 
-        def on_frozen(ids: np.ndarray, depths: np.ndarray) -> None:
+        def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
             nonlocal draws
-            draws += ids.size
-            pick = rng.integers(0, pool_size, size=ids.size)
-            w = np.ldexp(1.0, -2 * depths.astype(np.int32)) * pool_w[pick]
-            new_w[:] += np.bincount(ids, weights=w, minlength=width)
-            new_l[:] += np.bincount(
-                ids, weights=pool_l[pick].astype(np.float64), minlength=width
+            # leaf i belongs to the tree at position owner[i] of `trees`;
+            # bincount sums each tree's leaves in leaf order
+            owner = np.repeat(np.arange(trees.size), frozen)
+            draws += owner.size
+            pick = rng.integers(0, pool_size, size=owner.size)
+            w = math.ldexp(1.0, -2 * depth) * pool_w[pick]
+            new_w[trees] += np.bincount(owner, weights=w, minlength=trees.size)
+            new_l[trees] += np.bincount(
+                owner, weights=pool_l[pick].astype(np.float64), minlength=trees.size
             ).astype(np.int64)
 
-        _wave_batch(CASCADE_STAGE, width, rng, on_frozen)
+        nodes += _wave_batch(CASCADE_STAGE, width, rng, on_frozen)
         pool_w, pool_l = grow * new_w, new_l
     return MartingaleBatch(
         float(t),
@@ -562,6 +594,7 @@ def _cascade_martingale_batch(
         pool_size=pool_size,
         pool_draws=draws,
         expected_repeat_draws=draws * draws / (2.0 * pool_size),
+        nodes_grown=nodes,
     )
 
 
@@ -596,8 +629,8 @@ def martingale_samples(
         raise ValueError("need at least one sample")
     method = resolve_martingale_method(t, m, method, node_budget)
     if method == "direct":
-        values, counts = _direct_martingale_batch(t, m, rng)
-        return MartingaleBatch(float(t), values, counts, method)
+        values, counts, nodes = _direct_martingale_batch(t, m, rng)
+        return MartingaleBatch(float(t), values, counts, method, nodes_grown=nodes)
     if method == "cascade":
         return _cascade_martingale_batch(t, m, rng)
     raise ValueError(f"unknown sampling method {method!r}")

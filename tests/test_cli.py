@@ -1,5 +1,6 @@
 """Command-line driver: reproducibility, manifests, config, exit codes."""
 
+import csv
 import hashlib
 import json
 import os
@@ -144,6 +145,7 @@ def test_manifest_names_the_sampler_and_its_pool(tmp_path):
     ]
     assert [c.values.size for c in chunks] == [10000, 50]
     assert manifest["counters"] == {
+        "nodes_grown": sum(c.nodes_grown for c in chunks),
         "cascade_pool_size": 1048576,
         "cascade_pool_draws": sum(c.pool_draws for c in chunks),
         "cascade_expected_repeat_draws": sum(
@@ -158,7 +160,76 @@ def test_manifest_names_the_sampler_and_its_pool(tmp_path):
     assert r.returncode == 0, r.stderr
     manifest = json.loads((out / "martingale_manifest.json").read_text())
     assert manifest["resolved"] == {"martingale_method": "direct"}
-    assert manifest["counters"] == {}
+    direct = yule.martingale_samples(
+        1.0, 20, rng_substream(3, cli.CHUNK_TASK_BASE), "direct"
+    )
+    assert manifest["counters"] == {"nodes_grown": direct.nodes_grown}
+
+
+def test_nodes_grown_counts_every_tree_node(tmp_path):
+    # a binary tree with L leaves has 2L - 1 nodes; two chunks are summed
+    r = run_cli(
+        [
+            "martingale", "--t", "1.5", "--samples", "10007", "--seed", "4",
+            "--method", "direct", "--out-dir", str(tmp_path),
+        ],
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    with open(tmp_path / "martingale.csv", newline="") as fh:
+        leaves = [int(row["leaves"]) for row in csv.DictReader(fh)]
+    assert len(leaves) == 10007
+    manifest = json.loads((tmp_path / "martingale_manifest.json").read_text())
+    assert manifest["counters"]["nodes_grown"] == sum(2 * c - 1 for c in leaves)
+
+
+# sha256 of small seeded outputs, recorded before the wave kernel, the
+# fragmentation loop and the lower-bound tail evaluation were rewritten.  A
+# change of draw order must fail here and announce a sampler version bump.
+SEEDED_OUTPUT_SHA256 = [
+    (
+        ("martingale", "--t", "2.5", "--samples", "400", "--seed", "77",
+         "--method", "direct"),
+        "martingale.csv",
+        "a3a5811a8de06617fd60e3ed37923f962fdeda9796cf1572687e92b9c0db661a",
+    ),
+    (
+        ("martingale", "--t", "5.0", "--samples", "300", "--seed", "8",
+         "--method", "cascade"),
+        "martingale.csv",
+        "6b9572808f796e26071f4bbead2406bab81b76297e1339831ef0dcda11946935",
+    ),
+    (
+        ("w-tail", "--horizon", "5", "--samples", "300", "--eps", "0.5,0.25",
+         "--seed", "5", "--method", "cascade"),
+        "w_tail.csv",
+        "bc80ea3598a079755713c9ca55d8af630fab8c02ccd139612f64f2a35031a4af",
+    ),
+    (
+        ("fragmentation", "--n", "64", "--trials", "300", "--seed", "1"),
+        "fragmentation.csv",
+        "352f3781aa21355efc2d27e50fb9cfad615b67194377df93c1fc8df03a08e5c2",
+    ),
+    (
+        ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "120",
+         "--inner", "512", "--seed", "9"),
+        "lowerbound_continuous.csv",
+        "64fb9d643ff62bce3aa98d93476fb3cfd48dcd05b73cfdcc3a58f48539535d49",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,name,digest",
+    SEEDED_OUTPUT_SHA256,
+    ids=[
+        "martingale-direct", "martingale-cascade", "w-tail-cascade",
+        "fragmentation", "lowerbound-continuous",
+    ],
+)
+def test_seeded_output_bytes_are_pinned(tmp_path, capsys, args, name, digest):
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_manifest_records_checksums_and_parameters(tmp_path):

@@ -9,6 +9,7 @@ from scipy.special import gammaln, logsumexp
 from recomblab import (
     BudgetError,
     CapacityError,
+    DimensionMismatchError,
     collide,
     collide_coeffs,
     collide_direct,
@@ -194,6 +195,37 @@ def test_fragmentation_labels_and_time():
     assert nxt.labels.max() <= 1
     t = fragmentation_time(5, rng)
     assert t >= math.ceil(math.log2(5))
+
+
+def _oracle_fragmentation_time(n, rng):
+    state = initial_fragmentation(n)
+    while not state.fully_fragmented():
+        state = fragmentation_step(state, rng)
+    return state.t
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_fragmentation_time_is_the_state_loop(n):
+    for seed in range(25):
+        rng, oracle_rng = rng_substream(seed, 5), rng_substream(seed, 5)
+        times = [fragmentation_time(n, rng) for _ in range(8)]
+        assert times == [_oracle_fragmentation_time(n, oracle_rng) for _ in range(8)]
+        # the same number of fair bits was drawn
+        assert rng.random() == oracle_rng.random()
+
+
+def test_fragmentation_time_errors_match_the_state_loop(monkeypatch):
+    monkeypatch.setattr(discrete, "FRAGMENTATION_STEP_CAP", 3)
+    with pytest.raises(CapacityError) as err:
+        fragmentation_time(64, rng_substream(99, 6))
+    with pytest.raises(CapacityError) as oracle_err:
+        _oracle_fragmentation_time(64, rng_substream(99, 6))
+    assert err.value.stats == oracle_err.value.stats == {"t": 3}
+    assert str(err.value) == str(oracle_err.value)
+    with pytest.raises(DimensionMismatchError):
+        fragmentation_time(0, rng_substream(99, 6))
+    with pytest.raises(DimensionMismatchError):
+        _oracle_fragmentation_time(0, rng_substream(99, 6))
 
 
 def test_pair_separation_probability():

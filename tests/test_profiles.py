@@ -27,6 +27,7 @@ from recomblab import (
     normal_density_ratio,
     two_valued_extremal_density,
 )
+from recomblab import profiles
 from recomblab.errors import ConfigError, InvalidDistributionError
 from recomblab.profiles import _binom_cdf, _binom_pmf, _binom_sf, _simpson
 from recomblab.streams import rng_substream
@@ -352,6 +353,41 @@ def test_continuous_block_bound_is_dominated_by_z_law():
     assert 0.0 < report.tv_lower_bound <= report.block_count_tv + 1e-12
     assert report.second_moment_bound_ok
     assert abs(report.first_moment_max_abs_z) < 5.0
+
+
+class _NumpyWithoutDedup:
+    """numpy, except that `unique` keeps every draw in place."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def unique(values, return_inverse=False):
+        assert return_inverse
+        return values, np.arange(values.size)
+
+
+def test_continuous_block_report_equals_per_draw_evaluation(monkeypatch):
+    # the tail is evaluated once per distinct bias; evaluating it once per
+    # sign draw, as the oracle does, must give the same report exactly
+    def run():
+        return lowerbound_experiment_continuous(
+            400, 1.0, 120, rng_substream(21, 3), inner_samples=512
+        )
+
+    evaluated = []
+    tail = profiles._square_tail_given_bias
+
+    def counting_tail(p, up, threshold):
+        evaluated.append(np.size(up))
+        return tail(p, up, threshold)
+
+    monkeypatch.setattr(profiles, "_square_tail_given_bias", counting_tail)
+    report = run()
+    per_tree = evaluated[1:]
+    assert len(per_tree) == 120 and sum(per_tree) < 120 * 512
+    monkeypatch.setattr(profiles, "np", _NumpyWithoutDedup())
+    assert report == run()
 
 
 # -----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Continuous-time dynamics: branching trees, martingale samplers, spinal law."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -310,6 +312,154 @@ def test_cascade_batch_reports_its_pool():
     assert (direct.pool_size, direct.pool_draws) == (0, 0)
 
 
+# -----------------------------------------------------------------------
+# wave kernel against the per-lineage oracle
+# -----------------------------------------------------------------------
+#
+# The oracle is the earlier kernel: every lineage carries its tree id, depth
+# and birth time, and each wave reports its frozen lineages one by one.  The
+# lineage-count kernel must reproduce its draws and float sums exactly.
+
+
+def _oracle_wave_batch(t, m, rng, on_frozen, node_budget=4 * yule._BATCH_NODE_BUDGET):
+    peak = max(1.0, math.exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
+    chunk = max(1, min(m, int(yule.WAVE_WIDTH / peak)))
+    processed = 0
+    for start in range(0, m, chunk):
+        width = min(chunk, m - start)
+        tree_id = np.arange(start, start + width, dtype=np.int64)
+        depth = np.zeros(width, dtype=np.int32)
+        birth = np.zeros(width)
+        while tree_id.size:
+            processed += tree_id.size
+            if processed > node_budget:
+                raise CapacityError(
+                    "node budget exhausted while growing batch",
+                    horizon=t,
+                    nodes=processed,
+                )
+            death = birth + rng.exponential(size=tree_id.size)
+            frozen = death > t
+            if frozen.any():
+                on_frozen(tree_id[frozen], depth[frozen])
+            alive = ~frozen
+            tree_id = np.repeat(tree_id[alive], 2)
+            depth = np.repeat(depth[alive] + 1, 2)
+            birth = np.repeat(death[alive], 2)
+    return processed
+
+
+def _oracle_direct(t, m, rng):
+    raw = np.zeros(m)
+    counts = np.zeros(m, dtype=np.int64)
+
+    def on_frozen(ids, depths):
+        w = np.ldexp(1.0, -2 * depths.astype(np.int32))
+        raw[:] += np.bincount(ids, weights=w, minlength=m)
+        counts[:] += np.bincount(ids, minlength=m)
+
+    nodes = _oracle_wave_batch(t, m, rng, on_frozen)
+    return math.exp(t / 2.0) * raw, counts, nodes
+
+
+def _oracle_cascade(t, m, rng):
+    nstages = max(1, math.ceil(t / yule.CASCADE_STAGE))
+    first = t - (nstages - 1) * yule.CASCADE_STAGE
+    pool_size = max(m, yule.CASCADE_MIN_POOL)
+    pool_w, pool_l, nodes = _oracle_direct(first, pool_size, rng)
+    grow = math.exp(yule.CASCADE_STAGE / 2.0)
+    for stage in range(1, nstages):
+        width = m if stage == nstages - 1 else pool_size
+        new_w = np.zeros(width)
+        new_l = np.zeros(width, dtype=np.int64)
+        draws = 0
+
+        def on_frozen(ids, depths):
+            nonlocal draws
+            draws += ids.size
+            pick = rng.integers(0, pool_size, size=ids.size)
+            w = np.ldexp(1.0, -2 * depths.astype(np.int32)) * pool_w[pick]
+            new_w[:] += np.bincount(ids, weights=w, minlength=width)
+            new_l[:] += np.bincount(
+                ids, weights=pool_l[pick].astype(np.float64), minlength=width
+            ).astype(np.int64)
+
+        nodes += _oracle_wave_batch(yule.CASCADE_STAGE, width, rng, on_frozen)
+        pool_w, pool_l = grow * new_w, new_l
+    return pool_w, pool_l, draws, nodes
+
+
+@pytest.mark.parametrize(
+    "t,m",
+    [(0.0, 1), (0.0, 777), (0.5, 1), (0.5, 1001), (2.0, 1), (2.0, 999), (6.0, 1), (6.0, 123)],
+)
+def test_direct_sampler_matches_per_lineage_oracle(t, m):
+    batch = martingale_samples(t, m, rng_substream(11, 30), method="direct")
+    values, counts, nodes = _oracle_direct(t, m, rng_substream(11, 30))
+    assert np.array_equal(batch.values, values)
+    assert np.array_equal(batch.leaf_counts, counts)
+    assert batch.nodes_grown == nodes == int((2 * counts - 1).sum())
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0, 6.0])
+def test_direct_sampler_matches_oracle_across_chunks(monkeypatch, t):
+    # a narrow wave forces many tree chunks, the last one short
+    monkeypatch.setattr(yule, "WAVE_WIDTH", 300.0)
+    peak = max(1.0, math.exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
+    chunk = int(yule.WAVE_WIDTH / peak)
+    m = 5 * chunk + 3
+    assert chunk >= 2
+    batch = martingale_samples(t, m, rng_substream(11, 31), method="direct")
+    values, counts, nodes = _oracle_direct(t, m, rng_substream(11, 31))
+    assert np.array_equal(batch.values, values)
+    assert np.array_equal(batch.leaf_counts, counts)
+    assert batch.nodes_grown == nodes
+
+
+def test_wave_kernel_reports_the_oracle_leaves_in_order():
+    # np.repeat(trees, counts) is the oracle's per-leaf tree id, element by
+    # element, so per-leaf draws keep their owners
+    got, want = [], []
+
+    def on_counts(trees, counts, depth):
+        got.append((np.repeat(trees, counts), np.full(int(counts.sum()), depth)))
+
+    def on_leaves(ids, depths):
+        want.append((ids, depths))
+
+    nodes = yule._wave_batch(3.0, 400, rng_substream(11, 32), on_counts)
+    assert nodes == _oracle_wave_batch(3.0, 400, rng_substream(11, 32), on_leaves)
+    assert len(got) == len(want)
+    for (ids, depths), (oracle_ids, oracle_depths) in zip(got, want):
+        assert np.array_equal(ids, oracle_ids)
+        assert np.array_equal(depths, oracle_depths)
+
+
+@pytest.mark.parametrize("t,pool", [(3.0, 1 << 12), (5.0, 1 << 12), (3.0, 1 << 20)])
+def test_cascade_matches_per_lineage_oracle(monkeypatch, t, pool):
+    monkeypatch.setattr(yule, "CASCADE_MIN_POOL", pool)
+    m = 300
+    batch = martingale_samples(t, m, rng_substream(11, 33), method="cascade")
+    values, counts, draws, nodes = _oracle_cascade(t, m, rng_substream(11, 33))
+    assert np.array_equal(batch.values, values)
+    assert np.array_equal(batch.leaf_counts, counts)
+    assert batch.pool_size == pool
+    assert batch.pool_draws == draws
+    assert batch.nodes_grown == nodes
+
+
+def test_node_budget_error_matches_oracle():
+    def ignore(*args):
+        pass
+
+    with pytest.raises(CapacityError) as err:
+        yule._wave_batch(4.0, 200, rng_substream(11, 34), ignore, node_budget=5000)
+    with pytest.raises(CapacityError) as oracle_err:
+        _oracle_wave_batch(4.0, 200, rng_substream(11, 34), ignore, node_budget=5000)
+    assert err.value.stats == oracle_err.value.stats
+    assert err.value.stats["nodes"] > 5000
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(
@@ -344,6 +494,18 @@ def test_limit_samples_positive_and_tail_estimator():
     rng2 = rng_substream(11, 20)
     e2 = martingale_tail_probability(1.0, 0.9, 5000, rng2)
     assert 0.0 < e2.probability < 1.0
+
+
+def test_batch_csv_bytes_match_csv_writer(tmp_path):
+    batch = martingale_samples(2.0, 50, rng_substream(11, 35), method="cascade")
+    path = tmp_path / "m.csv"
+    batch.to_csv(path)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["sample", "t", "W", "leaves"])
+    for i, (v, c) in enumerate(zip(batch.values, batch.leaf_counts)):
+        writer.writerow([i, repr(float(batch.horizon)), repr(float(v)), int(c)])
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_batch_csv_roundtrip(tmp_path):
