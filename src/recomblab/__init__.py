@@ -9,12 +9,10 @@ how fast the dynamics reach the stationary product measure.
 from .cube import (
     FourierTable,
     Pmf,
-    SpinConfig,
     all_biases,
     fourier_from_csv,
     fourier_to_csv,
     is_balanced,
-    load_json,
     marginal_bias,
     monochromatic_pmf,
     point_mass,
@@ -24,9 +22,7 @@ from .cube import (
     product_pmf,
     random_balanced_pmf,
     random_pmf,
-    save_json,
     stationary_product,
-    stationary_product_fourier,
     tv_distance,
     uniform_pmf,
     wht_forward,

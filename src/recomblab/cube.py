@@ -15,7 +15,6 @@ Both directions are computed with an in-place butterfly in O(n 2^n).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,31 +52,6 @@ def _as_vector(values, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpinConfig:
-    """A single configuration of n spins, packed into the bits of an int."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        _check_sites(self.n)
-        if not 0 <= self.bits < (1 << self.n):
-            raise DimensionMismatchError(
-                f"bits={self.bits} out of range for n={self.n}"
-            )
-
-    def spin(self, site: int) -> int:
-        """Spin (+1 or -1) at a 1-based site index."""
-        if not 1 <= site <= self.n:
-            raise DimensionMismatchError(f"site {site} out of range 1..{self.n}")
-        return 1 if (self.bits >> (site - 1)) & 1 else -1
-
-    def as_vector(self) -> np.ndarray:
-        bits = (self.bits >> np.arange(self.n)) & 1
-        return (2 * bits - 1).astype(np.int8)
-
-
-@dataclass(frozen=True)
 class Pmf:
     """Probability weights over all 2^n configurations (immutable)."""
 
@@ -103,11 +77,6 @@ class Pmf:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)
-
-    def prob(self, config: SpinConfig) -> float:
-        if config.n != self.n:
-            raise DimensionMismatchError("configuration lives on a different cube")
-        return float(self.weights[config.bits])
 
 
 @dataclass(frozen=True)
@@ -136,30 +105,22 @@ class FourierTable:
         return float(self.coeffs[1 << (site - 1)])
 
 
-def _butterfly_forward(values: np.ndarray) -> np.ndarray:
-    """Per site: (w_minus, w_plus) -> (w_minus + w_plus, w_plus - w_minus)."""
+def _butterfly(values: np.ndarray, sign: int) -> np.ndarray:
+    """Per site: (lo, hi) -> (lo + sign * hi, hi - sign * lo).
+
+    sign = +1 is the forward transform, (w_minus, w_plus) -> (w_minus +
+    w_plus, w_plus - w_minus); sign = -1 is its inverse without the final
+    2^-n scaling.  The sign picks the ufuncs, so no product is formed.
+    """
+    lo_op, hi_op = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
     out = values.astype(np.float64).copy()
     size = out.shape[0]
     h = 1
     while h < size:
         blk = out.reshape(-1, 2, h)
         lo = blk[:, 0, :].copy()
-        blk[:, 0, :] += blk[:, 1, :]
-        blk[:, 1, :] -= lo
-        h *= 2
-    return out
-
-
-def _butterfly_inverse(values: np.ndarray) -> np.ndarray:
-    """Inverse of the forward butterfly, without the final 2^-n scaling."""
-    out = values.astype(np.float64).copy()
-    size = out.shape[0]
-    h = 1
-    while h < size:
-        blk = out.reshape(-1, 2, h)
-        lo = blk[:, 0, :].copy()
-        blk[:, 0, :] -= blk[:, 1, :]
-        blk[:, 1, :] += lo
+        lo_op(blk[:, 0, :], blk[:, 1, :], out=blk[:, 0, :])
+        hi_op(blk[:, 1, :], lo, out=blk[:, 1, :])
         h *= 2
     return out
 
@@ -171,7 +132,7 @@ def wht_forward(pmf: Pmf) -> FourierTable:
     and is pinned to exactly 1.0 so it never carries the round-off of the
     weight sum into downstream products.
     """
-    coeffs = _butterfly_forward(pmf.weights)
+    coeffs = _butterfly(pmf.weights, 1)
     coeffs[0] = 1.0
     return FourierTable(pmf.n, coeffs)
 
@@ -185,7 +146,7 @@ def wht_inverse(table: FourierTable) -> Pmf:
     may also leave weights slightly negative; anything below -1e-9 is a
     genuine invalidity and raises, smaller dips are clipped by `Pmf`.
     """
-    raw = _butterfly_inverse(table.coeffs) / float(1 << table.n)
+    raw = _butterfly(table.coeffs, -1) / float(1 << table.n)
     total = float(raw.sum())
     if not abs(total - 1.0) <= 1e-9:
         raise InvalidDistributionError(
@@ -256,10 +217,6 @@ def stationary_product(pmf: Pmf) -> Pmf:
     return product_pmf(all_biases(pmf))
 
 
-def stationary_product_fourier(pmf: Pmf) -> FourierTable:
-    return product_fourier(all_biases(pmf))
-
-
 def uniform_pmf(n: int) -> Pmf:
     _check_sites(n)
     return Pmf(n, np.full(1 << n, 1.0 / (1 << n)))
@@ -316,8 +273,6 @@ def popcount_table(n: int) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-_KINDS = {"pmf", "fourier"}
-
 
 def values_to_csv(path, values: np.ndarray) -> None:
     """Write a dense vector as ``index,value`` rows with deterministic bytes.
@@ -366,36 +321,3 @@ def fourier_from_csv(path) -> FourierTable:
     values = values_from_csv(path)
     return FourierTable(values.size.bit_length() - 1, values)
 
-
-def to_json_dict(obj) -> dict:
-    if isinstance(obj, Pmf):
-        return {"n": obj.n, "kind": "pmf", "values": [float(v) for v in obj.weights]}
-    if isinstance(obj, FourierTable):
-        return {
-            "n": obj.n,
-            "kind": "fourier",
-            "values": [float(v) for v in obj.coeffs],
-        }
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def from_json_dict(doc: dict):
-    kind = doc.get("kind")
-    if kind not in _KINDS:
-        raise InvalidDistributionError(f"unknown kind {kind!r}")
-    n = int(doc["n"])
-    values = np.asarray(doc["values"], dtype=np.float64)
-    if values.shape != (1 << n,):
-        raise InvalidDistributionError("values length does not match n")
-    return Pmf(n, values) if kind == "pmf" else FourierTable(n, values)
-
-
-def save_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json_dict(obj), fh)
-        fh.write("\n")
-
-
-def load_json(path):
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))

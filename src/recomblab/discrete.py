@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .cube import (
     FourierTable,
@@ -181,6 +180,17 @@ def _collide_ranked(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def resolve_collision_method(n: int, method: str = "auto") -> str:
+    """The collision kernel that `method` names on n sites.
+
+    `auto` takes the pair tables up to n = PAIRS_AUTO_SITE_MAX and the
+    ranked transforms above.
+    """
+    if method != "auto":
+        return method
+    return "pairs" if n <= PAIRS_AUTO_SITE_MAX else "ranked"
+
+
 def collide_coeffs(
     f: np.ndarray, g: np.ndarray, n: int, method: str = "auto"
 ) -> np.ndarray:
@@ -188,8 +198,7 @@ def collide_coeffs(
 
     Passing the same array twice (``g is f``) marks a self-collision, which
     both kernels compute with fewer products and bit-identical results.
-    `auto` takes the pair tables up to n = PAIRS_AUTO_SITE_MAX and the
-    ranked transforms above.  Milliseconds per call, two operands / self,
+    `auto` is resolved by `resolve_collision_method`.  Milliseconds per call, two operands / self,
     best of 30 on a 2-core Xeon (Python 3.11, numpy 2.4):
 
         n    pairs, table warm   ranked        pairs' first call (table build)
@@ -198,8 +207,7 @@ def collide_coeffs(
         12   5.1  / 3.1          1.9  / 1.3     93 ms
         14   55   / 37           14   / 9.5    866 ms
     """
-    if method == "auto":
-        method = "pairs" if n <= PAIRS_AUTO_SITE_MAX else "ranked"
+    method = resolve_collision_method(n, method)
     if method == "pairs":
         if n > PAIR_TABLE_SITE_CAP:
             raise CapacityError(
@@ -486,6 +494,10 @@ def mono_mixture_tv(n: int, t: int) -> float:
         raise ValueError("t must be >= 0")
     if t > 60:
         raise BudgetError(f"leaf count 2^{t} is out of budget")
+    # imported here, not with the package: commands that never evaluate a
+    # special function start without scipy (the CLI preloads it for the rest)
+    from scipy.special import gammaln, logsumexp
+
     leaves = 1 << t
     log_tail = math.log(2.0 / _TRUNCATED_MASS)
     half_width = math.sqrt(0.5 * leaves * log_tail)

@@ -17,14 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erfc, gammaln
 
-# The private ufuncs that scipy.stats.binom evaluates for in-support
-# arguments (0 <= k < n for cdf and sf, 0 <= k <= n for pmf, 0 <= p <= 1).
-# Calling them directly keeps scipy.stats out of the package import; the
-# dependency on scipy internals is pinned bitwise to scipy.stats.binom by
-# tests/test_profiles.py.
-from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
+# scipy.special is imported inside the functions that call it, so commands
+# that never evaluate a special function start without it
 
 from .cube import Pmf
 from .discrete import mono_mixture_tv
@@ -135,6 +130,8 @@ def mono_tv_large_n_limit(t: int) -> float:
         raise CapacityError(f"limit evaluation is capped at t <= 30, got {t}")
     if t == 0:
         return 1.0
+    from scipy.special import gammaln
+
     leaves = 1 << t
     log_central = (
         gammaln(leaves + 1)
@@ -201,6 +198,8 @@ def mixture_profile_tv(
     integrand = np.abs(mix - 1.0) * np.exp(-grid * grid / 2.0) / _SQRT_2PI
     # half the full-line integral of the even integrand
     half_interior = _simpson(integrand, h)
+
+    from scipy.special import erfc
 
     root2 = math.sqrt(2.0)
     outside_mixture = float(np.mean(erfc(z_max / (root2 * np.sqrt(1.0 + excess)))))
@@ -338,6 +337,21 @@ def block_product_pmf(spec: BlockSpec) -> BlockProductState:
 # ---------------------------------------------------------------------------
 
 
+def _binom_ufuncs():
+    """The private ufuncs (cdf, pmf, sf) that scipy.stats.binom evaluates.
+
+    They are exact for in-support arguments (0 <= k < n for cdf and sf,
+    0 <= k <= n for pmf, 0 <= p <= 1).  Calling them directly keeps
+    scipy.stats out of every command, and importing them here, not with the
+    package, keeps scipy.special out of the commands that never call them.
+    The dependency on scipy internals is pinned bitwise to scipy.stats.binom
+    by tests/test_profiles.py, which checks the objects returned here.
+    """
+    from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
+
+    return _binom_cdf, _binom_pmf, _binom_sf
+
+
 def _square_tail_given_bias(block_size: int, up_prob, threshold: int):
     """P(squared block magnetization >= threshold) for i.i.d. +-1 sites.
 
@@ -359,6 +373,7 @@ def _square_tail_given_bias(block_size: int, up_prob, threshold: int):
         return float(out) if out.ndim == 0 else out
     b_hi = (p + s) // 2
     b_lo = (p - s) // 2
+    _binom_cdf, _, _binom_sf = _binom_ufuncs()
     out = _binom_sf(b_hi - 1, p, up) + _binom_cdf(b_lo, p, up)
     return float(out) if out.ndim == 0 else out
 
@@ -437,6 +452,7 @@ def lowerbound_experiment_discrete(
     threshold = 20 * p
     k_min = -(-alpha // 15)
 
+    _binom_cdf, _binom_pmf, _binom_sf = _binom_ufuncs()
     q_pi = float(_square_tail_given_bias(p, 0.5, threshold))
     pi_a = float(_binom_sf(k_min - 1, alpha, q_pi))
 
@@ -546,6 +562,7 @@ def lowerbound_experiment_continuous(
     threshold = 20 * p
     k_min = -(-alpha // 15)
 
+    _binom_cdf, _binom_pmf, _binom_sf = _binom_ufuncs()
     q_pi = float(_square_tail_given_bias(p, 0.5, threshold))
     pi_a = float(_binom_sf(k_min - 1, alpha, q_pi))
 

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy 2 loads numpy.random lazily, on first attribute access; importing it
+# with the package keeps that load out of each seeded command's timed run
+import numpy.random  # noqa: F401
+
 from .errors import ConfigError
 
 # recorded in run manifests so an archived run names its generator scheme

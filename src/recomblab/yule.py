@@ -28,7 +28,7 @@ import numpy as np
 from .cube import (
     FourierTable,
     Pmf,
-    _butterfly_inverse,
+    _butterfly,
     product_fourier,
     product_pmf,
     wht_forward,
@@ -334,7 +334,7 @@ def wild_mc_estimate(
                 sites=mu.n,
             )
         coeffs = _tree_root_coeffs(tree, base, mu.n)
-        return _butterfly_inverse(coeffs) / cells, coeffs
+        return _butterfly(coeffs, -1) / cells, coeffs
 
     return _accumulate_measures(one_sample, mu.n, m, t)
 

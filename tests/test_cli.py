@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from recomblab import cli, yule
+from recomblab import cli, discrete, yule
 from recomblab.errors import NumericalInvariantError
 from recomblab.streams import rng_substream
 
@@ -38,16 +38,105 @@ def run_cli(args, cwd, env_extra=None):
     return run_python(["-m", "recomblab.cli", *args], cwd, env_extra)
 
 
-def test_cli_import_keeps_scipy_stats_and_integrate_out(tmp_path):
-    # each command is a fresh process; either module adds about a second
-    # to its start
+@pytest.mark.parametrize("module", ["recomblab", "recomblab.cli"])
+def test_package_import_loads_no_scipy(tmp_path, module):
+    # each command is a fresh process; scipy.special alone adds about a
+    # quarter of a second to its start, scipy.stats about a second more
     probe = (
-        "import sys, recomblab.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     r = run_python(["-c", probe], tmp_path)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+# Runs one command in a fresh interpreter and prints the modules imported
+# between the start of the manifest clock and the end of the manifest, and
+# every scipy module loaded by then.  selftest runs four quick criteria that
+# between them call gammaln, logsumexp and the binomial ufuncs.
+CLOCK_PROBE = """
+import json, sys
+from recomblab import acceptance, cli
+
+snapshots = []
+start, finish = cli.RunContext.__post_init__, cli.RunContext.finish
+
+def timed_start(self):
+    snapshots.append(set(sys.modules))
+    start(self)
+
+def timed_finish(self, status):
+    path = finish(self, status)
+    snapshots.append(set(sys.modules))
+    return path
+
+cli.RunContext.__post_init__ = timed_start
+cli.RunContext.finish = timed_finish
+acceptance.CRITERIA[:] = [c for c in acceptance.CRITERIA if c.number in (1, 2, 5, 13)]
+status = cli.main(sys.argv[1:])
+before, after = snapshots
+print(json.dumps({
+    "status": status,
+    "imported": sorted(after - before),
+    "scipy": sorted(m for m in after if m.split(".")[0] == "scipy"),
+}))
+"""
+
+CLOCK_ARGS = {
+    "collide": ["--n", "3", "--a", "mono", "--b", "uniform"],
+    "evolve-discrete": ["--n", "3", "--start", "mono", "--steps", "2"],
+    "evolve-continuous": ["--n", "3", "--start", "mono", "--t", "0.1"],
+    "profile-discrete": ["--n", "64", "--lambda", "-1..1"],
+    "profile-continuous": [
+        "--lambda", "0", "--samples", "50", "--horizon", "2", "--z-step", "0.01",
+        "--seed", "1",
+    ],
+    "fragmentation": ["--n", "8", "--trials", "5", "--seed", "1"],
+    # two chunks, so the worker pool runs inside the clock
+    "martingale": ["--t", "0.5", "--samples", "10005", "--workers", "2", "--seed", "1"],
+    "w-tail": [
+        "--horizon", "3", "--samples", "50", "--eps", "0.5", "--method", "cascade",
+        "--seed", "1",
+    ],
+    "lowerbound-discrete": [
+        "--n", "400", "--t", "1", "--mc-samples", "20", "--seed", "1",
+    ],
+    "lowerbound-continuous": [
+        "--n", "400", "--t", "0.5", "--trees", "5", "--inner", "16", "--seed", "1",
+    ],
+    "spinal-check": ["--t", "0.5", "--samples", "100", "--seed", "1"],
+    "selftest": [],
+}
+
+
+def test_clock_probe_covers_every_command():
+    commands = next(
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, cli.argparse._SubParsersAction)
+    )
+    assert set(CLOCK_ARGS) == set(commands)
+    assert cli.SCIPY_COMMANDS <= set(commands)
+
+
+@pytest.mark.parametrize("command", sorted(CLOCK_ARGS))
+def test_no_import_runs_inside_the_manifest_clock(tmp_path, command):
+    # wall_seconds times the work alone; a module loaded lazily inside it
+    # would count start-up cost, and a scipy import in a command that needs
+    # none would bring back a quarter-second start
+    r = run_python(
+        ["-c", CLOCK_PROBE, command, *CLOCK_ARGS[command], "--out-dir", str(tmp_path)],
+        tmp_path,
+    )
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout.strip().splitlines()[-1])
+    assert report["status"] == 0
+    assert report["imported"] == []
+    if command in cli.SCIPY_COMMANDS:
+        assert "scipy.special" in report["scipy"]
+    else:
+        assert report["scipy"] == []
 
 
 # -----------------------------------------------------------------------
@@ -329,6 +418,24 @@ def test_flag_overrides_env_var(tmp_path):
     assert r.returncode == 0, r.stderr
     assert (flag_dir / "collide.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_manifest_names_the_collision_kernel(tmp_path):
+    assert discrete.resolve_collision_method(10) == "pairs"
+    assert discrete.resolve_collision_method(11) == "ranked"
+    assert discrete.resolve_collision_method(11, "pairs") == "pairs"
+    runs = [
+        (["collide", "--n", "10", "--a", "mono", "--b", "uniform"], "pairs"),
+        (["collide", "--n", "11", "--a", "mono", "--b", "uniform"], "ranked"),
+        (["evolve-discrete", "--n", "11", "--start", "mono", "--steps", "1"], "ranked"),
+        (["evolve-continuous", "--n", "10", "--start", "mono", "--t", "0.02"], "pairs"),
+    ]
+    for args, kernel in runs:
+        out = tmp_path / f"{args[0]}-{args[2]}"
+        assert cli.main([*args, "--out-dir", str(out)]) == 0
+        name = args[0].replace("-", "_")
+        manifest = json.loads((out / f"{name}_manifest.json").read_text())
+        assert manifest["resolved"] == {"collision_kernel": kernel}
 
 
 # -----------------------------------------------------------------------

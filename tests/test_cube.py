@@ -28,6 +28,7 @@ from recomblab import (
     wht_inverse,
 )
 from recomblab.cube import (
+    _butterfly,
     fourier_from_csv,
     fourier_to_csv,
     pmf_from_csv,
@@ -61,6 +62,48 @@ def test_wht_roundtrip_random():
         pmf = random_pmf(n, RNG)
         back = wht_inverse(wht_forward(pmf))
         np.testing.assert_allclose(back.weights, pmf.weights, atol=1e-12)
+
+
+def _butterfly_forward(values):
+    """Oracle: the forward butterfly as its own pass."""
+    out = values.astype(np.float64).copy()
+    h = 1
+    while h < out.shape[0]:
+        blk = out.reshape(-1, 2, h)
+        lo = blk[:, 0, :].copy()
+        blk[:, 0, :] += blk[:, 1, :]
+        blk[:, 1, :] -= lo
+        h *= 2
+    return out
+
+
+def _butterfly_inverse(values):
+    """Oracle: the unscaled inverse butterfly as its own pass."""
+    out = values.astype(np.float64).copy()
+    h = 1
+    while h < out.shape[0]:
+        blk = out.reshape(-1, 2, h)
+        lo = blk[:, 0, :].copy()
+        blk[:, 0, :] -= blk[:, 1, :]
+        blk[:, 1, :] += lo
+        h *= 2
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_signed_butterfly_is_both_directions_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=1 << n)
+    np.testing.assert_array_equal(_butterfly(values, 1), _butterfly_forward(values))
+    np.testing.assert_array_equal(_butterfly(values, -1), _butterfly_inverse(values))
+    # and the transforms built on it keep the old transforms' bits
+    pmf = random_pmf(n, rng)
+    table = wht_forward(pmf)
+    expect = _butterfly_forward(pmf.weights)
+    expect[0] = 1.0
+    np.testing.assert_array_equal(table.coeffs, expect)
+    raw = _butterfly_inverse(table.coeffs) / float(1 << n)
+    np.testing.assert_array_equal(wht_inverse(table).weights, Pmf(n, raw / raw.sum()).weights)
 
 
 def test_wht_forward_pins_empty_set_coefficient():

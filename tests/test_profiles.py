@@ -29,8 +29,11 @@ from recomblab import (
 )
 from recomblab import profiles
 from recomblab.errors import ConfigError, InvalidDistributionError
-from recomblab.profiles import _binom_cdf, _binom_pmf, _binom_sf, _simpson
+from recomblab.profiles import _binom_ufuncs, _simpson
 from recomblab.streams import rng_substream
+
+# the binomial ufuncs exactly as the package calls them
+_binom_cdf, _binom_pmf, _binom_sf = _binom_ufuncs()
 
 
 # -----------------------------------------------------------------------
