@@ -84,7 +84,6 @@ from .profiles import (
 from .streams import STREAM_ALGORITHM, rng_substream
 from .yule import (
     MartingaleBatch,
-    MartingaleSample,
     MonteCarloMeasure,
     SpinalCheckReport,
     TailEstimate,
@@ -92,17 +91,12 @@ from .yule import (
     continuous_trajectory,
     double_quenched_estimate,
     evolve_continuous,
-    leaf_weight_martingale,
     martingale_limit_samples,
     martingale_samples,
     martingale_tail_probability,
-    quenched_measure_on_tree,
-    sample_leaf_spins,
-    sample_partition_on_tree,
     sample_yule,
     spinal_identity_check,
     tail_probability_from_samples,
-    tree_measure,
     wild_mc_estimate,
 )
 

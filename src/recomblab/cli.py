@@ -502,6 +502,7 @@ def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
     report = profiles.lowerbound_experiment_continuous(
         ns.n, ns.t, ns.trees, rng_substream(ns.seed, 0), inner_samples=ns.inner
     )
+    ctx.resolved["tree_sampler_version"] = yule.TREE_SAMPLER_VERSION
     ctx.write_rows(ns.out, ["key", "value"], _report_rows(report))
     return EXIT_OK
 

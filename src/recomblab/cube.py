@@ -110,14 +110,16 @@ def _butterfly(values: np.ndarray, sign: int) -> np.ndarray:
 
     sign = +1 is the forward transform, (w_minus, w_plus) -> (w_minus +
     w_plus, w_plus - w_minus); sign = -1 is its inverse without the final
-    2^-n scaling.  The sign picks the ufuncs, so no product is formed.
+    2^-n scaling.  The sign picks the ufuncs, so no product is formed.  The
+    transform runs along the first axis; each column of a 2-D input gets
+    exactly the operations a 1-D input would.
     """
     lo_op, hi_op = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
     out = values.astype(np.float64).copy()
     size = out.shape[0]
     h = 1
     while h < size:
-        blk = out.reshape(-1, 2, h)
+        blk = out.reshape((-1, 2, h) + out.shape[1:])
         lo = blk[:, 0, :].copy()
         lo_op(blk[:, 0, :], blk[:, 1, :], out=blk[:, 0, :])
         hi_op(blk[:, 1, :], lo, out=blk[:, 1, :])

@@ -17,7 +17,6 @@ from the two-point (monochromatic) start, and the closed-form upper bounds.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,6 +47,9 @@ PAIR_TABLE_SITE_CAP = 14
 PAIRS_AUTO_SITE_MAX = 10
 COLLIDE_SITE_CAP = 18
 DIRECT_SITE_CAP = 10
+
+# pair products one block of row-wise collisions may hold
+_ROW_TERMS_CAP = 1 << 20
 
 # Mass that each truncation in mono_mixture_tv may drop (leaf counts K, then
 # occupation counts m); each bounds its own share of the error on the result.
@@ -223,6 +225,34 @@ def collide_coeffs(
     raise ValueError(f"unknown collision method {method!r}")
 
 
+def _collide_rows(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """Collision product of two (k, 2^n) stacks of coefficient rows, row by row.
+
+    Each row equals `collide_coeffs` on that row's operands bit for bit.
+    Where `auto` picks the pair tables, a block of rows shares one gather and
+    one `bincount` that sums every row's terms in the 1-D order; f[a]*g[b] +
+    f[b]*g[a] of equal rows is the self-collision's 2x exactly.  Above that,
+    each row is one ranked call, whose arithmetic dwarfs the call overhead.
+    """
+    size = 1 << n
+    if resolve_collision_method(n) != "pairs":
+        return np.array([collide_coeffs(x, y, n) for x, y in zip(f, g)]).reshape(f.shape)
+    union, a, b = _disjoint_pair_tables(n)
+    out = np.empty(f.shape)
+    step = max(1, _ROW_TERMS_CAP // a.size)
+    for lo in range(0, f.shape[0], step):
+        fs, gs = f[lo : lo + step], g[lo : lo + step]
+        terms = fs[:, a] * gs[:, b]
+        terms += fs[:, b] * gs[:, a]
+        cells = (np.arange(fs.shape[0])[:, None] * size + union).ravel()
+        out[lo : lo + step] = np.bincount(
+            cells, weights=terms.ravel(), minlength=fs.shape[0] * size
+        ).reshape(-1, size)
+    out[:, 0] = f[:, 0] * g[:, 0]
+    out *= _subset_scale(n)
+    return out
+
+
 def collide(a: FourierTable, b: FourierTable, method: str = "auto") -> FourierTable:
     """Collision product of two measures given in character coordinates.
 
@@ -332,14 +362,13 @@ class QuenchedEnvironment:
         biases = spins.sum(axis=0, dtype=np.int64) / count
         return cls(n=n, leaf_count=count, leaf_spins=spins, biases=biases)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["leaf", "site", "spin"])
-            for leaf in range(self.leaf_count):
-                row = self.leaf_spins[leaf]
-                for site in range(self.n):
-                    writer.writerow([leaf, site + 1, int(row[site])])
+
+def _draw_spins(mu: Pmf, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` i.i.d. draws from mu by inverse CDF, as a (count, n) array of +-1."""
+    cdf = np.cumsum(mu.weights)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, rng.random(count), side="right")
+    return (((idx[:, None] >> np.arange(mu.n)) & 1) * 2 - 1).astype(np.int8)
 
 
 def sample_quenched(
@@ -357,11 +386,7 @@ def sample_quenched(
             leaf_count=count,
             sites=mu.n,
         )
-    cdf = np.cumsum(mu.weights)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(count), side="right")
-    spins = (((idx[:, None] >> np.arange(mu.n)) & 1) * 2 - 1).astype(np.int8)
-    return QuenchedEnvironment.from_leaf_spins(spins)
+    return QuenchedEnvironment.from_leaf_spins(_draw_spins(mu, count, rng))
 
 
 def quenched_measure(env: QuenchedEnvironment) -> Pmf:

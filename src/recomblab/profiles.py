@@ -29,7 +29,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidDistributionError,
 )
-from .yule import sample_yule
+from .yule import sample_leaf_weights
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # cells per exp block of mixture_profile_tv: small enough to stay in cache
@@ -574,9 +574,14 @@ def lowerbound_experiment_continuous(
     second_ok = True
     counts_grid = np.arange(alpha + 1)
     mix_pmf = np.zeros(alpha + 1)
-    for i in range(m):
-        tree = sample_yule(t, rng)
-        w = np.ldexp(1.0, -tree.leaf_depths.astype(np.int32))
+    # every tree's leaf weights 2^-depth, grown in one batch; the sign draws
+    # below come after all of them
+    owner, leaf_weights = sample_leaf_weights(t, m, rng)
+    per_tree = np.split(
+        leaf_weights[np.argsort(owner, kind="stable")],
+        np.cumsum(np.bincount(owner, minlength=m))[:-1],
+    )
+    for i, w in enumerate(per_tree):
         m2 = float((w * w).sum())
         m4 = float((w**4).sum())
         martingale = math.exp(t / 2.0) * m2

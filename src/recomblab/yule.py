@@ -4,10 +4,16 @@ The continuous semigroup solves d/dt mu_t = mu_t∘mu_t - mu_t.  Its stochastic
 representation grows a binary branching tree (every leaf splits after an
 independent mean-one exponential time), puts an independent copy of the
 initial state on each leaf, and collides children pairwise up to the root:
-averaging the root measure over trees gives mu_t exactly.  This module holds
-the tree sampler, the root-measure evaluator, a fixed-step order-4 integrator
-for the character-space ODE, Monte Carlo drivers for both representations,
-the additive leaf-weight martingale
+averaging the root measure over trees gives mu_t exactly.
+
+Every tree here comes from one generator, the generation-wave kernel
+`_wave_batch`, which grows many trees at once and reports what each consumer
+needs: leaf counts per depth for the martingale samplers and the leaf-weight
+estimators, and each wave's death times and survival mask for the consumers
+that need parent links (`sample_yule` and the tree-average estimator).  The
+module also holds a fixed-step order-4 integrator for the character-space
+ODE, Monte Carlo drivers for both representations, the additive leaf-weight
+martingale
 
     value = e^{t/2} * sum over leaves x of 4^{-depth(x)}
 
@@ -17,46 +23,126 @@ importance-reweighting check of the size-biased (spinal) identity.
 
 from __future__ import annotations
 
-import csv
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cube import (
-    FourierTable,
-    Pmf,
-    _butterfly,
-    product_fourier,
-    product_pmf,
-    wht_forward,
-    wht_inverse,
-)
-from .errors import (
-    CapacityError,
-    DimensionMismatchError,
-    InvalidDistributionError,
-    NumericalInvariantError,
-)
-from .discrete import collide_coeffs
+from .cube import FourierTable, Pmf, _butterfly, wht_forward, wht_inverse
+from .errors import CapacityError, InvalidDistributionError, NumericalInvariantError
+from .discrete import _collide_rows, _draw_spins, collide_coeffs
 
 MAX_LEAVES_DEFAULT = 1 << 22
 _TREE_MEASURE_CELL_CAP = 1 << 26
 _BATCH_NODE_BUDGET = 250_000_000
 # lineages the widest generation wave of one tree chunk may reach
 WAVE_WIDTH = 2e7
+# version of the draw order of every tree grown outside the martingale
+# samplers (sample_yule, the block lower bound, both representation
+# estimators); bumped whenever their seeded output changes bytes
+TREE_SAMPLER_VERSION = 2
 # cascade sampler: stage length, smallest bootstrap pool, and the version of
 # its draw order, bumped whenever seeded cascade output changes bytes
 CASCADE_STAGE = 2.0
 CASCADE_MIN_POOL = 1 << 20
 CASCADE_SAMPLER_VERSION = 2
+# dense cells (per-sample measure entries) one estimator batch may hold
+_ESTIMATOR_BATCH_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
 # tree sampling
 # ---------------------------------------------------------------------------
+
+
+def _wave_batch(
+    t: float,
+    m: int,
+    rng: np.random.Generator,
+    on_frozen: Callable[[np.ndarray, np.ndarray, int], None],
+    node_budget: int = 4 * _BATCH_NODE_BUDGET,
+    on_wave: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
+) -> int:
+    """Drive m independent trees to horizon t without materializing them.
+
+    Lineages are processed in generation waves, so a wave's index is the
+    depth of its lineages.  A wave holds only their death times, in tree
+    order, and a lineage count for each tree still growing; the lineages
+    that outlive t are reported per tree as `on_frozen(trees, counts,
+    depth)`.  Trees are chunked so the widest wave stays near `WAVE_WIDTH`
+    lineages.  A consumer that needs parent links passes `on_wave(depth,
+    death, alive)`, called once per wave with the wave's death times and
+    survival mask: the children of the k-th surviving lineage sit at
+    positions 2k and 2k+1 of the next wave, and depth 0 starts a new chunk
+    whose lineages are its trees in order.  Every lineage splits after an
+    independent mean-one exponential time, so each tree has the branching
+    law.  Returns the number of lineages (tree nodes) grown.
+    """
+    peak = max(1.0, math.exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
+    chunk = max(1, min(m, int(WAVE_WIDTH / peak)))
+    processed = 0
+    for start in range(0, m, chunk):
+        width = min(chunk, m - start)
+        trees = np.arange(start, start + width)
+        # lineages per growing tree: a wave passes the node budget check
+        # (1e9 by default), so the next one has at most 2e9 < 2^31
+        counts = np.ones(width, dtype=np.int32)
+        lineages, depth = width, 0
+        while lineages:
+            processed += lineages
+            if processed > node_budget:
+                raise CapacityError(
+                    "node budget exhausted while growing batch",
+                    horizon=t,
+                    nodes=processed,
+                )
+            if depth == 0:
+                # one root lineage per tree: no per-tree sum to take
+                death = rng.standard_exponential(width)
+                alive = death <= t
+                live = alive.astype(np.int32)
+            else:
+                # two children per surviving parent, in tree order
+                parents = death.compress(alive)
+                kids = rng.standard_exponential((parents.size, 2))
+                kids[:, 0] += parents
+                kids[:, 1] += parents
+                death = kids.ravel()
+                alive = death <= t
+                starts = np.cumsum(counts) - counts
+                live = np.add.reduceat(alive, starts, dtype=np.int32)
+            if on_wave is not None:
+                on_wave(depth, death, alive)
+            frozen = counts - live
+            hit = frozen > 0
+            if hit.any():
+                on_frozen(trees[hit], frozen[hit], depth)
+            growing = live > 0
+            trees = trees[growing]
+            counts = 2 * live[growing]
+            lineages = int(counts.sum())
+            depth += 1
+    return processed
+
+
+def sample_leaf_weights(
+    t: float, m: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Owner tree and weight 2^-depth of every leaf of m trees at horizon t.
+
+    Leaves come in wave order (by depth, then by tree), so the leaves of one
+    tree are in depth order and a stable sort by owner keeps it.
+    """
+    owners: List[np.ndarray] = []
+    weights: List[np.ndarray] = []
+
+    def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
+        owners.append(np.repeat(trees, frozen))
+        weights.append(np.full(owners[-1].size, math.ldexp(1.0, -depth)))
+
+    _wave_batch(t, m, rng, on_frozen)
+    return np.concatenate(owners), np.concatenate(weights)
 
 
 @dataclass(frozen=True)
@@ -93,99 +179,47 @@ class YuleTree:
     def leaf_depths(self) -> np.ndarray:
         return self.depth[self.leaves]
 
-    def leaf_weight_sum(self, radix: int = 2) -> float:
-        """sum over leaves of radix^-depth, compensated."""
-        scale = {2: 1, 4: 2}[radix]
-        return math.fsum(
-            math.ldexp(1.0, -scale * int(d)) for d in self.leaf_depths
-        )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["node", "parent", "birth_time"])
-            for node in range(self.num_nodes):
-                writer.writerow(
-                    [node, int(self.parent[node]), repr(float(self.birth_time[node]))]
-                )
-
 
 def sample_yule(
     t: float, rng: np.random.Generator, max_leaves: int = MAX_LEAVES_DEFAULT
 ) -> YuleTree:
-    """Grow one tree to horizon t, event by event.
+    """Grow one tree to horizon t and lay out its nodes wave by wave.
 
-    Every leaf carries an exponential mean-one split clock; a priority queue
-    pops the next ring.  Rings after the horizon freeze the leaf.  Exceeding
-    `max_leaves` raises a capacity error carrying the progress made so far.
+    Node ids run through the waves in order, so every child comes after its
+    parent.  A tree with more than `max_leaves` leaves has more than
+    2 max_leaves - 1 nodes, which is the node budget the wave kernel is
+    given: exceeding it raises a capacity error carrying the nodes grown.
     """
     if t < 0:
         raise ValueError("horizon must be >= 0")
-    parent = [-1]
-    birth = [0.0]
-    depth = [0]
-    children = [(-1, -1)]
-    heap = [(rng.exponential(), 0)]
-    leaf_total = 1
-    while heap and heap[0][0] <= t:
-        ring, node = heapq.heappop(heap)
-        leaf_total += 1
-        if leaf_total > max_leaves:
-            raise CapacityError(
-                f"leaf cap {max_leaves} hit while growing to horizon {t}",
-                time_reached=ring,
-                leaves=leaf_total - 1,
-                nodes=len(parent),
-            )
-        kids = []
-        for _ in range(2):
-            cid = len(parent)
-            parent.append(node)
-            birth.append(ring)
-            depth.append(depth[node] + 1)
-            children.append((-1, -1))
-            heapq.heappush(heap, (ring + rng.exponential(), cid))
-            kids.append(cid)
-        children[node] = (kids[0], kids[1])
-    child_arr = np.asarray(children, dtype=np.int32)
+    waves: List[Tuple[np.ndarray, np.ndarray]] = []
+    _wave_batch(
+        t,
+        1,
+        rng,
+        lambda trees, frozen, depth: None,
+        node_budget=2 * max_leaves - 1,
+        on_wave=lambda depth, death, alive: waves.append((death, alive)),
+    )
+    sizes = [death.size for death, _ in waves]
+    offsets = np.cumsum([0] + sizes)
+    parent = np.full(offsets[-1], -1, dtype=np.int32)
+    children = np.full((offsets[-1], 2), -1, dtype=np.int32)
+    birth = np.zeros(offsets[-1])
+    for d, (death, alive) in enumerate(waves[:-1]):
+        splitters = offsets[d] + np.flatnonzero(alive)
+        kids = slice(offsets[d + 1], offsets[d + 2])
+        children[splitters] = np.arange(kids.start, kids.stop).reshape(-1, 2)
+        parent[kids] = np.repeat(splitters, 2)
+        birth[kids] = np.repeat(death[alive], 2)
     return YuleTree(
         horizon=float(t),
-        parent=np.asarray(parent, dtype=np.int32),
-        children=child_arr,
-        birth_time=np.asarray(birth, dtype=np.float64),
-        depth=np.asarray(depth, dtype=np.int32),
-        leaves=np.flatnonzero(child_arr[:, 0] < 0).astype(np.int32),
+        parent=parent,
+        children=children,
+        birth_time=birth,
+        depth=np.repeat(np.arange(len(waves), dtype=np.int32), sizes),
+        leaves=np.flatnonzero(children[:, 0] < 0).astype(np.int32),
     )
-
-
-def _tree_root_coeffs(tree: YuleTree, base: np.ndarray, n: int) -> np.ndarray:
-    """Character coefficients at the root, children collided bottom-up.
-
-    Node ids increase from parent to child, so a reverse-id sweep sees both
-    children before their parent.
-    """
-    values: dict[int, np.ndarray] = {}
-    for node in range(tree.num_nodes - 1, -1, -1):
-        left, right = tree.children[node]
-        if left < 0:
-            values[node] = base
-        else:
-            values[node] = collide_coeffs(
-                values.pop(int(left)), values.pop(int(right)), n
-            )
-    return values.pop(0)
-
-
-def tree_measure(tree: YuleTree, mu: Pmf) -> Pmf:
-    """Root measure of the tree: leaves carry mu, parents collide children."""
-    if tree.num_leaves * (1 << mu.n) > _TREE_MEASURE_CELL_CAP:
-        raise CapacityError(
-            "tree too large for dense per-node measures",
-            leaves=tree.num_leaves,
-            sites=mu.n,
-        )
-    base = wht_forward(mu).coeffs
-    return wht_inverse(FourierTable(mu.n, _tree_root_coeffs(tree, base, mu.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,154 +306,150 @@ class MonteCarloMeasure:
 
 
 def _accumulate_measures(
-    one_sample: Callable[[], Tuple[np.ndarray, np.ndarray]],
-    n: int,
-    m: int,
-    t: float,
+    batches: Iterable[Tuple[np.ndarray, np.ndarray]], n: int, m: int, t: float
 ) -> MonteCarloMeasure:
+    """Mean and spread of per-sample (weight rows, coefficient rows) batches.
+
+    Sums are taken of each entry's offset from the first sample, so an entry
+    that never varies sums exact zeros: its mean is that common value and
+    its standard error exactly zero, which is how deterministic
+    coefficients are recognized.
+    """
     if m < 2:
         raise ValueError("need at least 2 samples")
-    # Welford updates: a coefficient that never varies accumulates an
-    # exactly-zero second moment, so deterministic coefficients are
-    # recognizable by stderr == 0 rather than by a rounding-scale blur.
-    mean = np.zeros(1 << n)
-    m2 = np.zeros(1 << n)
-    cmean = np.zeros(1 << n)
-    cm2 = np.zeros(1 << n)
-    for k in range(1, m + 1):
-        w, c = one_sample()
-        delta = w - mean
-        mean += delta / k
-        m2 += delta * (w - mean)
-        cdelta = c - cmean
-        cmean += cdelta / k
-        cm2 += cdelta * (c - cmean)
-    var = np.maximum(m2, 0.0) / (m - 1.0)
-    cvar = np.maximum(cm2, 0.0) / (m - 1.0)
-    # guard the 1e-12 sum invariant against accumulated round-off
-    mean = mean / mean.sum()
+    shift = total = squares = None
+    for w, c in batches:
+        rows = np.concatenate((w, c), axis=1)
+        if shift is None:
+            shift = rows[0].copy()
+            total, squares = np.zeros_like(shift), np.zeros_like(shift)
+        rows -= shift
+        total += rows.sum(axis=0)
+        squares += np.square(rows).sum(axis=0)
+    mean = shift + total / m
+    stderr = np.sqrt(np.maximum(squares - total * total / m, 0.0) / ((m - 1.0) * m))
+    cells = 1 << n
     return MonteCarloMeasure(
-        mean=Pmf(n, mean),
-        stderr=np.sqrt(var / m),
-        coeff_mean=cmean,
-        coeff_stderr=np.sqrt(cvar / m),
+        # guard the 1e-12 sum invariant against accumulated round-off
+        mean=Pmf(n, mean[:cells] / mean[:cells].sum()),
+        stderr=stderr[:cells],
+        coeff_mean=mean[cells:],
+        coeff_stderr=stderr[cells:],
         samples=m,
         horizon=t,
     )
 
 
+def _batch_sizes(m: int, per_sample_cells: float) -> List[int]:
+    """Split m samples into batches of about `_ESTIMATOR_BATCH_CELLS` cells."""
+    batch = max(1, int(_ESTIMATOR_BATCH_CELLS / per_sample_cells))
+    return [min(batch, m - start) for start in range(0, m, batch)]
+
+
+def _collide_waves(alive: Sequence[np.ndarray], base: np.ndarray, n: int) -> np.ndarray:
+    """Root coefficients of one tree chunk, children collided bottom-up.
+
+    `alive` holds each wave's survival mask.  Every lineage of the last wave
+    is a leaf and carries `base`; going up, a surviving lineage takes the
+    collision of its children, which sit at positions 2k and 2k+1 of the
+    wave below.
+    """
+    values = np.broadcast_to(base, (alive[-1].size, base.size))
+    for mask in reversed(alive[:-1]):
+        up = np.empty((mask.size, base.size))
+        up[:] = base
+        up[mask] = _collide_rows(values[0::2], values[1::2], n)
+        values = up
+    return values
+
+
 def wild_mc_estimate(
-    mu: Pmf,
-    t: float,
-    m: int,
-    rng: np.random.Generator,
-    max_leaves: int = MAX_LEAVES_DEFAULT,
+    mu: Pmf, t: float, m: int, rng: np.random.Generator
 ) -> MonteCarloMeasure:
     """Average the tree root measure over m independent trees.
 
-    Coefficient statistics come from the root coefficients directly, so a
-    coefficient the collision keeps fixed (every group of sites whose value
-    agrees across all leaves, in particular singletons) accumulates exactly
-    zero spread.
+    Trees are grown in batches by the wave kernel and collided bottom-up,
+    one row-wise collision per wave.  Coefficient statistics come from the
+    root coefficients directly, so a coefficient the collision keeps fixed
+    (every group of sites whose value agrees across all leaves, in
+    particular singletons) has exactly zero spread.
     """
     base = wht_forward(mu).coeffs
     cells = 1 << mu.n
 
-    def one_sample() -> Tuple[np.ndarray, np.ndarray]:
-        tree = sample_yule(t, rng, max_leaves)
-        if tree.num_leaves * cells > _TREE_MEASURE_CELL_CAP:
-            raise CapacityError(
-                "tree too large for dense per-node measures",
-                leaves=tree.num_leaves,
-                sites=mu.n,
-            )
-        coeffs = _tree_root_coeffs(tree, base, mu.n)
-        return _butterfly(coeffs, -1) / cells, coeffs
+    def batches():
+        # a tree has 2 e^t - 1 nodes on average, each one row while collided
+        for size in _batch_sizes(m, cells * 2.0 * math.exp(t)):
+            leaves = np.zeros(size, dtype=np.int64)
+            chunks: List[List[np.ndarray]] = []
 
-    return _accumulate_measures(one_sample, mu.n, m, t)
+            def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
+                leaves[trees] += frozen
+
+            def on_wave(depth: int, death: np.ndarray, alive: np.ndarray) -> None:
+                if depth == 0:
+                    chunks.append([])
+                chunks[-1].append(alive)
+
+            _wave_batch(t, size, rng, on_frozen, on_wave=on_wave)
+            widest = int(leaves.max())
+            if widest * cells > _TREE_MEASURE_CELL_CAP:
+                raise CapacityError(
+                    "tree too large for dense per-node measures",
+                    leaves=widest,
+                    sites=mu.n,
+                )
+            coeffs = np.concatenate([_collide_waves(c, base, mu.n) for c in chunks])
+            yield _butterfly(coeffs.T, -1).T / cells, coeffs
+
+    return _accumulate_measures(batches(), mu.n, m, t)
 
 
-def sample_leaf_spins(
-    tree: YuleTree, mu: Pmf, rng: np.random.Generator
-) -> np.ndarray:
-    """One i.i.d. draw from mu per leaf, as a (num_leaves, n) array of +-1."""
-    cdf = np.cumsum(mu.weights)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(tree.num_leaves), side="right")
-    return (((idx[:, None] >> np.arange(mu.n)) & 1) * 2 - 1).astype(np.int8)
+def _product_rows(biases: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Weights and character coefficients of one product measure per row.
 
-
-def quenched_measure_on_tree(tree: YuleTree, leaf_spins: np.ndarray) -> Pmf:
-    """Product measure with biases sum_x 2^-depth(x) * spin_i(x).
-
-    Conditionally on the tree and the leaf samples, every site independently
-    follows a fair root-to-leaf walk, which lands on leaf x with probability
-    2^-depth(x); the site's spin is then copied from that leaf.
+    Each row is built with the operations, in the order, of `product_pmf`
+    and `product_fourier` on that row's biases.
     """
-    spins = np.asarray(leaf_spins)
-    if spins.ndim != 2 or spins.shape[0] != tree.num_leaves:
-        raise DimensionMismatchError(
-            f"leaf_spins shape {spins.shape} does not match {tree.num_leaves} leaves"
-        )
-    weights = np.ldexp(1.0, -tree.leaf_depths.astype(np.int32))
-    return product_pmf(weights @ spins)
+    k, n = biases.shape
+    weights = np.ones((k, 1))
+    for i in range(n):
+        b = biases[:, i : i + 1]
+        weights = np.concatenate(((1.0 - b) / 2.0 * weights, (1.0 + b) / 2.0 * weights), axis=1)
+    coeffs = np.ones((k, 1))
+    for i in range(n - 1, -1, -1):
+        coeffs = np.stack((coeffs, coeffs * biases[:, i : i + 1]), axis=2).reshape(k, -1)
+    return weights, coeffs
 
 
 def double_quenched_estimate(
-    mu: Pmf,
-    t: float,
-    m: int,
-    rng: np.random.Generator,
-    max_leaves: int = MAX_LEAVES_DEFAULT,
+    mu: Pmf, t: float, m: int, rng: np.random.Generator
 ) -> MonteCarloMeasure:
-    """Average the quenched product measure over both tree and leaf samples."""
+    """Average the quenched product measure over both tree and leaf samples.
 
-    def one_sample() -> Tuple[np.ndarray, np.ndarray]:
-        tree = sample_yule(t, rng, max_leaves)
-        spins = sample_leaf_spins(tree, mu, rng)
-        weights = np.ldexp(1.0, -tree.leaf_depths.astype(np.int32))
-        biases = weights @ spins
-        return product_pmf(biases).weights, product_fourier(biases).coeffs
+    Each batch grows its trees, then draws one independent sample of mu per
+    leaf; a tree's site biases are its leaves' spins weighted by 2^-depth.
+    """
 
-    return _accumulate_measures(one_sample, mu.n, m, t)
+    def batches():
+        for size in _batch_sizes(m, 2.0 * (1 << mu.n)):
+            owner, weight = sample_leaf_weights(t, size, rng)
+            spins = _draw_spins(mu, owner.size, rng)
+            biases = np.stack(
+                [
+                    np.bincount(owner, weights=weight * spins[:, i], minlength=size)
+                    for i in range(mu.n)
+                ],
+                axis=1,
+            )
+            yield _product_rows(biases)
 
-
-def sample_partition_on_tree(
-    tree: YuleTree, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Leaf landed on by each site's independent fair root-to-leaf walk."""
-    if n < 1:
-        raise DimensionMismatchError(f"need at least one site, got n={n}")
-    pos = np.zeros(n, dtype=np.int32)
-    while True:
-        kids = tree.children[pos]
-        moving = kids[:, 0] >= 0
-        if not moving.any():
-            return pos
-        active = kids[moving]
-        pick = rng.integers(0, 2, size=active.shape[0])
-        pos[moving] = active[np.arange(active.shape[0]), pick]
+    return _accumulate_measures(batches(), mu.n, m, t)
 
 
 # ---------------------------------------------------------------------------
 # additive leaf-weight martingale
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MartingaleSample:
-    time: float
-    value: float
-    leaf_count: int
-
-
-def leaf_weight_martingale(tree: YuleTree) -> MartingaleSample:
-    """Evaluate e^{t/2} * sum over leaves of 4^-depth on one tree."""
-    return MartingaleSample(
-        time=tree.horizon,
-        value=math.exp(tree.horizon / 2.0) * tree.leaf_weight_sum(radix=4),
-        leaf_count=tree.num_leaves,
-    )
 
 
 @dataclass(frozen=True)
@@ -449,69 +479,6 @@ class MartingaleBatch:
         )
         with open(path, "w", newline="") as fh:
             fh.write(text)
-
-
-def _wave_batch(
-    t: float,
-    m: int,
-    rng: np.random.Generator,
-    on_frozen: Callable[[np.ndarray, np.ndarray, int], None],
-    node_budget: int = 4 * _BATCH_NODE_BUDGET,
-) -> int:
-    """Drive m independent trees to horizon t without materializing them.
-
-    Lineages are processed in generation waves, so a wave's index is the
-    depth of its lineages.  A wave holds only their death times, in tree
-    order, and a lineage count for each tree still growing; the lineages
-    that outlive t are reported per tree as `on_frozen(trees, counts,
-    depth)`.  Trees are chunked so the widest wave stays near `WAVE_WIDTH`
-    lineages.  The per-lineage law is exactly that of the event-driven
-    sampler; only the draw order differs.  Returns the number of lineages
-    (tree nodes) grown.
-    """
-    peak = max(1.0, math.exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
-    chunk = max(1, min(m, int(WAVE_WIDTH / peak)))
-    processed = 0
-    for start in range(0, m, chunk):
-        width = min(chunk, m - start)
-        trees = np.arange(start, start + width)
-        # lineages per growing tree: a wave passes the node budget check
-        # (1e9 by default), so the next one has at most 2e9 < 2^31
-        counts = np.ones(width, dtype=np.int32)
-        lineages, depth = width, 0
-        while lineages:
-            processed += lineages
-            if processed > node_budget:
-                raise CapacityError(
-                    "node budget exhausted while growing batch",
-                    horizon=t,
-                    nodes=processed,
-                )
-            if depth == 0:
-                # one root lineage per tree: no per-tree sum to take
-                death = rng.standard_exponential(width)
-                alive = death <= t
-                live = alive.astype(np.int32)
-            else:
-                # two children per surviving parent, in tree order
-                parents = death.compress(alive)
-                kids = rng.standard_exponential((parents.size, 2))
-                kids[:, 0] += parents
-                kids[:, 1] += parents
-                death = kids.ravel()
-                alive = death <= t
-                starts = np.cumsum(counts) - counts
-                live = np.add.reduceat(alive, starts, dtype=np.int32)
-            frozen = counts - live
-            hit = frozen > 0
-            if hit.any():
-                on_frozen(trees[hit], frozen[hit], depth)
-            growing = live > 0
-            trees = trees[growing]
-            counts = 2 * live[growing]
-            lineages = int(counts.sum())
-            depth += 1
-    return processed
 
 
 def _direct_martingale_batch(

@@ -303,7 +303,7 @@ SEEDED_OUTPUT_SHA256 = [
         ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "120",
          "--inner", "512", "--seed", "9"),
         "lowerbound_continuous.csv",
-        "64fb9d643ff62bce3aa98d93476fb3cfd48dcd05b73cfdcc3a58f48539535d49",
+        "6a4a89bb9dd5b4291ccafe3b7a96312ee3a658657b8b30a39e8734c5760f4258",
     ),
 ]
 
@@ -319,6 +319,13 @@ SEEDED_OUTPUT_SHA256 = [
 def test_seeded_output_bytes_are_pinned(tmp_path, capsys, args, name, digest):
     assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_lowerbound_manifest_names_the_tree_sampler(tmp_path, capsys):
+    args = ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "5", "--seed", "1")
+    assert cli.main([*args, "--inner", "64", "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "lowerbound_continuous_manifest.json").read_text())
+    assert manifest["resolved"] == {"tree_sampler_version": yule.TREE_SAMPLER_VERSION}
 
 
 def test_manifest_records_checksums_and_parameters(tmp_path):

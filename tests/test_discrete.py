@@ -108,6 +108,22 @@ def test_self_collision_shortcut_is_the_two_operand_path(n, kernel):
         )
 
 
+@pytest.mark.parametrize("n", [1, 4, 10, 11])
+def test_row_collisions_are_the_per_row_calls(monkeypatch, n):
+    # pair rows in blocks of two up to n = 10, one ranked call per row above;
+    # the last row pair is equal, which the per-row call takes as a
+    # self-collision
+    monkeypatch.setattr(discrete, "_ROW_TERMS_CAP", 3**n - 1)
+    rng = np.random.default_rng(40 + n)
+    f = np.array([wht_forward(random_pmf(n, rng)).coeffs for _ in range(5)])
+    g = np.array([wht_forward(random_pmf(n, rng)).coeffs for _ in range(5)])
+    g[-1] = f[-1]
+    rows = discrete._collide_rows(f, g, n)
+    for i in range(4):
+        np.testing.assert_array_equal(rows[i], collide_coeffs(f[i], g[i], n))
+    np.testing.assert_array_equal(rows[4], collide_coeffs(f[4], f[4], n))
+
+
 def test_collide_halves_singletons_against_uniform():
     rng = np.random.default_rng(6)
     pmf = random_pmf(4, rng)

@@ -11,27 +11,23 @@ from scipy import stats as sps
 from recomblab import (
     CapacityError,
     Pmf,
+    collide_coeffs,
     continuous_trajectory,
     double_quenched_estimate,
     evolve_continuous,
-    leaf_weight_martingale,
     marginal_bias,
     martingale_limit_samples,
     martingale_samples,
     martingale_tail_probability,
     monochromatic_pmf,
+    product_fourier,
     product_pmf,
-    quenched_measure_on_tree,
     random_pmf,
-    sample_leaf_spins,
-    sample_partition_on_tree,
     sample_yule,
     spinal_identity_check,
     stationary_product,
     tail_probability_from_samples,
-    tree_measure,
     tv_distance,
-    uniform_pmf,
     wht_forward,
     wild_mc_estimate,
 )
@@ -57,7 +53,10 @@ def test_tree_structure_invariants():
         assert (tree.birth_time >= 0).all()
         assert (tree.birth_time <= 2.0).all()
         # halving weights over leaves always telescope to exactly one
-        assert tree.leaf_weight_sum(radix=2) == 1.0
+        assert math.fsum(np.ldexp(1.0, -tree.leaf_depths)) == 1.0
+        # wave layout: depths never decrease along the node ids
+        assert (np.diff(tree.depth) >= 0).all()
+        assert (tree.depth[1:] == tree.depth[tree.parent[1:]] + 1).all()
 
 
 def test_tree_leaf_count_is_geometric():
@@ -84,46 +83,12 @@ def test_tree_capacity_cap():
             sample_yule(12.0, rng, max_leaves=64)
 
 
-def test_tree_measure_no_split_is_identity():
+def test_two_leaf_wave_collides_to_one_self_collision():
+    # a root that split once: two leaf lineages in the wave below it
     rng = rng_substream(11, 3)
-    mu = random_pmf(3, rng)
-    tree = sample_yule(0.0, rng)
-    assert tree.num_leaves == 1
-    out = tree_measure(tree, mu)
-    np.testing.assert_allclose(out.weights, mu.weights, atol=1e-14)
-
-
-def test_tree_measure_single_split_is_one_collision():
-    # find a two-leaf tree; its measure is exactly one self-collision
-    from recomblab import collide_pmf
-
-    rng = rng_substream(11, 4)
-    mu = random_pmf(3, rng)
-    while True:
-        tree = sample_yule(0.4, rng)
-        if tree.num_leaves == 2:
-            break
-    np.testing.assert_allclose(
-        tree_measure(tree, mu).weights, collide_pmf(mu, mu).weights, atol=1e-13
-    )
-
-
-def test_partition_walk_hits_leaves_with_halving_weights():
-    # on a fixed tree, each site lands on leaf x with probability 2^-depth(x)
-    rng = rng_substream(11, 5)
-    while True:
-        tree = sample_yule(1.2, rng)
-        if 3 <= tree.num_leaves <= 6:
-            break
-    m = 100_000
-    hits = np.zeros(tree.num_nodes)
-    for _ in range(m):
-        leaf = sample_partition_on_tree(tree, 1, rng)[0]
-        hits[leaf] += 1
-    for leaf in tree.leaves:
-        p = 2.0 ** (-float(tree.depth[leaf]))
-        sigma = math.sqrt(p * (1 - p) / m)
-        assert hits[leaf] / m == pytest.approx(p, abs=4 * sigma)
+    base = wht_forward(random_pmf(3, rng)).coeffs
+    root = yule._collide_waves([np.array([True]), np.array([False, False])], base, 3)
+    assert np.array_equal(root, collide_coeffs(base, base, 3)[None, :])
 
 
 # -----------------------------------------------------------------------
@@ -199,15 +164,22 @@ def test_double_quenched_average_matches_exact_evolution():
     assert (err <= gate).all()
 
 
-def test_quenched_measure_on_tree_is_product_of_leaf_averages():
+def test_product_rows_are_the_product_builders():
+    biases = rng_substream(11, 36).uniform(-1.0, 1.0, size=(6, 4))
+    weights, coeffs = yule._product_rows(biases)
+    for row, w, c in zip(biases, weights, coeffs):
+        np.testing.assert_array_equal(w, product_pmf(row).weights)
+        np.testing.assert_array_equal(c, product_fourier(row).coeffs)
+
+
+def test_wild_estimate_at_horizon_zero_is_mu():
+    # no tree splits before t = 0, so every sample is mu itself
     rng = rng_substream(11, 10)
-    mu = monochromatic_pmf(3)
-    tree = sample_yule(1.0, rng)
-    spins = sample_leaf_spins(tree, mu, rng)
-    q = quenched_measure_on_tree(tree, spins)
-    weights = np.ldexp(1.0, -tree.leaf_depths.astype(np.int32))
-    biases = weights @ spins
-    np.testing.assert_allclose(q.weights, product_pmf(biases).weights, atol=1e-14)
+    mu = random_pmf(3, rng)
+    est = wild_mc_estimate(mu, 0.0, 50, rng)
+    np.testing.assert_allclose(est.mean.weights, mu.weights, atol=1e-15)
+    assert np.array_equal(est.coeff_mean, wht_forward(mu).coeffs)
+    assert not est.coeff_stderr.any()
 
 
 # -----------------------------------------------------------------------
@@ -215,22 +187,10 @@ def test_quenched_measure_on_tree_is_product_of_leaf_averages():
 # -----------------------------------------------------------------------
 
 
-def test_martingale_no_split_value():
-    rng = rng_substream(11, 11)
-    tree = sample_yule(0.0, rng)
-    s = leaf_weight_martingale(tree)
-    assert s.value == pytest.approx(1.0)
-    assert s.leaf_count == 1
-
-
-def test_martingale_one_split_value():
-    rng = rng_substream(11, 12)
-    while True:
-        tree = sample_yule(0.3, rng)
-        if tree.num_leaves == 2:
-            break
-    s = leaf_weight_martingale(tree)
-    assert s.value == pytest.approx(math.exp(0.3 / 2.0) / 2.0, rel=1e-12)
+def test_martingale_at_horizon_zero_is_one():
+    batch = martingale_samples(0.0, 20, rng_substream(11, 11))
+    assert (batch.values == 1.0).all()
+    assert (batch.leaf_counts == 1).all()
 
 
 def test_martingale_batch_mean_and_bound():
