@@ -30,7 +30,6 @@ from .cube import (
 )
 from .discrete import (
     DiscreteUpperBounds,
-    FragmentationState,
     QuenchedEnvironment,
     TiltStatistics,
     collide,
@@ -40,9 +39,8 @@ from .discrete import (
     discrete_trajectory,
     discrete_upper_bounds,
     evolve_discrete,
-    fragmentation_step,
     fragmentation_time,
-    initial_fragmentation,
+    fragmentation_times,
     mono_mixture_tv,
     pair_separation_bound,
     quenched_measure,

@@ -110,6 +110,29 @@ def _parse_grid(text: str) -> List[float]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {err}") from None
 
 
+def _count(minimum: int):
+    """argparse type for a count flag: an integer of at least `minimum`.
+
+    `_apply_config_file` converts config values through the same type, so a
+    bad count exits 2 from a flag and from a config file alike.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_COUNT = _count(1)
+_NONNEGATIVE_COUNT = _count(0)
+
+
 def _load_config_file(path: str) -> Dict[str, str]:
     values: Dict[str, str] = {}
     try:
@@ -435,11 +458,9 @@ def _cmd_profile_continuous(ns, ctx: RunContext) -> int:
 
 def _cmd_fragmentation(ns, ctx: RunContext) -> int:
     _require(ns, "n", "trials", "seed")
-    rng = rng_substream(ns.seed, 0)
-    rows = []
-    for trial in range(ns.trials):
-        rows.append((trial, discrete.fragmentation_time(ns.n, rng)))
-    ctx.write_rows(ns.out, ["trial", "time"], rows)
+    times = discrete.fragmentation_times(ns.n, ns.trials, rng_substream(ns.seed, 0))
+    ctx.resolved["fragmentation_sampler_version"] = discrete.FRAGMENTATION_SAMPLER_VERSION
+    ctx.write_rows(ns.out, ["trial", "time"], enumerate(times.tolist()))
     return EXIT_OK
 
 
@@ -509,6 +530,8 @@ def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
 
 def _cmd_spinal_check(ns, ctx: RunContext) -> int:
     _require(ns, "t", "samples", "seed")
+    if ns.samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {ns.samples}")
     report = yule.spinal_identity_check(ns.t, ns.samples, rng_substream(ns.seed, 0))
     rows = [
         (r.name, r.weighted_mean, r.plain_mean, r.z, r.analytic, r.z_analytic)
@@ -569,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("evolve-discrete", help="iterate the self-collision map")
     _add(p, "--n", type=int, help="number of sites")
     _add(p, "--start", help="start measure: mono | uniform | point:BITS | csv path")
-    _add(p, "--steps", type=int, help="number of steps")
+    _add(p, "--steps", type=_NONNEGATIVE_COUNT, help="number of steps")
     _add(p, "--out", default="evolved_discrete.csv", help="output pmf csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_evolve_discrete)
@@ -598,19 +621,19 @@ def build_parser() -> argparse.ArgumentParser:
         "profile-continuous", help="sampled mixture profile of the continuous limit"
     )
     _add(p, "--lambda", type=_parse_grid, dest="lambda_grid", help="window grid, e.g. -4..4")
-    _add(p, "--samples", type=int, default=10_000, help="martingale sample count")
+    _add(p, "--samples", type=_COUNT, default=10_000, help="martingale sample count")
     _add(p, "--horizon", type=float, default=30.0, help="limit surrogate horizon")
     _add(p, "--method", default="auto", help="martingale sampler: auto|direct|cascade")
     _add(p, "--z-step", type=float, default=1e-3, help="quadrature step")
     _add(p, "--seed", type=int, help="master seed (required)")
-    _add(p, "--workers", type=int, default=1, help="worker threads")
+    _add(p, "--workers", type=_COUNT, default=1, help="worker threads")
     _add(p, "--out", default="profile_continuous.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_profile_continuous)
 
     p = subs.add_parser("fragmentation", help="sample full-fragmentation times")
     _add(p, "--n", type=int, help="number of sites")
-    _add(p, "--trials", type=int, default=1000, help="number of runs")
+    _add(p, "--trials", type=_COUNT, default=1000, help="number of runs")
     _add(p, "--seed", type=int, help="master seed (required)")
     _add(p, "--out", default="fragmentation.csv", help="output csv")
     _common_flags(p)
@@ -618,10 +641,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("martingale", help="sample the additive leaf-weight martingale")
     _add(p, "--t", type=float, help="horizon")
-    _add(p, "--samples", type=int, default=10_000, help="sample count")
+    _add(p, "--samples", type=_COUNT, default=10_000, help="sample count")
     _add(p, "--method", default="auto", help="auto|direct|cascade")
     _add(p, "--seed", type=int, help="master seed (required)")
-    _add(p, "--workers", type=int, default=1, help="worker threads")
+    _add(p, "--workers", type=_COUNT, default=1, help="worker threads")
     _add(p, "--out", default="martingale.csv", help="output csv (sample,t,W,leaves)")
     _common_flags(p)
     p.set_defaults(fn=_cmd_martingale)
@@ -630,10 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--t", type=float, help="horizon (omit to use --horizon limit surrogate)")
     _add(p, "--horizon", type=float, default=30.0, help="limit surrogate horizon")
     _add(p, "--eps", type=_parse_grid, help="thresholds, e.g. 0.5,0.25,0.125")
-    _add(p, "--samples", type=int, default=100_000, help="sample count")
+    _add(p, "--samples", type=_COUNT, default=100_000, help="sample count")
     _add(p, "--method", default="auto", help="auto|direct|cascade")
     _add(p, "--seed", type=int, help="master seed (required)")
-    _add(p, "--workers", type=int, default=1, help="worker threads")
+    _add(p, "--workers", type=_COUNT, default=1, help="worker threads")
     _add(p, "--out", default="w_tail.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_w_tail)
@@ -643,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add(p, "--n", type=int, help="number of sites")
     _add(p, "--t", type=float, help="step count")
-    _add(p, "--mc-samples", type=int, default=0, help="optional MC moment validation")
+    _add(p, "--mc-samples", type=_NONNEGATIVE_COUNT, default=0, help="optional MC moment validation")
     _add(p, "--seed", type=int, help="master seed (required with --mc-samples)")
     _add(p, "--out", default="lowerbound_discrete.csv", help="output csv")
     _common_flags(p)
@@ -654,8 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add(p, "--n", type=int, help="number of sites")
     _add(p, "--t", type=float, help="horizon")
-    _add(p, "--trees", type=int, default=400, help="sampled trees")
-    _add(p, "--inner", type=int, default=2048, help="sign draws per tree")
+    _add(p, "--trees", type=_COUNT, default=400, help="sampled trees")
+    _add(p, "--inner", type=_COUNT, default=2048, help="sign draws per tree")
     _add(p, "--seed", type=int, help="master seed (required)")
     _add(p, "--out", default="lowerbound_continuous.csv", help="output csv")
     _common_flags(p)
@@ -663,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("spinal-check", help="size-biased reweighting identity check")
     _add(p, "--t", type=float, help="horizon")
-    _add(p, "--samples", type=int, default=200_000, help="paths per side")
+    _add(p, "--samples", type=_COUNT, default=200_000, help="paths per side")
     _add(p, "--seed", type=int, help="master seed (required)")
     _add(p, "--out", default="spinal_check.csv", help="output csv")
     _common_flags(p)

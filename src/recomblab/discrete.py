@@ -399,83 +399,54 @@ def quenched_measure(env: QuenchedEnvironment) -> Pmf:
 # ---------------------------------------------------------------------------
 
 FRAGMENTATION_STEP_CAP = 62
+# version of the draw order behind `fragmentation_times`: 2 since every trial
+# draws all its rounds up front as one word per site (1 drew a bit per site
+# per round)
+FRAGMENTATION_SAMPLER_VERSION = 2
+# words drawn per chunk of trials: bounds the working set for any trial count.
+# A word of FRAGMENTATION_STEP_CAP fair bits consumes exactly one raw 64-bit
+# draw, so the chunking never changes the stream.
+_FRAGMENTATION_CHUNK_WORDS = 1 << 20
 
 
-@dataclass(frozen=True)
-class FragmentationState:
-    """Ancestral-block labels after t splitting rounds.
+def fragmentation_times(n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """First round after which every site sits in its own block, per trial.
 
-    Sites with equal labels still share a block.  Labels are the site's
-    subset-membership bits accumulated over rounds, so they live in [0, 2^t).
-    """
-
-    t: int
-    labels: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.uint64)
-        if labels.ndim != 1 or labels.size < 1:
-            raise DimensionMismatchError("labels must be a non-empty vector")
-        if self.t < 0 or self.t > FRAGMENTATION_STEP_CAP:
-            raise CapacityError(
-                f"step counter {self.t} outside [0, {FRAGMENTATION_STEP_CAP}]"
-            )
-        if labels.max(initial=0) >= (1 << self.t):
-            raise InvalidDistributionError("label out of range for step counter")
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n(self) -> int:
-        return self.labels.size
-
-    def fully_fragmented(self) -> bool:
-        return np.unique(self.labels).size == self.labels.size
-
-
-def initial_fragmentation(n: int) -> FragmentationState:
-    return FragmentationState(0, np.zeros(n, dtype=np.uint64))
-
-
-def fragmentation_step(
-    state: FragmentationState, rng: np.random.Generator
-) -> FragmentationState:
-    """Split every block by one uniform random subset of the sites.
-
-    Membership in a uniform subset is an independent fair bit per site, so
-    appending one fair bit to every label realizes simultaneous independent
-    splits of all blocks.
-    """
-    if state.t >= FRAGMENTATION_STEP_CAP:
-        raise CapacityError(
-            f"label words are capped at {FRAGMENTATION_STEP_CAP} splitting rounds",
-            t=state.t,
-        )
-    bits = rng.integers(0, 2, size=state.n, dtype=np.uint64)
-    return FragmentationState(state.t + 1, (state.labels << np.uint64(1)) | bits)
-
-
-def fragmentation_time(n: int, rng: np.random.Generator) -> int:
-    """First round after which every site sits in its own block.
-
-    Runs the `fragmentation_step` loop on a bare label array: the same fair
-    bits are drawn in the same order, without a validated state per round.
+    Each round splits every block by one uniform random subset: every site
+    appends one fair bit to its label, and sites with equal labels share a
+    block.  A trial draws all FRAGMENTATION_STEP_CAP rounds at once as one word
+    per site, round k at bit FRAGMENTATION_STEP_CAP - k, so the label after t
+    rounds is the word's top t bits.  The last pair to separate shares the
+    longest common prefix, so it sits adjacent in sorted order, and it
+    separates in the round of its first differing bit.
     """
     if n < 1:
         raise DimensionMismatchError("labels must be a non-empty vector")
-    labels = np.zeros(n, dtype=np.uint64)
-    one = np.uint64(1)
-    t = 0
-    while len(set(labels.tolist())) < n:
-        if t >= FRAGMENTATION_STEP_CAP:
+    if trials < 0:
+        raise DimensionMismatchError("trial count must be non-negative")
+    times = np.zeros(trials, dtype=np.int64)
+    if n == 1:
+        return times
+    cap = FRAGMENTATION_STEP_CAP
+    # bit length by exact integer comparison: searchsorted counts the powers
+    # of two at or below each value
+    powers = np.left_shift(np.uint64(1), np.arange(cap + 1, dtype=np.uint64))
+    rows = max(1, _FRAGMENTATION_CHUNK_WORDS // n)
+    for lo in range(0, trials, rows):
+        words = rng.integers(0, 1 << cap, size=(min(rows, trials - lo), n), dtype=np.uint64)
+        words.sort(axis=1)
+        closest = np.bitwise_xor(words[:, 1:], words[:, :-1]).min(axis=1)
+        if not closest.all():
             raise CapacityError(
-                f"label words are capped at {FRAGMENTATION_STEP_CAP} splitting rounds",
-                t=t,
+                f"label words are capped at {cap} splitting rounds", t=cap
             )
-        labels <<= one
-        labels |= rng.integers(0, 2, size=n, dtype=np.uint64)
-        t += 1
-    return t
+        times[lo : lo + closest.size] = cap + 1 - np.searchsorted(powers, closest, "right")
+    return times
+
+
+def fragmentation_time(n: int, rng: np.random.Generator) -> int:
+    """One trial of `fragmentation_times`."""
+    return int(fragmentation_times(n, 1, rng)[0])
 
 
 def pair_separation_bound(n: int, t: int) -> float:

@@ -272,9 +272,11 @@ def test_nodes_grown_counts_every_tree_node(tmp_path):
     assert manifest["counters"]["nodes_grown"] == sum(2 * c - 1 for c in leaves)
 
 
-# sha256 of small seeded outputs, recorded before the wave kernel, the
-# fragmentation loop and the lower-bound tail evaluation were rewritten.  A
-# change of draw order must fail here and announce a sampler version bump.
+# sha256 of small seeded outputs, recorded before the wave kernel and the
+# lower-bound tail evaluation were rewritten.  A change of draw order must
+# fail here and announce a sampler version bump: `lowerbound-continuous` is
+# pinned at tree sampler version 2, `fragmentation` at fragmentation sampler
+# version 2 (one word of all rounds per site, drawn for every trial at once).
 SEEDED_OUTPUT_SHA256 = [
     (
         ("martingale", "--t", "2.5", "--samples", "400", "--seed", "77",
@@ -297,7 +299,7 @@ SEEDED_OUTPUT_SHA256 = [
     (
         ("fragmentation", "--n", "64", "--trials", "300", "--seed", "1"),
         "fragmentation.csv",
-        "352f3781aa21355efc2d27e50fb9cfad615b67194377df93c1fc8df03a08e5c2",
+        "c9846ceeda46efc21856ae472345e127ca9afe6bfd1b9294f2393637255e8abf",
     ),
     (
         ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "120",
@@ -326,6 +328,25 @@ def test_lowerbound_manifest_names_the_tree_sampler(tmp_path, capsys):
     assert cli.main([*args, "--inner", "64", "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "lowerbound_continuous_manifest.json").read_text())
     assert manifest["resolved"] == {"tree_sampler_version": yule.TREE_SAMPLER_VERSION}
+
+
+def test_fragmentation_manifest_names_the_sampler(tmp_path, capsys):
+    args = ("fragmentation", "--n", "8", "--trials", "5", "--seed", "1")
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "fragmentation_manifest.json").read_text())
+    assert manifest["resolved"] == {
+        "fragmentation_sampler_version": discrete.FRAGMENTATION_SAMPLER_VERSION
+    }
+
+
+def test_fragmentation_chunks_keep_every_byte(tmp_path, monkeypatch):
+    args = ["fragmentation", "--n", "64", "--trials", "300", "--seed", "3"]
+    assert cli.main([*args, "--out-dir", str(tmp_path / "whole")]) == 0
+    monkeypatch.setattr(discrete, "_FRAGMENTATION_CHUNK_WORDS", 1)
+    assert cli.main([*args, "--out-dir", str(tmp_path / "rows")]) == 0
+    assert (tmp_path / "whole" / "fragmentation.csv").read_bytes() == (
+        tmp_path / "rows" / "fragmentation.csv"
+    ).read_bytes()
 
 
 def test_manifest_records_checksums_and_parameters(tmp_path):
@@ -497,6 +518,40 @@ def test_numerical_violation_exits_4(tmp_path, monkeypatch):
 def test_bad_value_exits_2(tmp_path):
     r = run_cli(["evolve-discrete", "--n", "x", "--start", "mono", "--steps", "1"], tmp_path)
     assert r.returncode == 2, r.stderr
+
+
+BAD_COUNTS = [
+    (("martingale", "--t", "1", "--seed", "1"), "samples", "0"),
+    (("w-tail", "--eps", "0.5", "--seed", "1"), "samples", "-3"),
+    (("profile-continuous", "--lambda", "0", "--seed", "1"), "samples", "0"),
+    (("spinal-check", "--t", "1", "--seed", "1"), "samples", "-4"),
+    # spinal-check's own minimum: two paths per side
+    (("spinal-check", "--t", "1", "--seed", "1"), "samples", "1"),
+    (("evolve-discrete", "--n", "3", "--start", "mono"), "steps", "-1"),
+    (("lowerbound-continuous", "--n", "100", "--t", "1", "--seed", "1"), "trees", "-1"),
+    (("lowerbound-discrete", "--n", "400", "--t", "1", "--seed", "1"), "mc-samples", "-1"),
+    (("fragmentation", "--n", "8", "--seed", "1"), "trials", "-2"),
+    (("martingale", "--t", "1", "--seed", "1"), "workers", "0"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "args,key,value", BAD_COUNTS, ids=[f"{a[0]}-{k}{v}" for a, k, v in BAD_COUNTS]
+)
+def test_bad_count_exits_2(tmp_path, capsys, source, args, key, value):
+    if source == "flag":
+        extra = [f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        extra = ["--config", str(cfg)]
+    try:
+        status = cli.main([*args, *extra, "--out-dir", str(tmp_path)])
+    except SystemExit as stop:  # argparse rejects a bad flag value
+        status = stop.code
+    assert status == 2
+    assert key.replace("-", "_") in capsys.readouterr().err.replace("-", "_")
 
 
 def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):

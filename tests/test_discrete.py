@@ -17,9 +17,8 @@ from recomblab import (
     discrete_trajectory,
     discrete_upper_bounds,
     evolve_discrete,
-    fragmentation_step,
     fragmentation_time,
-    initial_fragmentation,
+    fragmentation_times,
     marginal_bias,
     mono_mixture_tv,
     monochromatic_pmf,
@@ -201,45 +200,91 @@ def test_quenched_environment_shape():
     )
 
 
-def test_fragmentation_labels_and_time():
-    state = initial_fragmentation(5)
-    assert state.t == 0
-    assert state.fully_fragmented() is False
-    rng = rng_substream(99, 3)
-    nxt = fragmentation_step(state, rng)
-    assert nxt.t == 1
-    assert nxt.labels.max() <= 1
-    t = fragmentation_time(5, rng)
-    assert t >= math.ceil(math.log2(5))
+# the per-round label loop that `fragmentation_times` replaces, kept as its
+# oracle: every round appends one fair bit per site to the site's label
+def _oracle_round(labels, t, rng):
+    cap = discrete.FRAGMENTATION_STEP_CAP
+    if t >= cap:
+        raise CapacityError(f"label words are capped at {cap} splitting rounds", t=t)
+    return (labels << np.uint64(1)) | rng.integers(0, 2, size=labels.size, dtype=np.uint64)
 
 
 def _oracle_fragmentation_time(n, rng):
-    state = initial_fragmentation(n)
-    while not state.fully_fragmented():
-        state = fragmentation_step(state, rng)
-    return state.t
+    if n < 1:
+        raise DimensionMismatchError("labels must be a non-empty vector")
+    labels, t = np.zeros(n, dtype=np.uint64), 0
+    while np.unique(labels).size < n:
+        labels, t = _oracle_round(labels, t, rng), t + 1
+    return t
+
+
+def _birthday_cdf(n, t):
+    # P(T <= t): n sites carry distinct labels among 2^t equally likely ones
+    return max(0.0, math.prod(1.0 - k * 2.0 ** (-t) for k in range(n)))
+
+
+def _assert_birthday_law(times, n):
+    # gates fixed before the first run: the mean within 4 standard errors,
+    # and every cell with expected count >= 5 within 5 binomial SD
+    trials = times.size
+    cdf = np.array([_birthday_cdf(n, t) for t in range(200)])
+    pmf = np.diff(cdf, prepend=0.0)
+    ts = np.arange(cdf.size)
+    mean = float((1.0 - cdf).sum())
+    var = float(((2 * ts + 1) * (1.0 - cdf)).sum()) - mean**2
+    assert abs(times.mean() - mean) <= 4.0 * math.sqrt(var / trials)
+    counts = np.bincount(times, minlength=cdf.size)
+    for t in np.flatnonzero(trials * pmf >= 5):
+        sd = math.sqrt(trials * pmf[t] * (1.0 - pmf[t]))
+        assert abs(counts[t] - trials * pmf[t]) <= 5.0 * sd, (n, t)
+
+
+def test_fragmentation_labels_and_time():
+    rng = rng_substream(99, 3)
+    labels = _oracle_round(np.zeros(5, dtype=np.uint64), 0, rng)
+    assert labels.max() <= 1
+    assert fragmentation_time(5, rng) >= math.ceil(math.log2(5))
+    assert fragmentation_times(1, 7, rng).tolist() == [0] * 7
+    assert fragmentation_times(9, 0, rng).size == 0
+    # the sorted-neighbour read equals the first round whose labels (the
+    # words' top t bits) are all distinct
+    cap = discrete.FRAGMENTATION_STEP_CAP
+    words = rng_substream(99, 7).integers(0, 1 << cap, size=(300, 6), dtype=np.uint64)
+    times = fragmentation_times(6, 300, rng_substream(99, 7))
+    for row, time in zip(words, times.tolist()):
+        first = next(
+            t for t in range(cap + 1)
+            if np.unique(row >> np.uint64(cap - t)).size == row.size
+        )
+        assert time == first
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64])
-def test_fragmentation_time_is_the_state_loop(n):
-    for seed in range(25):
-        rng, oracle_rng = rng_substream(seed, 5), rng_substream(seed, 5)
-        times = [fragmentation_time(n, rng) for _ in range(8)]
-        assert times == [_oracle_fragmentation_time(n, oracle_rng) for _ in range(8)]
-        # the same number of fair bits was drawn
-        assert rng.random() == oracle_rng.random()
+def test_fragmentation_times_follow_the_birthday_law(n):
+    _assert_birthday_law(fragmentation_times(n, 20_000, rng_substream(99, 5)), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_fragmentation_oracle_follows_the_birthday_law(n):
+    rng = rng_substream(99, 8)
+    times = np.array([_oracle_fragmentation_time(n, rng) for _ in range(4000)])
+    _assert_birthday_law(times, n)
 
 
 def test_fragmentation_time_errors_match_the_state_loop(monkeypatch):
     monkeypatch.setattr(discrete, "FRAGMENTATION_STEP_CAP", 3)
     with pytest.raises(CapacityError) as err:
         fragmentation_time(64, rng_substream(99, 6))
+    with pytest.raises(CapacityError) as batch_err:
+        fragmentation_times(64, 10, rng_substream(99, 6))
     with pytest.raises(CapacityError) as oracle_err:
         _oracle_fragmentation_time(64, rng_substream(99, 6))
-    assert err.value.stats == oracle_err.value.stats == {"t": 3}
-    assert str(err.value) == str(oracle_err.value)
+    assert err.value.stats == batch_err.value.stats == oracle_err.value.stats == {"t": 3}
+    assert str(err.value) == str(batch_err.value) == str(oracle_err.value)
     with pytest.raises(DimensionMismatchError):
         fragmentation_time(0, rng_substream(99, 6))
+    with pytest.raises(DimensionMismatchError):
+        fragmentation_times(8, -1, rng_substream(99, 6))
     with pytest.raises(DimensionMismatchError):
         _oracle_fragmentation_time(0, rng_substream(99, 6))
 
@@ -249,10 +294,10 @@ def test_pair_separation_probability():
     trials, t, hits = 20_000, 3, 0
     rng = rng_substream(99, 4)
     for _ in range(trials):
-        state = initial_fragmentation(2)
-        for _ in range(t):
-            state = fragmentation_step(state, rng)
-        hits += int(state.labels[0] == state.labels[1])
+        labels = np.zeros(2, dtype=np.uint64)
+        for step in range(t):
+            labels = _oracle_round(labels, step, rng)
+        hits += int(labels[0] == labels[1])
     p = 2.0 ** (-t)
     sigma = math.sqrt(p * (1 - p) / trials)
     assert hits / trials == pytest.approx(p, abs=4 * sigma)
