@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import resource
@@ -131,6 +132,32 @@ def _count(minimum: int):
 
 _COUNT = _count(1)
 _NONNEGATIVE_COUNT = _count(0)
+
+
+def _real(minimum: float, *, strict: bool = False):
+    """argparse type for a real flag: a finite float >= `minimum`.
+
+    With `strict` the value must exceed `minimum`.  Like `_count`, it also
+    converts config values, so a bad value exits 2 from either source.
+    """
+    relation = ">" if strict else ">="
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not math.isfinite(value) or value < minimum or (strict and value == minimum):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {relation} {minimum:g}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_NONNEGATIVE_REAL = _real(0.0)
+_POSITIVE_REAL = _real(0.0, strict=True)
 
 
 def _load_config_file(path: str) -> Dict[str, str]:
@@ -359,8 +386,8 @@ def _sample_martingale(
     on the worker count, so the concatenated batch is reproducible for any
     parallelism degree.  Each cascade chunk grows its own pool; the manifest
     gets the resolved sampler, the tree nodes grown summed over chunks and,
-    for the cascade, the pool size and the final-stage draws and expected
-    repeat draws summed over chunks.
+    for the cascade, the pool size and the final-stage draws, last-pool
+    entries grown and expected repeat draws summed over chunks.
     """
     method = yule.resolve_martingale_method(t, total, method)
     sizes = _chunk_plan(total)
@@ -383,6 +410,7 @@ def _sample_martingale(
         method=method,
         pool_size=max(p.pool_size for p in parts),
         pool_draws=sum(p.pool_draws for p in parts),
+        pool_grown=sum(p.pool_grown for p in parts),
         expected_repeat_draws=sum(p.expected_repeat_draws for p in parts),
         nodes_grown=sum(p.nodes_grown for p in parts),
     )
@@ -393,6 +421,7 @@ def _sample_martingale(
         ctx.counters.update(
             cascade_pool_size=batch.pool_size,
             cascade_pool_draws=batch.pool_draws,
+            cascade_pool_grown=batch.pool_grown,
             cascade_expected_repeat_draws=batch.expected_repeat_draws,
         )
     return batch
@@ -600,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("evolve-continuous", help="integrate the continuous dynamics")
     _add(p, "--n", type=int, help="number of sites")
     _add(p, "--start", help="start measure: mono | uniform | point:BITS | csv path")
-    _add(p, "--t", type=float, help="horizon")
-    _add(p, "--step", type=float, default=0.01, help="integrator step bound")
+    _add(p, "--t", type=_NONNEGATIVE_REAL, help="horizon")
+    _add(p, "--step", type=_POSITIVE_REAL, default=0.01, help="integrator step bound")
     _add(p, "--out", default="evolved_continuous.csv", help="output pmf csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_evolve_continuous)
@@ -622,9 +651,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add(p, "--lambda", type=_parse_grid, dest="lambda_grid", help="window grid, e.g. -4..4")
     _add(p, "--samples", type=_COUNT, default=10_000, help="martingale sample count")
-    _add(p, "--horizon", type=float, default=30.0, help="limit surrogate horizon")
+    _add(p, "--horizon", type=_NONNEGATIVE_REAL, default=30.0, help="limit surrogate horizon")
     _add(p, "--method", default="auto", help="martingale sampler: auto|direct|cascade")
-    _add(p, "--z-step", type=float, default=1e-3, help="quadrature step")
+    _add(p, "--z-step", type=_POSITIVE_REAL, default=1e-3, help="quadrature step")
     _add(p, "--seed", type=int, help="master seed (required)")
     _add(p, "--workers", type=_COUNT, default=1, help="worker threads")
     _add(p, "--out", default="profile_continuous.csv", help="output csv")
@@ -640,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fragmentation)
 
     p = subs.add_parser("martingale", help="sample the additive leaf-weight martingale")
-    _add(p, "--t", type=float, help="horizon")
+    _add(p, "--t", type=_NONNEGATIVE_REAL, help="horizon")
     _add(p, "--samples", type=_COUNT, default=10_000, help="sample count")
     _add(p, "--method", default="auto", help="auto|direct|cascade")
     _add(p, "--seed", type=int, help="master seed (required)")
@@ -650,8 +679,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_martingale)
 
     p = subs.add_parser("w-tail", help="small-value tail of the martingale")
-    _add(p, "--t", type=float, help="horizon (omit to use --horizon limit surrogate)")
-    _add(p, "--horizon", type=float, default=30.0, help="limit surrogate horizon")
+    _add(
+        p, "--t", type=_NONNEGATIVE_REAL, help="horizon (omit to use --horizon limit surrogate)"
+    )
+    _add(p, "--horizon", type=_NONNEGATIVE_REAL, default=30.0, help="limit surrogate horizon")
     _add(p, "--eps", type=_parse_grid, help="thresholds, e.g. 0.5,0.25,0.125")
     _add(p, "--samples", type=_COUNT, default=100_000, help="sample count")
     _add(p, "--method", default="auto", help="auto|direct|cascade")
@@ -665,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lowerbound-discrete", help="exact block-event distance lower bound"
     )
     _add(p, "--n", type=int, help="number of sites")
-    _add(p, "--t", type=float, help="step count")
+    _add(p, "--t", type=_NONNEGATIVE_REAL, help="step count")
     _add(p, "--mc-samples", type=_NONNEGATIVE_COUNT, default=0, help="optional MC moment validation")
     _add(p, "--seed", type=int, help="master seed (required with --mc-samples)")
     _add(p, "--out", default="lowerbound_discrete.csv", help="output csv")
@@ -676,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lowerbound-continuous", help="sampled block-event lower bound, continuous time"
     )
     _add(p, "--n", type=int, help="number of sites")
-    _add(p, "--t", type=float, help="horizon")
+    _add(p, "--t", type=_POSITIVE_REAL, help="horizon")
     _add(p, "--trees", type=_COUNT, default=400, help="sampled trees")
     _add(p, "--inner", type=_COUNT, default=2048, help="sign draws per tree")
     _add(p, "--seed", type=int, help="master seed (required)")
@@ -685,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lowerbound_continuous)
 
     p = subs.add_parser("spinal-check", help="size-biased reweighting identity check")
-    _add(p, "--t", type=float, help="horizon")
+    _add(p, "--t", type=_POSITIVE_REAL, help="horizon")
     _add(p, "--samples", type=_COUNT, default=200_000, help="paths per side")
     _add(p, "--seed", type=int, help="master seed (required)")
     _add(p, "--out", default="spinal_check.csv", help="output csv")

@@ -46,7 +46,7 @@ TREE_SAMPLER_VERSION = 2
 # its draw order, bumped whenever seeded cascade output changes bytes
 CASCADE_STAGE = 2.0
 CASCADE_MIN_POOL = 1 << 20
-CASCADE_SAMPLER_VERSION = 2
+CASCADE_SAMPLER_VERSION = 3
 # dense cells (per-sample measure entries) one estimator batch may hold
 _ESTIMATOR_BATCH_CELLS = 1 << 20
 
@@ -458,8 +458,9 @@ class MartingaleBatch:
 
     `nodes_grown` counts the tree nodes the wave kernel simulated for the
     batch.  A cascade batch also reports its bootstrap: the pool size, the
-    pool entries its final stage drew, and the expected number of repeated
-    draws draws^2 / (2 pool_size).  A direct batch leaves them at zero.
+    pool entries its final stage drew, the entries of the last pool it grew
+    (one per distinct draw), and the expected number of repeated draws
+    draws^2 / (2 pool_size).  A direct batch leaves them at zero.
     """
 
     horizon: float
@@ -468,6 +469,7 @@ class MartingaleBatch:
     method: str
     pool_size: int = 0
     pool_draws: int = 0
+    pool_grown: int = 0
     expected_repeat_draws: float = 0.0
     nodes_grown: int = 0
 
@@ -496,6 +498,55 @@ def _direct_martingale_batch(
     return math.exp(t / 2.0) * raw, counts, nodes
 
 
+def _add_leaves(
+    new_w: np.ndarray,
+    new_l: np.ndarray,
+    trees: np.ndarray,
+    frozen: np.ndarray,
+    depth: int,
+    pool_w: np.ndarray,
+    pool_l: np.ndarray,
+    pick: np.ndarray,
+) -> None:
+    """Add one wave's leaves to their trees, leaf i rooting pool entry pick[i].
+
+    Leaf i belongs to the tree at position owner[i] of `trees`; bincount
+    sums each tree's leaves in leaf order.
+    """
+    owner = np.repeat(np.arange(trees.size), frozen)
+    w = math.ldexp(1.0, -2 * depth) * pool_w[pick]
+    new_w[trees] += np.bincount(owner, weights=w, minlength=trees.size)
+    new_l[trees] += np.bincount(
+        owner, weights=pool_l[pick].astype(np.float64), minlength=trees.size
+    ).astype(np.int64)
+
+
+def _cascade_pool(
+    first: float,
+    pool: Optional[Tuple[np.ndarray, np.ndarray]],
+    width: int,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """`width` i.i.d. (value, leaf count) entries of the next cascade pool.
+
+    With no previous pool an entry is a direct tree of horizon `first`;
+    otherwise it is a stage tree whose leaves draw their subtrees from
+    `pool` uniformly with replacement.  Also returns the nodes grown.
+    """
+    if pool is None:
+        return _direct_martingale_batch(first, width, rng)
+    pool_w, pool_l = pool
+    new_w = np.zeros(width)
+    new_l = np.zeros(width, dtype=np.int64)
+
+    def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
+        pick = rng.integers(0, pool_w.size, size=int(frozen.sum()))
+        _add_leaves(new_w, new_l, trees, frozen, depth, pool_w, pool_l, pick)
+
+    nodes = _wave_batch(CASCADE_STAGE, width, rng, on_frozen)
+    return math.exp(CASCADE_STAGE / 2.0) * new_w, new_l, nodes
+
+
 def _cascade_martingale_batch(
     t: float, m: int, rng: np.random.Generator
 ) -> MartingaleBatch:
@@ -506,23 +557,26 @@ def _cascade_martingale_batch(
 
         value(a+d) = e^{d/2} * sum over leaves x of 4^-depth(x) * value_x(a),
 
-    and leaf counts compose additively.  The horizon splits into stages of
-    `CASCADE_STAGE` time units, the first one taking the remainder.  A pool
-    of `max(m, CASCADE_MIN_POOL)` (value, leaf count) samples is grown
-    directly over the first stage and extended by every later stage but the
-    last, each drawing its subtree samples from the previous pool with
-    replacement.  The final stage grows only the m trees that are kept.
-    Given the previous pool, the first m of P final-stage trees are m
-    independent stage trees whose leaves pick pool entries uniformly, so
-    growing just those m has exactly the law of growing P and keeping m;
+    and leaf counts compose additively.  The horizon splits into K stages
+    of `CASCADE_STAGE` time units, the first one taking the remainder.
+    Pool 1 holds P = `max(m, CASCADE_MIN_POOL)` (value, leaf count) samples
+    grown directly over the first stage, and pool k+1 holds P stage trees
+    whose leaves draw their subtrees from pool k with replacement.  The
+    final stage grows only the m trees that are kept, and its leaves pick
+    indices into pool K-1 uniformly from [0, P).  Pool K-1 is then grown
+    only at the distinct picked indices, in index order, and each pick reads
+    its entry through the rank of its index among the picked ones.  Pool
+    entries are i.i.d. and independent of the picks, so this has exactly
+    the law of growing all P entries and P final-stage trees and keeping m;
     only the order of the random draws differs.  With a single stage there
     is no pool, and the sampler is the direct one on m trees.
 
     The bootstrap reuse is the only approximation: with pool size P and a
     handful of leaves per stage tree, the chance that one output reuses a
     pool entry twice is O(leaves^2 / P), and sample means stay exactly
-    unbiased.  The batch reports P, the final stage's draws D and the
-    expected number of repeated draws D^2 / (2P).
+    unbiased.  The batch reports P, the final stage's draws D, the entries
+    of pool K-1 it grew (the distinct draws) and the expected number of
+    repeated draws D^2 / (2P).
     """
     nstages = max(1, math.ceil(t / CASCADE_STAGE))
     first = t - (nstages - 1) * CASCADE_STAGE
@@ -530,38 +584,45 @@ def _cascade_martingale_batch(
         values, counts, nodes = _direct_martingale_batch(first, m, rng)
         return MartingaleBatch(float(t), values, counts, "cascade", nodes_grown=nodes)
     pool_size = max(m, CASCADE_MIN_POOL)
-    pool_w, pool_l, nodes = _direct_martingale_batch(first, pool_size, rng)
-    grow = math.exp(CASCADE_STAGE / 2.0)
-    for stage in range(1, nstages):
-        width = m if stage == nstages - 1 else pool_size
-        new_w = np.zeros(width)
-        new_l = np.zeros(width, dtype=np.int64)
-        draws = 0
+    pool, nodes = None, 0
+    for _ in range(nstages - 2):
+        pool_w, pool_l, grown = _cascade_pool(first, pool, pool_size, rng)
+        pool, nodes = (pool_w, pool_l), nodes + grown
+    # the final stage keeps each wave's frozen trees and their leaves' picks,
+    # as int32 since m <= P < 2^31
+    waves = []
 
-        def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
-            nonlocal draws
-            # leaf i belongs to the tree at position owner[i] of `trees`;
-            # bincount sums each tree's leaves in leaf order
-            owner = np.repeat(np.arange(trees.size), frozen)
-            draws += owner.size
-            pick = rng.integers(0, pool_size, size=owner.size)
-            w = math.ldexp(1.0, -2 * depth) * pool_w[pick]
-            new_w[trees] += np.bincount(owner, weights=w, minlength=trees.size)
-            new_l[trees] += np.bincount(
-                owner, weights=pool_l[pick].astype(np.float64), minlength=trees.size
-            ).astype(np.int64)
+    def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
+        pick = rng.integers(0, pool_size, size=int(frozen.sum()), dtype=np.int32)
+        waves.append((trees.astype(np.int32), frozen, depth, pick))
 
-        nodes += _wave_batch(CASCADE_STAGE, width, rng, on_frozen)
-        pool_w, pool_l = grow * new_w, new_l
+    nodes += _wave_batch(CASCADE_STAGE, m, rng, on_frozen)
+    drawn = np.zeros(pool_size, dtype=bool)
+    for wave in waves:
+        drawn[wave[3]] = True
+    grown = int(np.count_nonzero(drawn))
+    entry_w, entry_l, more = _cascade_pool(first, pool, grown, rng)
+    # the k-th grown entry sits at the k-th drawn index; no other is read
+    last_w = np.zeros(pool_size)
+    last_l = np.zeros(pool_size, dtype=np.int64)
+    last_w[drawn] = entry_w
+    last_l[drawn] = entry_l
+    values = np.zeros(m)
+    counts = np.zeros(m, dtype=np.int64)
+    draws = 0
+    for trees, frozen, depth, pick in waves:
+        draws += pick.size
+        _add_leaves(values, counts, trees, frozen, depth, last_w, last_l, pick)
     return MartingaleBatch(
         float(t),
-        pool_w,
-        pool_l,
+        math.exp(CASCADE_STAGE / 2.0) * values,
+        counts,
         "cascade",
         pool_size=pool_size,
         pool_draws=draws,
+        pool_grown=grown,
         expected_repeat_draws=draws * draws / (2.0 * pool_size),
-        nodes_grown=nodes,
+        nodes_grown=nodes + more,
     )
 
 

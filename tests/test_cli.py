@@ -224,7 +224,7 @@ def test_manifest_names_the_sampler_and_its_pool(tmp_path):
     manifest = json.loads((out / "w_tail_manifest.json").read_text())
     assert manifest["resolved"] == {
         "martingale_method": "cascade",
-        "cascade_sampler_version": 2,
+        "cascade_sampler_version": 3,
     }
     chunks = [
         yule.martingale_samples(
@@ -237,6 +237,7 @@ def test_manifest_names_the_sampler_and_its_pool(tmp_path):
         "nodes_grown": sum(c.nodes_grown for c in chunks),
         "cascade_pool_size": 1048576,
         "cascade_pool_draws": sum(c.pool_draws for c in chunks),
+        "cascade_pool_grown": sum(c.pool_grown for c in chunks),
         "cascade_expected_repeat_draws": sum(
             c.pool_draws**2 / (2.0 * 1048576) for c in chunks
         ),
@@ -276,7 +277,9 @@ def test_nodes_grown_counts_every_tree_node(tmp_path):
 # lower-bound tail evaluation were rewritten.  A change of draw order must
 # fail here and announce a sampler version bump: `lowerbound-continuous` is
 # pinned at tree sampler version 2, `fragmentation` at fragmentation sampler
-# version 2 (one word of all rounds per site, drawn for every trial at once).
+# version 2 (one word of all rounds per site, drawn for every trial at once),
+# and both cascade outputs at cascade sampler version 3 (the last pool grown
+# only at the entries the final stage draws).
 SEEDED_OUTPUT_SHA256 = [
     (
         ("martingale", "--t", "2.5", "--samples", "400", "--seed", "77",
@@ -288,13 +291,13 @@ SEEDED_OUTPUT_SHA256 = [
         ("martingale", "--t", "5.0", "--samples", "300", "--seed", "8",
          "--method", "cascade"),
         "martingale.csv",
-        "6b9572808f796e26071f4bbead2406bab81b76297e1339831ef0dcda11946935",
+        "44fc60a1d4ff8d280bff00cf78fb56c65d3251be65aee5fda78de0ecede24936",
     ),
     (
         ("w-tail", "--horizon", "5", "--samples", "300", "--eps", "0.5,0.25",
          "--seed", "5", "--method", "cascade"),
         "w_tail.csv",
-        "bc80ea3598a079755713c9ca55d8af630fab8c02ccd139612f64f2a35031a4af",
+        "6d1c8a93235dcfa63eec2f155bc1736b6009623febf85ab773a94bb857cfc97e",
     ),
     (
         ("fragmentation", "--n", "64", "--trials", "300", "--seed", "1"),
@@ -535,11 +538,7 @@ BAD_COUNTS = [
 ]
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize(
-    "args,key,value", BAD_COUNTS, ids=[f"{a[0]}-{k}{v}" for a, k, v in BAD_COUNTS]
-)
-def test_bad_count_exits_2(tmp_path, capsys, source, args, key, value):
+def _assert_bad_value_exits_2(tmp_path, capsys, source, args, key, value):
     if source == "flag":
         extra = [f"--{key}", value]
     else:
@@ -552,6 +551,39 @@ def test_bad_count_exits_2(tmp_path, capsys, source, args, key, value):
         status = stop.code
     assert status == 2
     assert key.replace("-", "_") in capsys.readouterr().err.replace("-", "_")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "args,key,value", BAD_COUNTS, ids=[f"{a[0]}-{k}{v}" for a, k, v in BAD_COUNTS]
+)
+def test_bad_count_exits_2(tmp_path, capsys, source, args, key, value):
+    _assert_bad_value_exits_2(tmp_path, capsys, source, args, key, value)
+
+
+BAD_REALS = [
+    (("martingale", "--samples", "5", "--seed", "1"), "t", "-1"),
+    (("martingale", "--samples", "5", "--seed", "1"), "t", "inf"),
+    (("spinal-check", "--samples", "5", "--seed", "1"), "t", "-1"),
+    (("spinal-check", "--samples", "5", "--seed", "1"), "t", "0"),
+    (("evolve-continuous", "--n", "2", "--start", "mono"), "t", "-1"),
+    (("evolve-continuous", "--n", "2", "--start", "mono", "--t", "1"), "step", "0"),
+    (("evolve-continuous", "--n", "2", "--start", "mono", "--t", "1"), "step", "nan"),
+    (("profile-continuous", "--lambda", "0", "--samples", "5", "--seed", "1"), "horizon", "-1"),
+    (("profile-continuous", "--lambda", "0", "--samples", "5", "--seed", "1"), "z-step", "0"),
+    (("w-tail", "--eps", "0.5", "--samples", "5", "--seed", "1"), "horizon", "-2"),
+    (("w-tail", "--eps", "0.5", "--samples", "5", "--seed", "1"), "t", "1e999"),
+    (("lowerbound-discrete", "--n", "400"), "t", "-1"),
+    (("lowerbound-continuous", "--n", "100", "--seed", "1"), "t", "0"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "args,key,value", BAD_REALS, ids=[f"{a[0]}-{k}{v}" for a, k, v in BAD_REALS]
+)
+def test_bad_real_exits_2(tmp_path, capsys, source, args, key, value):
+    _assert_bad_value_exits_2(tmp_path, capsys, source, args, key, value)
 
 
 def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):

@@ -238,8 +238,8 @@ def test_cascade_agrees_with_direct_at_equal_horizon():
 
 
 def test_cascade_agrees_with_direct_at_horizon_3():
-    # two stages: a pool grown to horizon 1, then 2^20-pool draws for only
-    # the m final-stage trees that are kept
+    # two stages: the m kept final-stage trees pick indices into a 2^20
+    # pool, which is grown to horizon 1 only at the picked entries
     t, m = 3.0, 4000
     direct = martingale_samples(t, m, rng_substream(11, 23), method="direct")
     cascade = martingale_samples(t, m, rng_substream(11, 24), method="cascade")
@@ -254,7 +254,7 @@ def test_single_stage_cascade_is_the_direct_sampler(t):
     direct = martingale_samples(t, 3000, rng_substream(11, 25), method="direct")
     assert np.array_equal(cascade.values, direct.values)
     assert np.array_equal(cascade.leaf_counts, direct.leaf_counts)
-    assert (cascade.pool_size, cascade.pool_draws) == (0, 0)
+    assert (cascade.pool_size, cascade.pool_draws, cascade.pool_grown) == (0, 0, 0)
     assert cascade.expected_repeat_draws == 0.0
 
 
@@ -266,10 +266,12 @@ def test_cascade_batch_reports_its_pool():
     # every kept tree draws at least one pool entry, and each draw brings
     # at least one leaf
     assert m <= batch.pool_draws <= int(batch.leaf_counts.sum())
+    # only the drawn entries of the last pool are grown
+    assert 0 < batch.pool_grown <= min(batch.pool_draws, batch.pool_size)
     expected = batch.pool_draws**2 / (2.0 * batch.pool_size)
     assert batch.expected_repeat_draws == expected
     direct = martingale_samples(3.0, m, rng_substream(11, 26), method="direct")
-    assert (direct.pool_size, direct.pool_draws) == (0, 0)
+    assert (direct.pool_size, direct.pool_draws, direct.pool_grown) == (0, 0, 0)
 
 
 # -----------------------------------------------------------------------
@@ -322,31 +324,79 @@ def _oracle_direct(t, m, rng):
     return math.exp(t / 2.0) * raw, counts, nodes
 
 
+def _oracle_stage(width, pool_size, rng, dtype=np.int64):
+    """Grow `width` stage trees; each wave's leaves pick pool indices."""
+    leaves = []
+
+    def on_frozen(ids, depths):
+        leaves.append((ids, depths, rng.integers(0, pool_size, size=ids.size, dtype=dtype)))
+
+    nodes = _oracle_wave_batch(yule.CASCADE_STAGE, width, rng, on_frozen)
+    return leaves, nodes
+
+
+def _oracle_sums(width, leaves, pool_w, pool_l):
+    """Stage values and leaf counts, each wave's leaves rooting pool entries."""
+    new_w = np.zeros(width)
+    new_l = np.zeros(width, dtype=np.int64)
+    for ids, depths, entry in leaves:
+        w = np.ldexp(1.0, -2 * depths.astype(np.int32)) * pool_w[entry]
+        new_w[:] += np.bincount(ids, weights=w, minlength=width)
+        new_l[:] += np.bincount(
+            ids, weights=pool_l[entry].astype(np.float64), minlength=width
+        ).astype(np.int64)
+    return math.exp(yule.CASCADE_STAGE / 2.0) * new_w, new_l
+
+
 def _oracle_cascade(t, m, rng):
+    # the law oracle: every pool grown in full, the final stage on m trees
     nstages = max(1, math.ceil(t / yule.CASCADE_STAGE))
     first = t - (nstages - 1) * yule.CASCADE_STAGE
     pool_size = max(m, yule.CASCADE_MIN_POOL)
     pool_w, pool_l, nodes = _oracle_direct(first, pool_size, rng)
-    grow = math.exp(yule.CASCADE_STAGE / 2.0)
     for stage in range(1, nstages):
         width = m if stage == nstages - 1 else pool_size
-        new_w = np.zeros(width)
-        new_l = np.zeros(width, dtype=np.int64)
-        draws = 0
+        leaves, grown = _oracle_stage(width, pool_size, rng)
+        pool_w, pool_l = _oracle_sums(width, leaves, pool_w, pool_l)
+        nodes += grown
+    return pool_w, pool_l, sum(pick.size for *_, pick in leaves), nodes
 
-        def on_frozen(ids, depths):
-            nonlocal draws
-            draws += ids.size
-            pick = rng.integers(0, pool_size, size=ids.size)
-            w = np.ldexp(1.0, -2 * depths.astype(np.int32)) * pool_w[pick]
-            new_w[:] += np.bincount(ids, weights=w, minlength=width)
-            new_l[:] += np.bincount(
-                ids, weights=pool_l[pick].astype(np.float64), minlength=width
-            ).astype(np.int64)
 
-        nodes += _oracle_wave_batch(yule.CASCADE_STAGE, width, rng, on_frozen)
-        pool_w, pool_l = grow * new_w, new_l
-    return pool_w, pool_l, draws, nodes
+def _oracle_picked_cascade(t, m, rng):
+    """The sampler's draw order, per lineage, for two or more stages.
+
+    Pools 1 .. K-2 in full, then the m final-stage trees with int32 picks,
+    then pool K-1 only at the distinct picks in index order.  np.unique (a
+    sort) maps each pick to its entry, independently of the sampler's
+    drawn-index mask.  Returns values, leaf counts, draws, distinct picks
+    and nodes grown.
+    """
+    nstages = math.ceil(t / yule.CASCADE_STAGE)
+    first = t - (nstages - 1) * yule.CASCADE_STAGE
+    pool_size = max(m, yule.CASCADE_MIN_POOL)
+    pool, nodes = None, 0
+
+    def entries(width):
+        nonlocal nodes
+        if pool is None:
+            w, l, grown = _oracle_direct(first, width, rng)
+        else:
+            leaves, grown = _oracle_stage(width, pool_size, rng)
+            w, l = _oracle_sums(width, leaves, *pool)
+        nodes += grown
+        return w, l
+
+    for _ in range(nstages - 2):
+        pool = entries(pool_size)
+    leaves, grown = _oracle_stage(m, pool_size, rng, dtype=np.int32)
+    nodes += grown
+    picks = [pick for *_, pick in leaves]
+    picked, inverse = np.unique(np.concatenate(picks), return_inverse=True)
+    last_w, last_l = entries(picked.size)
+    split = np.split(inverse, np.cumsum([p.size for p in picks])[:-1])
+    relabeled = [(ids, depths, e) for (ids, depths, _), e in zip(leaves, split)]
+    values, counts = _oracle_sums(m, relabeled, last_w, last_l)
+    return values, counts, inverse.size, picked.size, nodes
 
 
 @pytest.mark.parametrize(
@@ -395,17 +445,82 @@ def test_wave_kernel_reports_the_oracle_leaves_in_order():
         assert np.array_equal(depths, oracle_depths)
 
 
-@pytest.mark.parametrize("t,pool", [(3.0, 1 << 12), (5.0, 1 << 12), (3.0, 1 << 20)])
+@pytest.mark.parametrize(
+    "t,pool", [(3.0, 1 << 6), (3.0, 1 << 12), (5.0, 1 << 6), (5.0, 1 << 12), (3.0, 1 << 20)]
+)
 def test_cascade_matches_per_lineage_oracle(monkeypatch, t, pool):
     monkeypatch.setattr(yule, "CASCADE_MIN_POOL", pool)
-    m = 300
+    m = 300 if pool > 300 else 50
     batch = martingale_samples(t, m, rng_substream(11, 33), method="cascade")
-    values, counts, draws, nodes = _oracle_cascade(t, m, rng_substream(11, 33))
+    values, counts, draws, distinct, nodes = _oracle_picked_cascade(
+        t, m, rng_substream(11, 33)
+    )
     assert np.array_equal(batch.values, values)
     assert np.array_equal(batch.leaf_counts, counts)
     assert batch.pool_size == pool
     assert batch.pool_draws == draws
+    # one last-pool entry per distinct pick, and no more than either bound
+    assert batch.pool_grown == distinct <= min(draws, pool)
     assert batch.nodes_grown == nodes
+
+
+def _batch_stats(t, values, leaves, draws):
+    # Per-batch statistics.  Each of the D final-stage leaves roots one
+    # last-pool entry with e^(t-2) expected leaves, so the batch's leaf
+    # total T has E[T | D] = D e^(t-2).  With two stages the entries are
+    # independent, and Var(T | picks) is Var(entry leaves) times the sum
+    # over entries of their squared pick counts, so (T - D e^(t-2))^2 / D
+    # measures how the picks share entries.
+    excess = float(leaves.sum()) - draws * math.exp(t - yule.CASCADE_STAGE)
+    return [
+        values.mean(),
+        (values**2).mean(),
+        (values <= 0.5).mean(),
+        (values.sum() - values.size) ** 2 / values.size,
+        excess**2 / draws,
+    ]
+
+
+def _welch_z(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    return (a.mean() - b.mean()) / se
+
+
+@pytest.mark.parametrize("t", [3.0, 5.0])
+def test_cascade_law_matches_full_pool_oracle_at_a_tiny_pool(monkeypatch, t):
+    # Gate: 1000 independent batches of 32 outputs per side at pool 2^6,
+    # where 32 trees draw about 240 picks from 64 entries.  Batches, not
+    # outputs, are the independent units.  For each statistic of
+    # _batch_stats, |Welch z| <= 4.  Growing one entry per draw instead of
+    # per distinct pick, or letting two distinct picks share one entry,
+    # moves the last statistic by more than 5 standard errors.
+    monkeypatch.setattr(yule, "CASCADE_MIN_POOL", 1 << 6)
+    batches, m = 1000, 32
+    ours, oracle = [], []
+    for r in range(batches):
+        batch = martingale_samples(t, m, rng_substream(11, 4000 + r), method="cascade")
+        ours.append(_batch_stats(t, batch.values, batch.leaf_counts, batch.pool_draws))
+        values, counts, draws, _ = _oracle_cascade(t, m, rng_substream(11, 5000 + r))
+        oracle.append(_batch_stats(t, values, counts, draws))
+    ours, oracle = np.array(ours), np.array(oracle)
+    for k in range(ours.shape[1]):
+        assert abs(_welch_z(ours[:, k], oracle[:, k])) <= 4.0, k
+
+
+def test_cascade_law_matches_full_pool_oracle_at_the_default_pool():
+    # Gate, fixed before the first run: 20 000 outputs per side at t = 3
+    # and pool 2^20, where reuse is rare enough to treat outputs as
+    # independent.  |two-sample z| <= 4 on the mean, on E W^2 and on
+    # P(W <= 0.5, 0.25, 0.125); KS below its 99.9% point 1.949 sqrt(2/m).
+    t, m = 3.0, 20_000
+    ours = martingale_samples(t, m, rng_substream(11, 36), method="cascade").values
+    oracle = _oracle_cascade(t, m, rng_substream(11, 37))[0]
+    assert abs(_welch_z(ours, oracle)) <= 4.0
+    assert abs(_welch_z(ours**2, oracle**2)) <= 4.0
+    for eps in (0.5, 0.25, 0.125):
+        assert abs(_welch_z(ours <= eps, oracle <= eps)) <= 4.0, eps
+    assert sps.ks_2samp(ours, oracle).statistic < 1.949 * math.sqrt(2.0 / m)
 
 
 def test_node_budget_error_matches_oracle():
