@@ -10,9 +10,6 @@ from .cube import (
     FourierTable,
     Pmf,
     all_biases,
-    fourier_from_csv,
-    fourier_to_csv,
-    is_balanced,
     marginal_bias,
     monochromatic_pmf,
     point_mass,
@@ -30,22 +27,16 @@ from .cube import (
 )
 from .discrete import (
     DiscreteUpperBounds,
-    QuenchedEnvironment,
-    TiltStatistics,
     collide,
     collide_coeffs,
     collide_direct,
     collide_pmf,
-    discrete_trajectory,
     discrete_upper_bounds,
     evolve_discrete,
     fragmentation_time,
     fragmentation_times,
     mono_mixture_tv,
     pair_separation_bound,
-    quenched_measure,
-    sample_quenched,
-    tilt_statistics,
 )
 from .errors import (
     BudgetError,
@@ -58,13 +49,11 @@ from .errors import (
 )
 from .profiles import (
     AsymptoticsReport,
-    BlockProductState,
     BlockSpec,
     ContinuousBlockReport,
     DensityBoundCheck,
     DiscreteBlockReport,
     ProfilePoint,
-    block_product_pmf,
     check_l1_l2_bound,
     continuous_profile,
     discrete_profile,
@@ -76,7 +65,6 @@ from .profiles import (
     lowerbound_experiment_discrete,
     mixture_profile_tv,
     mono_tv_large_n_limit,
-    normal_density_ratio,
     two_valued_extremal_density,
 )
 from .streams import STREAM_ALGORITHM, rng_substream
@@ -86,12 +74,10 @@ from .yule import (
     SpinalCheckReport,
     TailEstimate,
     YuleTree,
-    continuous_trajectory,
     double_quenched_estimate,
     evolve_continuous,
     martingale_limit_samples,
     martingale_samples,
-    martingale_tail_probability,
     sample_yule,
     spinal_identity_check,
     tail_probability_from_samples,

@@ -538,7 +538,7 @@ def _cmd_lowerbound_discrete(ns, ctx: RunContext) -> int:
         _require(ns, "seed")
         rng = rng_substream(ns.seed, 0)
     report = profiles.lowerbound_experiment_discrete(
-        ns.n, int(ns.t), rng=rng, mc_samples=ns.mc_samples or 0
+        ns.n, ns.t, rng=rng, mc_samples=ns.mc_samples or 0
     )
     rows = _report_rows(report)
     if report.mc is not None:
@@ -611,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", metavar="command")
 
     p = subs.add_parser("collide", help="one collision of two measures")
-    _add(p, "--n", type=int, help="number of sites (needed for named starts)")
+    _add(p, "--n", type=_COUNT, help="number of sites (needed for named starts)")
     _add(p, "--a", help="first measure: mono | uniform | point:BITS | csv path")
     _add(p, "--b", help="second measure")
     _add(p, "--out", default="collide.csv", help="output pmf csv")
@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_collide)
 
     p = subs.add_parser("evolve-discrete", help="iterate the self-collision map")
-    _add(p, "--n", type=int, help="number of sites")
+    _add(p, "--n", type=_COUNT, help="number of sites")
     _add(p, "--start", help="start measure: mono | uniform | point:BITS | csv path")
     _add(p, "--steps", type=_NONNEGATIVE_COUNT, help="number of steps")
     _add(p, "--out", default="evolved_discrete.csv", help="output pmf csv")
@@ -627,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_evolve_discrete)
 
     p = subs.add_parser("evolve-continuous", help="integrate the continuous dynamics")
-    _add(p, "--n", type=int, help="number of sites")
+    _add(p, "--n", type=_COUNT, help="number of sites")
     _add(p, "--start", help="start measure: mono | uniform | point:BITS | csv path")
     _add(p, "--t", type=_NONNEGATIVE_REAL, help="horizon")
     _add(p, "--step", type=_POSITIVE_REAL, default=0.01, help="integrator step bound")
@@ -638,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "profile-discrete", help="exact distance profile around the mixing window"
     )
-    _add(p, "--n", type=int, help="number of sites")
+    _add(p, "--n", type=_COUNT, help="number of sites")
     _add(p, "--lambda", type=_parse_grid, dest="lambda_grid", help="window grid, e.g. -4..4")
     _add(p, "--t-base", type=int, help="base step count (default: round(log2 n))")
     _add(p, "--seed", type=int, help="echoed to the manifest; unused (exact pipeline)")
@@ -661,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_profile_continuous)
 
     p = subs.add_parser("fragmentation", help="sample full-fragmentation times")
-    _add(p, "--n", type=int, help="number of sites")
+    _add(p, "--n", type=_COUNT, help="number of sites")
     _add(p, "--trials", type=_COUNT, default=1000, help="number of runs")
     _add(p, "--seed", type=int, help="master seed (required)")
     _add(p, "--out", default="fragmentation.csv", help="output csv")
@@ -695,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "lowerbound-discrete", help="exact block-event distance lower bound"
     )
-    _add(p, "--n", type=int, help="number of sites")
-    _add(p, "--t", type=_NONNEGATIVE_REAL, help="step count")
+    _add(p, "--n", type=_COUNT, help="number of sites")
+    _add(p, "--t", type=_NONNEGATIVE_COUNT, help="step count")
     _add(p, "--mc-samples", type=_NONNEGATIVE_COUNT, default=0, help="optional MC moment validation")
     _add(p, "--seed", type=int, help="master seed (required with --mc-samples)")
     _add(p, "--out", default="lowerbound_discrete.csv", help="output csv")
@@ -706,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "lowerbound-continuous", help="sampled block-event lower bound, continuous time"
     )
-    _add(p, "--n", type=int, help="number of sites")
+    _add(p, "--n", type=_COUNT, help="number of sites")
     _add(p, "--t", type=_POSITIVE_REAL, help="horizon")
     _add(p, "--trees", type=_COUNT, default=400, help="sampled trees")
     _add(p, "--inner", type=_COUNT, default=2048, help="sign draws per tree")

@@ -61,6 +61,8 @@ class Pmf:
     def __post_init__(self):
         _check_sites(self.n)
         arr = _as_vector(self.weights, self.n)
+        if not np.isfinite(arr).all():
+            raise InvalidDistributionError("non-finite weight")
         lo = arr.min()
         if lo < NEGATIVE_WEIGHT_TOL:
             raise InvalidDistributionError(
@@ -97,12 +99,6 @@ class FourierTable:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-
-    def singleton(self, site: int) -> float:
-        """Coefficient of the single-site character, i.e. the site bias."""
-        if not 1 <= site <= self.n:
-            raise DimensionMismatchError(f"site {site} out of range 1..{self.n}")
-        return float(self.coeffs[1 << (site - 1)])
 
 
 def _butterfly(values: np.ndarray, sign: int) -> np.ndarray:
@@ -175,11 +171,6 @@ def marginal_bias(pmf: Pmf, site: int) -> float:
 
 def all_biases(pmf: Pmf) -> np.ndarray:
     return np.array([marginal_bias(pmf, i) for i in range(1, pmf.n + 1)])
-
-
-def is_balanced(pmf: Pmf, tol: float = 1e-12) -> bool:
-    """True when every site bias vanishes to within ``tol``."""
-    return bool(np.all(np.abs(all_biases(pmf)) <= tol))
 
 
 def product_pmf(biases) -> Pmf:
@@ -298,9 +289,13 @@ def values_from_csv(path) -> np.ndarray:
         rows = list(reader)
     values = np.empty(len(rows))
     for expect, row in enumerate(rows):
-        if len(row) != 2 or int(row[0]) != expect:
+        try:
+            index, value = int(row[0]), float(row[1])
+        except (IndexError, ValueError):
+            index = None
+        if len(row) != 2 or index != expect:
             raise InvalidDistributionError(f"{path}: bad row {row!r}")
-        values[expect] = float(row[1])
+        values[expect] = value
     if values.size == 0 or values.size & (values.size - 1):
         raise InvalidDistributionError(f"{path}: row count {values.size} is not 2^n")
     return values
@@ -313,13 +308,3 @@ def pmf_to_csv(pmf: Pmf, path) -> None:
 def pmf_from_csv(path) -> Pmf:
     values = values_from_csv(path)
     return Pmf(values.size.bit_length() - 1, values)
-
-
-def fourier_to_csv(table: FourierTable, path) -> None:
-    values_to_csv(path, table.coeffs)
-
-
-def fourier_from_csv(path) -> FourierTable:
-    values = values_from_csv(path)
-    return FourierTable(values.size.bit_length() - 1, values)
-

@@ -9,10 +9,9 @@ is a subset convolution,
     (mu∘nu)^(S) = 2^{-|S|} * sum over T ⊆ S of mu^(T) * nu^(S\\T),
 
 which is what the fast paths below compute.  The module also carries the
-quenched representation of step t (a product measure conditioned on 2^t
-i.i.d. leaf samples), the fragmentation process that tracks which sites still
-share ancestry, the exact mixture formula for the distance to stationarity
-from the two-point (monochromatic) start, and the closed-form upper bounds.
+fragmentation process that tracks which sites still share ancestry, the exact
+mixture formula for the distance to stationarity from the two-point
+(monochromatic) start, and the closed-form upper bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .cube import (
     FourierTable,
     Pmf,
     popcount_table,
-    product_pmf,
     wht_forward,
     wht_inverse,
 )
@@ -36,7 +34,6 @@ from .errors import (
     BudgetError,
     CapacityError,
     DimensionMismatchError,
-    InvalidDistributionError,
 )
 
 # Submask-pair tables are cached dense up to PAIR_TABLE_SITE_CAP for an
@@ -253,14 +250,14 @@ def _collide_rows(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def collide(a: FourierTable, b: FourierTable, method: str = "auto") -> FourierTable:
+def collide(a: FourierTable, b: FourierTable) -> FourierTable:
     """Collision product of two measures given in character coordinates.
 
     Exactly commutative: collide(a, b) and collide(b, a) agree bit for bit.
     """
     if a.n != b.n:
         raise DimensionMismatchError("operands live on different cubes")
-    return FourierTable(a.n, collide_coeffs(a.coeffs, b.coeffs, a.n, method))
+    return FourierTable(a.n, collide_coeffs(a.coeffs, b.coeffs, a.n))
 
 
 def collide_pmf(mu: Pmf, nu: Pmf) -> Pmf:
@@ -305,93 +302,12 @@ def evolve_discrete(mu: Pmf, steps: int) -> Pmf:
     return wht_inverse(FourierTable(mu.n, coeffs))
 
 
-def discrete_trajectory(mu: Pmf, steps: int) -> Iterator[Pmf]:
-    """Yield the states at times 0, 1, ..., steps."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    coeffs = wht_forward(mu).coeffs
-    yield mu
-    for _ in range(steps):
-        coeffs = collide_coeffs(coeffs, coeffs, mu.n)
-        yield wht_inverse(FourierTable(mu.n, coeffs))
-
-
-# ---------------------------------------------------------------------------
-# quenched representation
-# ---------------------------------------------------------------------------
-
-LEAF_CELL_CAP = 1 << 27
-
-
-@dataclass(frozen=True)
-class QuenchedEnvironment:
-    """Leaf environment behind one sample of the quenched representation.
-
-    `leaf_spins` holds `leaf_count` i.i.d. draws from the initial state, one
-    row per leaf, entries +-1.  `biases` are the per-site leaf averages; the
-    quenched measure is the product measure with exactly these biases, and
-    averaging it over environments reproduces the evolved state.
-    """
-
-    n: int
-    leaf_count: int
-    leaf_spins: np.ndarray
-    biases: np.ndarray
-
-    def __post_init__(self):
-        spins = np.asarray(self.leaf_spins, dtype=np.int8)
-        if spins.shape != (self.leaf_count, self.n):
-            raise DimensionMismatchError(
-                f"leaf_spins shape {spins.shape} != ({self.leaf_count}, {self.n})"
-            )
-        if not np.all(np.abs(spins) == 1):
-            raise InvalidDistributionError("leaf spins must be +-1")
-        q = np.asarray(self.biases, dtype=np.float64)
-        expect = spins.sum(axis=0, dtype=np.int64) / self.leaf_count
-        if q.shape != (self.n,) or not np.array_equal(q, expect):
-            raise InvalidDistributionError("biases must equal the leaf averages")
-        spins.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "leaf_spins", spins)
-        object.__setattr__(self, "biases", q)
-
-    @classmethod
-    def from_leaf_spins(cls, spins: np.ndarray) -> "QuenchedEnvironment":
-        spins = np.asarray(spins, dtype=np.int8)
-        count, n = spins.shape
-        biases = spins.sum(axis=0, dtype=np.int64) / count
-        return cls(n=n, leaf_count=count, leaf_spins=spins, biases=biases)
-
-
 def _draw_spins(mu: Pmf, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` i.i.d. draws from mu by inverse CDF, as a (count, n) array of +-1."""
     cdf = np.cumsum(mu.weights)
     cdf[-1] = 1.0
     idx = np.searchsorted(cdf, rng.random(count), side="right")
     return (((idx[:, None] >> np.arange(mu.n)) & 1) * 2 - 1).astype(np.int8)
-
-
-def sample_quenched(
-    mu: Pmf, t: int, rng: np.random.Generator
-) -> QuenchedEnvironment:
-    """Draw the 2^t-leaf environment for the t-step quenched representation."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t > 30:
-        raise CapacityError(f"leaf count 2^{t} exceeds the sampler cap (t <= 30)")
-    count = 1 << t
-    if count * mu.n > LEAF_CELL_CAP:
-        raise CapacityError(
-            f"environment of {count}x{mu.n} spins exceeds the memory cap",
-            leaf_count=count,
-            sites=mu.n,
-        )
-    return QuenchedEnvironment.from_leaf_spins(_draw_spins(mu, count, rng))
-
-
-def quenched_measure(env: QuenchedEnvironment) -> Pmf:
-    """Product measure with the environment's site biases."""
-    return product_pmf(env.biases)
 
 
 # ---------------------------------------------------------------------------
@@ -554,38 +470,6 @@ def mono_mixture_tv(n: int, t: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tilt statistics of a quenched product measure
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TiltStatistics:
-    """Exponents of a common-bias product measure against the uniform one.
-
-    With common site bias q, the density at configuration sigma is
-    exp(magnetization_coeff * m + log_normalizer) where m = (sum of spins)
-    divided by sqrt(n).  Degenerate means |q| = 1: the measure is a point
-    mass and both exponents are reported as nan.
-    """
-
-    magnetization_coeff: float
-    log_normalizer: float
-    degenerate: bool
-
-
-def tilt_statistics(mean_bias: float, n: int) -> TiltStatistics:
-    if n < 1:
-        raise DimensionMismatchError(f"need at least one site, got n={n}")
-    if not -1.0 <= mean_bias <= 1.0:
-        raise InvalidDistributionError(f"bias {mean_bias!r} outside [-1, 1]")
-    if abs(mean_bias) == 1.0:
-        return TiltStatistics(math.nan, math.nan, True)
-    coeff = math.sqrt(n) * math.atanh(mean_bias)
-    log_norm = 0.5 * n * math.log1p(-mean_bias * mean_bias)
-    return TiltStatistics(coeff, log_norm, False)
-
-
-# ---------------------------------------------------------------------------
 # closed-form upper bounds
 # ---------------------------------------------------------------------------
 
@@ -606,10 +490,6 @@ class DiscreteUpperBounds:
     site_union_bound: float
     pair_union_bound: float
     plateau_bound: Optional[float]
-
-    @property
-    def plateau_applicable(self) -> bool:
-        return self.plateau_bound is not None
 
 
 def discrete_upper_bounds(n: int, t: int) -> DiscreteUpperBounds:

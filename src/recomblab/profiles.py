@@ -21,7 +21,6 @@ import numpy as np
 # scipy.special is imported inside the functions that call it, so commands
 # that never evaluate a special function start without it
 
-from .cube import Pmf
 from .discrete import mono_mixture_tv
 from .errors import (
     CapacityError,
@@ -38,15 +37,6 @@ _MIXTURE_BLOCK_CELLS = 1 << 16
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def normal_density_ratio(s: float, z) -> np.ndarray | float:
-    """Density of N(0, 1+s) relative to N(0, 1) at z."""
-    if s < 0:
-        raise InvalidDistributionError(f"variance excess must be >= 0, got {s}")
-    z = np.asarray(z, dtype=np.float64)
-    out = np.exp(s * z * z / (2.0 * (s + 1.0))) / math.sqrt(1.0 + s)
-    return float(out) if out.ndim == 0 else out
 
 
 def gaussian_tv(s: float) -> float:
@@ -270,7 +260,7 @@ def two_valued_extremal_density(weight_a: float, deviation_a: float):
 
 
 # ---------------------------------------------------------------------------
-# block-product states
+# block partitions
 # ---------------------------------------------------------------------------
 
 
@@ -292,44 +282,6 @@ class BlockSpec:
     @property
     def n(self) -> int:
         return self.block_size * self.block_count + self.leftover
-
-    @property
-    def block_sizes(self) -> tuple:
-        sizes = (self.block_size,) * self.block_count
-        return sizes + ((self.leftover,) if self.leftover else ())
-
-
-@dataclass(frozen=True)
-class BlockProductState:
-    """Product of all-equal two-point blocks, kept structural for large n.
-
-    Every block is +-monochromatic with a fair sign, so every site bias is
-    zero; the dense weight vector is only materialized on demand.
-    """
-
-    spec: BlockSpec
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    def site_bias(self, site: int) -> float:
-        if not 1 <= site <= self.n:
-            raise DimensionMismatchError(f"site {site} out of range 1..{self.n}")
-        return 0.0
-
-    def to_pmf(self) -> Pmf:
-        weights = np.array([1.0])
-        for size in self.spec.block_sizes:
-            block = np.zeros(1 << size)
-            block[0] = 0.5
-            block[-1] = 0.5
-            weights = np.kron(block, weights)
-        return Pmf(self.n, weights)
-
-
-def block_product_pmf(spec: BlockSpec) -> BlockProductState:
-    return BlockProductState(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -171,14 +171,6 @@ class YuleTree:
     def num_nodes(self) -> int:
         return self.parent.size
 
-    @property
-    def num_leaves(self) -> int:
-        return self.leaves.size
-
-    @property
-    def leaf_depths(self) -> np.ndarray:
-        return self.depth[self.leaves]
-
 
 def sample_yule(
     t: float, rng: np.random.Generator, max_leaves: int = MAX_LEAVES_DEFAULT
@@ -265,22 +257,6 @@ def evolve_continuous(mu: Pmf, t: float, step: float = 0.01) -> Pmf:
                 f"reduce the step (h={h})"
             )
     return wht_inverse(FourierTable(n, c))
-
-
-def continuous_trajectory(
-    mu: Pmf, times: Sequence[float], step: float = 0.01
-) -> list[Pmf]:
-    """States at an increasing grid of times, integrated piecewise."""
-    out = []
-    prev_t = 0.0
-    state = mu
-    for t in times:
-        if t < prev_t:
-            raise ValueError("times must be non-decreasing")
-        state = evolve_continuous(state, t - prev_t, step)
-        out.append(state)
-        prev_t = t
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +540,9 @@ def _cascade_martingale_batch(
     whose leaves draw their subtrees from pool k with replacement.  The
     final stage grows only the m trees that are kept, and its leaves pick
     indices into pool K-1 uniformly from [0, P).  Pool K-1 is then grown
-    only at the distinct picked indices, in index order, and each pick reads
-    its entry through the rank of its index among the picked ones.  Pool
+    only at the distinct picked indices, in index order; the grown entries
+    are scattered into a P-sized array at those indices, and each pick
+    gathers its entry from it.  Pool
     entries are i.i.d. and independent of the picks, so this has exactly
     the law of growing all P entries and P final-stage trees and keeping m;
     only the order of the random draws differs.  With a single stage there
@@ -701,14 +678,6 @@ def tail_probability_from_samples(values: np.ndarray, eps: float) -> TailEstimat
         ci_high=min(1.0, p + 1.96 * se),
         samples=m,
     )
-
-
-def martingale_tail_probability(
-    t: float, eps: float, m: int, rng: np.random.Generator, method: str = "auto"
-) -> TailEstimate:
-    """Empirical P(value at horizon t <= eps) with a normal-theory interval."""
-    batch = martingale_samples(t, m, rng, method=method)
-    return tail_probability_from_samples(batch.values, eps)
 
 
 # ---------------------------------------------------------------------------

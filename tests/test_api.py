@@ -1,0 +1,52 @@
+"""The public surface: every exported name has a user outside the tests."""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import recomblab
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reads(tree: ast.AST) -> list:
+    """(top-level definition, name read inside it) for every name a module reads."""
+    reads = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((owner, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((owner, node.attr))
+    return reads
+
+
+def _non_test_sources() -> list:
+    paths = sorted((ROOT / "src" / "recomblab").glob("*.py")) + sorted(
+        (ROOT / "bench").glob("*.py")
+    )
+    sources = [p.read_text() for p in paths if p.name != "__init__.py"]
+    readme = (ROOT / "README.md").read_text()
+    return sources + re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
+def test_every_export_has_a_non_test_user():
+    # A read counts unless it sits in the name's own definition or in the
+    # definition of an export that is itself unused, so a dataclass returned
+    # only by a dead function is dead too.
+    reads = [pair for src in _non_test_sources() for pair in _reads(ast.parse(src))]
+    exports = {
+        name
+        for name in recomblab.__all__
+        if name != "__version__"
+        and not isinstance(getattr(recomblab, name), types.ModuleType)
+    }
+    unused = set()
+    while True:
+        used = {name for owner, name in reads if name != owner and owner not in unused}
+        if exports - used == unused:
+            break
+        unused = exports - used
+    assert not unused, f"exported but used by the tests alone: {sorted(unused)}"

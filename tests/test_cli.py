@@ -523,6 +523,14 @@ def test_bad_value_exits_2(tmp_path):
     assert r.returncode == 2, r.stderr
 
 
+def test_malformed_start_csv_exits_2(tmp_path, capsys):
+    start = tmp_path / "start.csv"
+    start.write_text("index,value\n0,abc\n1,0.5\n")
+    status = cli.main(["collide", "--a", str(start), "--b", str(start), "--out-dir", str(tmp_path)])
+    assert status == 2
+    assert "bad row" in capsys.readouterr().err
+
+
 BAD_COUNTS = [
     (("martingale", "--t", "1", "--seed", "1"), "samples", "0"),
     (("w-tail", "--eps", "0.5", "--seed", "1"), "samples", "-3"),
@@ -535,6 +543,10 @@ BAD_COUNTS = [
     (("lowerbound-discrete", "--n", "400", "--t", "1", "--seed", "1"), "mc-samples", "-1"),
     (("fragmentation", "--n", "8", "--seed", "1"), "trials", "-2"),
     (("martingale", "--t", "1", "--seed", "1"), "workers", "0"),
+    (("profile-discrete", "--lambda", "0"), "n", "0"),
+    (("lowerbound-continuous", "--t", "1", "--trees", "2", "--seed", "1"), "n", "-1"),
+    # a step count, not a horizon
+    (("lowerbound-discrete", "--n", "400"), "t", "2.5"),
 ]
 
 

@@ -13,7 +13,6 @@ from recomblab import (
     InvalidDistributionError,
     Pmf,
     all_biases,
-    is_balanced,
     marginal_bias,
     monochromatic_pmf,
     point_mass,
@@ -29,8 +28,6 @@ from recomblab import (
 )
 from recomblab.cube import (
     _butterfly,
-    fourier_from_csv,
-    fourier_to_csv,
     pmf_from_csv,
     pmf_to_csv,
     values_to_csv,
@@ -46,6 +43,9 @@ def test_pmf_validates_shape_and_mass():
         Pmf(2, np.array([0.5, 0.5, 0.1, 0.0]))
     with pytest.raises(InvalidDistributionError):
         Pmf(1, np.array([1.5, -0.5]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidDistributionError):
+            Pmf(1, np.array([bad, 1.0]))
     # tiny negative round-off is clipped, not rejected
     w = np.array([0.5, 0.5 + 1e-13, -1e-13, 0.0])
     pmf = Pmf(2, w)
@@ -219,11 +219,10 @@ def test_stationary_product_keeps_biases_only():
 
 
 def test_balanced_checks():
-    assert is_balanced(monochromatic_pmf(3))
-    assert is_balanced(uniform_pmf(5))
-    assert not is_balanced(point_mass(2, 3))
+    assert np.abs(all_biases(monochromatic_pmf(3))).max() <= 1e-12
+    assert np.abs(all_biases(uniform_pmf(5))).max() <= 1e-12
+    assert np.abs(all_biases(point_mass(2, 3))).max() > 1e-12
     bal = random_balanced_pmf(4, RNG)
-    assert is_balanced(bal)
     assert np.abs(all_biases(bal)).max() < 1e-12
 
 
@@ -253,8 +252,17 @@ def test_csv_roundtrips(tmp_path):
     assert back.n == 3
     np.testing.assert_array_equal(back.weights, pmf.weights)
 
-    table = wht_forward(pmf)
-    f = tmp_path / "fou.csv"
-    fourier_to_csv(table, f)
-    back_t = fourier_from_csv(f)
-    np.testing.assert_array_equal(back_t.coeffs, table.coeffs)
+
+@pytest.mark.parametrize("row", ["0,abc", "x,0.5", "0", "1,0.5", "0,0.5,1"])
+def test_malformed_csv_row_is_invalid_distribution(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"index,value\n{row}\n1,0.5\n")
+    with pytest.raises(InvalidDistributionError, match="bad row"):
+        pmf_from_csv(path)
+
+
+def test_non_finite_csv_weight_is_invalid_distribution(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("index,value\n0,nan\n1,1.0\n")
+    with pytest.raises(InvalidDistributionError, match="non-finite"):
+        pmf_from_csv(path)

@@ -1,4 +1,4 @@
-"""Discrete-time dynamics: collision operator, quenched trees, fragmentation."""
+"""Discrete-time dynamics: collision operator, quenched oracle, fragmentation."""
 
 import math
 
@@ -14,7 +14,6 @@ from recomblab import (
     collide_coeffs,
     collide_direct,
     collide_pmf,
-    discrete_trajectory,
     discrete_upper_bounds,
     evolve_discrete,
     fragmentation_time,
@@ -25,11 +24,8 @@ from recomblab import (
     pair_separation_bound,
     point_mass,
     product_pmf,
-    quenched_measure,
     random_pmf,
-    sample_quenched,
     stationary_product,
-    tilt_statistics,
     tv_distance,
     uniform_pmf,
     wht_forward,
@@ -162,7 +158,7 @@ def test_evolution_converges_to_bias_matched_product():
 def test_trajectory_distances_decrease_eventually():
     pmf = monochromatic_pmf(6)
     target = stationary_product(pmf)
-    dists = [tv_distance(state, target) for state in discrete_trajectory(pmf, 12)]
+    dists = [tv_distance(evolve_discrete(pmf, t), target) for t in range(13)]
     assert dists[0] == pytest.approx(1.0 - 2.0 ** (1 - 6))
     assert dists[-1] < 1e-3
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
@@ -173,31 +169,28 @@ def test_collide_capacity_cap():
         collide_coeffs(np.ones(2 ** 19), np.ones(2 ** 19), 19)
 
 
+def _quenched_measures(mu, t, m, rng):
+    """m draws of the t-step quenched representation, one weight row each.
+
+    Each row is the product measure whose site biases are the averages of
+    2^t i.i.d. leaf draws from mu; averaged over rows it is evolve_discrete.
+    """
+    leaves = discrete._draw_spins(mu, m << t, rng).reshape(m, 1 << t, mu.n)
+    biases = leaves.mean(axis=1)
+    spins = 2 * ((np.arange(1 << mu.n)[:, None] >> np.arange(mu.n)) & 1) - 1
+    return np.prod((1.0 + biases[:, None, :] * spins) / 2.0, axis=2)
+
+
 def test_quenched_environment_mean_is_evolved_measure():
     # E over environments of the quenched product equals t-step evolution
     n, t, m = 3, 2, 40_000
     rng = rng_substream(99, 1)
     mu = monochromatic_pmf(n)
-    acc = np.zeros(2 ** n)
-    for _ in range(m):
-        env = sample_quenched(mu, t, rng)
-        acc += quenched_measure(env).weights
-    acc /= m
+    acc = _quenched_measures(mu, t, m, rng).mean(axis=0)
     exact = evolve_discrete(mu, t).weights
     # binomial-ish spread per cell; 4 sigma with a conservative variance cap
     sigma = 1.0 / math.sqrt(4.0 * m)
     assert np.abs(acc - exact).max() < 4.0 * sigma
-
-
-def test_quenched_environment_shape():
-    rng = rng_substream(99, 2)
-    env = sample_quenched(monochromatic_pmf(4), 3, rng)
-    assert env.leaf_count == 8
-    assert env.leaf_spins.shape == (8, 4)
-    assert set(np.unique(env.leaf_spins)) <= {-1, 1}
-    np.testing.assert_allclose(
-        env.biases, env.leaf_spins.mean(axis=0), atol=1e-15
-    )
 
 
 # the per-round label loop that `fragmentation_times` replaces, kept as its
@@ -406,22 +399,6 @@ def test_mono_mixture_tv_edges():
     assert mono_mixture_tv(1, 4) == pytest.approx(0.0, abs=1e-14)
     big = mono_mixture_tv(10_000, 10)
     assert 0.0 < big < 1.0
-
-
-def test_tilt_statistics_reproduce_product_density():
-    # exp(coeff * m + normalizer) over 2^n must rebuild the common-bias
-    # product measure exactly, configuration by configuration
-    n, q = 6, 0.3
-    stats = tilt_statistics(q, n)
-    assert not stats.degenerate
-    target = product_pmf(np.full(n, q)).weights
-    idx = np.arange(2 ** n)
-    spin_sum = 2 * np.array([bin(v).count("1") for v in idx]) - n
-    m = spin_sum / math.sqrt(n)
-    rebuilt = np.exp(stats.magnetization_coeff * m + stats.log_normalizer) / 2 ** n
-    np.testing.assert_allclose(rebuilt, target, rtol=1e-12)
-    assert tilt_statistics(0.0, 10).magnetization_coeff == 0.0
-    assert tilt_statistics(1.0, 10).degenerate
 
 
 def test_discrete_upper_bounds_scaling():

@@ -10,7 +10,6 @@ from scipy.stats import binom
 
 from recomblab import (
     BlockSpec,
-    block_product_pmf,
     check_l1_l2_bound,
     continuous_profile,
     discrete_profile,
@@ -24,7 +23,6 @@ from recomblab import (
     mixture_profile_tv,
     mono_mixture_tv,
     mono_tv_large_n_limit,
-    normal_density_ratio,
     two_valued_extremal_density,
 )
 from recomblab import profiles
@@ -84,18 +82,6 @@ def test_gaussian_tv_complement_identity():
         assert gaussian_tv(s) + gaussian_tv_complement(s) == pytest.approx(
             1.0, abs=1e-12
         )
-
-
-def test_normal_density_ratio_crossings():
-    # the densities cross where the ratio is one; distance integrates the
-    # gap between the crossings
-    s = 2.0
-    z = math.sqrt((1 + s) * math.log1p(s) / s)
-    assert normal_density_ratio(s, z) == pytest.approx(1.0, abs=1e-12)
-    # the wider density sits below the reference at the center and above
-    # it in the tails
-    assert normal_density_ratio(s, 0.0) < 1.0
-    assert normal_density_ratio(s, 3 * z) > 1.0
 
 
 def test_small_scale_asymptote():
@@ -309,22 +295,6 @@ def test_binomial_ufuncs_are_scipy_stats_binom_bit_for_bit(n):
 def test_block_spec_partition():
     spec = BlockSpec(block_size=7, block_count=3, leftover=2)
     assert spec.n == 23
-    assert list(spec.block_sizes) == [7, 7, 7, 2]
-
-
-def test_block_product_concentrates_on_block_constant_configs():
-    spec = BlockSpec(block_size=3, block_count=2, leftover=0)
-    state = block_product_pmf(spec)
-    assert state.n == 6
-    assert state.site_bias(1) == 0.0
-    pmf = state.to_pmf()
-    # support: each 3-site block all-down or all-up, independent fair signs
-    support = {0b000000, 0b000111, 0b111000, 0b111111}
-    for idx, w in enumerate(pmf.weights):
-        if idx in support:
-            assert w == pytest.approx(0.25)
-        else:
-            assert w == 0.0
 
 
 def test_discrete_block_moments_match_formulas():

@@ -12,13 +12,11 @@ from recomblab import (
     CapacityError,
     Pmf,
     collide_coeffs,
-    continuous_trajectory,
     double_quenched_estimate,
     evolve_continuous,
     marginal_bias,
     martingale_limit_samples,
     martingale_samples,
-    martingale_tail_probability,
     monochromatic_pmf,
     product_fourier,
     product_pmf,
@@ -53,7 +51,7 @@ def test_tree_structure_invariants():
         assert (tree.birth_time >= 0).all()
         assert (tree.birth_time <= 2.0).all()
         # halving weights over leaves always telescope to exactly one
-        assert math.fsum(np.ldexp(1.0, -tree.leaf_depths)) == 1.0
+        assert math.fsum(np.ldexp(1.0, -tree.depth[tree.leaves])) == 1.0
         # wave layout: depths never decrease along the node ids
         assert (np.diff(tree.depth) >= 0).all()
         assert (tree.depth[1:] == tree.depth[tree.parent[1:]] + 1).all()
@@ -63,7 +61,7 @@ def test_tree_leaf_count_is_geometric():
     # leaf count at horizon t is geometric with mean e^t
     rng = rng_substream(11, 1)
     t, m = 1.5, 4000
-    counts = np.array([sample_yule(t, rng).num_leaves for _ in range(m)])
+    counts = np.array([sample_yule(t, rng).leaves.size for _ in range(m)])
     p = math.exp(-t)
     mean, var = 1.0 / p, (1.0 - p) / p ** 2
     z = (counts.mean() - mean) / math.sqrt(var / m)
@@ -126,12 +124,9 @@ def test_continuous_preserves_biases():
 
 def test_continuous_trajectory_monotone_times():
     mu = monochromatic_pmf(3)
-    states = continuous_trajectory(mu, [0.5, 1.0, 2.0])
     target = stationary_product(mu)
-    d = [tv_distance(s, target) for s in states]
+    d = [tv_distance(evolve_continuous(mu, t), target) for t in (0.5, 1.0, 2.0)]
     assert d[0] > d[1] > d[2]
-    with pytest.raises(ValueError):
-        continuous_trajectory(mu, [1.0, 0.5])
 
 
 # -----------------------------------------------------------------------
@@ -567,7 +562,7 @@ def test_limit_samples_positive_and_tail_estimator():
     assert est.ci_low <= est.probability <= est.ci_high
 
     rng2 = rng_substream(11, 20)
-    e2 = martingale_tail_probability(1.0, 0.9, 5000, rng2)
+    e2 = tail_probability_from_samples(martingale_samples(1.0, 5000, rng2).values, 0.9)
     assert 0.0 < e2.probability < 1.0
 
 
