@@ -49,7 +49,6 @@ from .errors import (
 )
 from .profiles import (
     AsymptoticsReport,
-    BlockSpec,
     ContinuousBlockReport,
     DensityBoundCheck,
     DiscreteBlockReport,

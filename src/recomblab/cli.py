@@ -1,14 +1,19 @@
 """Command-line experiment driver.
 
-Every subcommand reads its parameters from flags (optionally prefilled from a
-key=value config file; flags win), runs one experiment, writes CSV outputs
-plus a JSON run manifest, and exits 0 on success.  Outputs are a pure
-function of (config, seed) byte for byte; the manifest additionally records
-wall-clock time, peak resident memory, output checksums, any capacity caps
-that fired, and the random-substream derivation identifier.
+Every subcommand reads its parameters from flags, runs one experiment, writes
+CSV outputs plus a JSON run manifest, and exits 0 on success.  Each option
+declares its default with argparse; `--config FILE` replaces those defaults
+with the file's `dest = value` lines and parses again, so a file value is
+converted and checked by the option's type exactly as a flag is, and a flag
+still wins.  Outputs are a pure function of (config, seed) byte for byte; the
+manifest additionally records wall-clock time, peak resident memory, output
+checksums, any capacity caps that fired, and the random-substream derivation
+identifier.  Every file goes through one write path: a temporary file moved
+into place.
 
-Exit codes: 2 for configuration errors, 3 for capacity errors, 4 for
-numerical invariant violations.
+Exit codes: 2 for configuration errors (a bad value from a flag or a config
+file, through argparse's message), 3 for capacity errors, 4 for numerical
+invariant violations.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -112,10 +118,10 @@ def _parse_grid(text: str) -> List[float]:
 
 
 def _count(minimum: int):
-    """argparse type for a count flag: an integer of at least `minimum`.
+    """argparse type for a count option: an integer of at least `minimum`.
 
-    `_apply_config_file` converts config values through the same type, so a
-    bad count exits 2 from a flag and from a config file alike.
+    argparse converts config-file values through the same type, so a bad
+    count exits 2 from a flag and from a config file alike.
     """
 
     def parse(text: str) -> int:
@@ -132,10 +138,36 @@ def _count(minimum: int):
 
 _COUNT = _count(1)
 _NONNEGATIVE_COUNT = _count(0)
+# a count that feeds a sample standard deviation
+_SPREAD_COUNT = _count(2)
+
+
+def _mc_samples(text: str) -> int:
+    """argparse type for `--mc-samples`: 0 turns the check off, else >= 2."""
+    value = _NONNEGATIVE_COUNT(text)
+    if value == 1:
+        raise argparse.ArgumentTypeError("expected 0 (no check) or an integer >= 2, got 1")
+    return value
+
+
+_MARTINGALE_METHODS = ("auto", "direct", "cascade")
+
+
+def _method(text: str) -> str:
+    """argparse type for `--method`, the martingale sampler.
+
+    Not `choices`: argparse does not check choices against a default that a
+    config file set.
+    """
+    if text not in _MARTINGALE_METHODS:
+        raise argparse.ArgumentTypeError(
+            f"expected one of {', '.join(_MARTINGALE_METHODS)}, got {text!r}"
+        )
+    return text
 
 
 def _real(minimum: float, *, strict: bool = False):
-    """argparse type for a real flag: a finite float >= `minimum`.
+    """argparse type for a real option: a finite float >= `minimum`.
 
     With `strict` the value must exceed `minimum`.  Like `_count`, it also
     converts config values, so a bad value exits 2 from either source.
@@ -160,7 +192,12 @@ _NONNEGATIVE_REAL = _real(0.0)
 _POSITIVE_REAL = _real(0.0, strict=True)
 
 
-def _load_config_file(path: str) -> Dict[str, str]:
+def _load_config_file(path: str, ns: argparse.Namespace) -> Dict[str, str]:
+    """The `key = value` lines of a config file, keyed by option dest.
+
+    A `command` key is ignored; any other key that names no option of the
+    parsed command is an error.
+    """
     values: Dict[str, str] = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -177,46 +214,11 @@ def _load_config_file(path: str) -> Dict[str, str]:
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
         values[key] = value.strip()
-    return values
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, ns: argparse.Namespace):
-    """Fill flags the user left unset from the config file, then defaults.
-
-    Every option is declared with a None default and its real default kept
-    in the action's metadata, so 'unset' is detectable and precedence is
-    flag > file > default.
-    """
-    cfg = _load_config_file(ns.config) if ns.config else {}
-    known = set()
-    for action in parser._actions:
-        if action.dest in ("help", "config"):
-            continue
-        known.add(action.dest)
-        if getattr(ns, action.dest, None) is not None:
-            continue
-        hard_default = getattr(action, "real_default", None)
-        if action.dest in cfg:
-            text = cfg.pop(action.dest)
-            if isinstance(action, argparse._StoreTrueAction):
-                lowered = text.lower()
-                if lowered not in ("true", "false", "1", "0"):
-                    raise ConfigError(
-                        f"config key {action.dest}: expected true/false, got {text!r}"
-                    )
-                setattr(ns, action.dest, lowered in ("true", "1"))
-            else:
-                convert = action.type or str
-                try:
-                    setattr(ns, action.dest, convert(text))
-                except (ValueError, argparse.ArgumentTypeError) as err:
-                    raise ConfigError(f"config key {action.dest}: {err}") from None
-        else:
-            setattr(ns, action.dest, hard_default)
-    cfg.pop("command", None)
-    unknown = set(cfg) - known
+    values.pop("command", None)
+    unknown = set(values) - (set(vars(ns)) - {"command", "config", "fn"})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return values
 
 
 def _require(ns: argparse.Namespace, *names: str):
@@ -249,40 +251,31 @@ class RunContext:
         self.started_at = datetime.now(timezone.utc).isoformat()
         self._clock = time.perf_counter()
 
-    def path(self, name: str) -> Path:
-        return self.out_dir / name
-
-    def _register(self, path: Path):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.outputs.append(
-            {"file": path.name, "sha256": digest, "bytes": path.stat().st_size}
-        )
-
-    def write_text(self, name: str, text: str) -> Path:
-        path = self.path(name)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text, newline="")
-        os.replace(tmp, path)
-        self._register(path)
-        return path
-
-    def write_with(self, name: str, writer_fn) -> Path:
-        """Write through a callable that takes a path, atomically."""
-        path = self.path(name)
+    def _publish(self, name: str, writer_fn) -> Path:
+        """Write `name` through `writer_fn(tmp_path)`, then move it into place."""
+        path = self.out_dir / name
         tmp = path.with_name(path.name + ".tmp")
         writer_fn(tmp)
         os.replace(tmp, path)
-        self._register(path)
+        return path
+
+    def write_with(self, name: str, writer_fn) -> Path:
+        """Write an output through `writer_fn(path)` and record its checksum."""
+        path = self._publish(name, writer_fn)
+        blob = path.read_bytes()
+        self.outputs.append(
+            {"file": path.name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+        )
         return path
 
     def write_rows(self, name: str, header: Sequence[str], rows) -> Path:
-        buf = []
-        writer_target = _ListWriter(buf)
-        writer = csv.writer(writer_target, lineterminator="\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
-        return self.write_text(name, "".join(buf))
+        text = buf.getvalue()
+        return self.write_with(name, lambda p: p.write_bytes(text.encode()))
 
     def record_capacity(self, err: CapacityError):
         self.capacity_events.append({"message": str(err), **err.stats})
@@ -302,19 +295,11 @@ class RunContext:
             "counters": self.counters,
             "exit_status": status,
         }
-        path = self.path(f"{self.command.replace('-', '_')}_manifest.json")
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return path
-
-
-class _ListWriter:
-    def __init__(self, sink: List[str]):
-        self.sink = sink
-
-    def write(self, text: str):
-        self.sink.append(text)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        return self._publish(
+            f"{self.command.replace('-', '_')}_manifest.json",
+            lambda p: p.write_bytes(text.encode()),
+        )
 
 
 def _cell(value) -> str:
@@ -486,7 +471,7 @@ def _cmd_profile_continuous(ns, ctx: RunContext) -> int:
 
 
 def _cmd_fragmentation(ns, ctx: RunContext) -> int:
-    _require(ns, "n", "trials", "seed")
+    _require(ns, "n", "seed")
     times = discrete.fragmentation_times(ns.n, ns.trials, rng_substream(ns.seed, 0))
     ctx.resolved["fragmentation_sampler_version"] = discrete.FRAGMENTATION_SAMPLER_VERSION
     ctx.write_rows(ns.out, ["trial", "time"], enumerate(times.tolist()))
@@ -494,14 +479,14 @@ def _cmd_fragmentation(ns, ctx: RunContext) -> int:
 
 
 def _cmd_martingale(ns, ctx: RunContext) -> int:
-    _require(ns, "t", "samples", "seed")
+    _require(ns, "t", "seed")
     batch = _sample_martingale(ctx, ns.t, ns.samples, ns.seed, ns.workers, ns.method)
     ctx.write_with(ns.out, batch.to_csv)
     return EXIT_OK
 
 
 def _cmd_w_tail(ns, ctx: RunContext) -> int:
-    _require(ns, "samples", "seed", "eps")
+    _require(ns, "seed", "eps")
     horizon = ns.horizon if ns.t is None else ns.t
     batch = _sample_martingale(ctx, horizon, ns.samples, ns.seed, ns.workers, ns.method)
     rows = []
@@ -519,16 +504,11 @@ def _cmd_w_tail(ns, ctx: RunContext) -> int:
 
 
 def _report_rows(report) -> List[tuple]:
-    rows = []
-    for name, value in vars(report).items():
-        if name in ("spec",):
-            spec = value
-            rows.append(("block_size", spec.block_size))
-            rows.append(("block_count", spec.block_count))
-            rows.append(("leftover", spec.leftover))
-        elif value is None or isinstance(value, (int, float, bool, str)):
-            rows.append((name, value))
-    return rows
+    return [
+        (name, value)
+        for name, value in vars(report).items()
+        if value is None or isinstance(value, (int, float, bool, str))
+    ]
 
 
 def _cmd_lowerbound_discrete(ns, ctx: RunContext) -> int:
@@ -538,7 +518,7 @@ def _cmd_lowerbound_discrete(ns, ctx: RunContext) -> int:
         _require(ns, "seed")
         rng = rng_substream(ns.seed, 0)
     report = profiles.lowerbound_experiment_discrete(
-        ns.n, ns.t, rng=rng, mc_samples=ns.mc_samples or 0
+        ns.n, ns.t, rng=rng, mc_samples=ns.mc_samples
     )
     rows = _report_rows(report)
     if report.mc is not None:
@@ -548,7 +528,7 @@ def _cmd_lowerbound_discrete(ns, ctx: RunContext) -> int:
 
 
 def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
-    _require(ns, "n", "t", "trees", "seed")
+    _require(ns, "n", "t", "seed")
     report = profiles.lowerbound_experiment_continuous(
         ns.n, ns.t, ns.trees, rng_substream(ns.seed, 0), inner_samples=ns.inner
     )
@@ -558,9 +538,7 @@ def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
 
 
 def _cmd_spinal_check(ns, ctx: RunContext) -> int:
-    _require(ns, "t", "samples", "seed")
-    if ns.samples < 2:
-        raise ConfigError(f"--samples must be at least 2, got {ns.samples}")
+    _require(ns, "t", "seed")
     report = yule.spinal_identity_check(ns.t, ns.samples, rng_substream(ns.seed, 0))
     rows = [
         (r.name, r.weighted_mean, r.plain_mean, r.z, r.analytic, r.z_analytic)
@@ -575,8 +553,7 @@ def _cmd_spinal_check(ns, ctx: RunContext) -> int:
 
 
 def _cmd_selftest(ns, ctx: RunContext) -> int:
-    seed = ns.seed if ns.seed is not None else DEFAULT_SEED
-    results = run_all(seed, printer=print)
+    results = run_all(ns.seed, printer=print)
     rows = [(r.number, r.slug, int(r.passed), round(r.seconds, 3), r.summary) for r in results]
     ctx.write_rows(ns.out, ["criterion", "slug", "passed", "seconds", "summary"], rows)
     return EXIT_OK if all(r.passed for r in results) else 1
@@ -587,18 +564,9 @@ def _cmd_selftest(ns, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add(parser, flag, *, type=None, default=None, help="", dest=None):
-    kwargs = {"help": help, "default": None, "type": type or str}
-    if dest:
-        kwargs["dest"] = dest
-    act = parser.add_argument(flag, **kwargs)
-    act.real_default = default
-    return act
-
-
 def _common_flags(sub):
-    _add(sub, "--out-dir", help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
-    sub.add_argument("--config", default=None, help="key=value config file; flags override it")
+    sub.add_argument("--out-dir", help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
+    sub.add_argument("--config", help="key=value config file; flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,121 +579,133 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", metavar="command")
 
     p = subs.add_parser("collide", help="one collision of two measures")
-    _add(p, "--n", type=_COUNT, help="number of sites (needed for named starts)")
-    _add(p, "--a", help="first measure: mono | uniform | point:BITS | csv path")
-    _add(p, "--b", help="second measure")
-    _add(p, "--out", default="collide.csv", help="output pmf csv")
+    p.add_argument("--n", type=_COUNT, help="number of sites (needed for named starts)")
+    p.add_argument("--a", help="first measure: mono | uniform | point:BITS | csv path")
+    p.add_argument("--b", help="second measure")
+    p.add_argument("--out", default="collide.csv", help="output pmf csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_collide)
 
     p = subs.add_parser("evolve-discrete", help="iterate the self-collision map")
-    _add(p, "--n", type=_COUNT, help="number of sites")
-    _add(p, "--start", help="start measure: mono | uniform | point:BITS | csv path")
-    _add(p, "--steps", type=_NONNEGATIVE_COUNT, help="number of steps")
-    _add(p, "--out", default="evolved_discrete.csv", help="output pmf csv")
+    p.add_argument("--n", type=_COUNT, help="number of sites")
+    p.add_argument("--start", help="start measure: mono | uniform | point:BITS | csv path")
+    p.add_argument("--steps", type=_NONNEGATIVE_COUNT, help="number of steps")
+    p.add_argument("--out", default="evolved_discrete.csv", help="output pmf csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_evolve_discrete)
 
     p = subs.add_parser("evolve-continuous", help="integrate the continuous dynamics")
-    _add(p, "--n", type=_COUNT, help="number of sites")
-    _add(p, "--start", help="start measure: mono | uniform | point:BITS | csv path")
-    _add(p, "--t", type=_NONNEGATIVE_REAL, help="horizon")
-    _add(p, "--step", type=_POSITIVE_REAL, default=0.01, help="integrator step bound")
-    _add(p, "--out", default="evolved_continuous.csv", help="output pmf csv")
+    p.add_argument("--n", type=_COUNT, help="number of sites")
+    p.add_argument("--start", help="start measure: mono | uniform | point:BITS | csv path")
+    p.add_argument("--t", type=_NONNEGATIVE_REAL, help="horizon")
+    p.add_argument("--step", type=_POSITIVE_REAL, default=0.01, help="integrator step bound")
+    p.add_argument("--out", default="evolved_continuous.csv", help="output pmf csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_evolve_continuous)
 
     p = subs.add_parser(
         "profile-discrete", help="exact distance profile around the mixing window"
     )
-    _add(p, "--n", type=_COUNT, help="number of sites")
-    _add(p, "--lambda", type=_parse_grid, dest="lambda_grid", help="window grid, e.g. -4..4")
-    _add(p, "--t-base", type=int, help="base step count (default: round(log2 n))")
-    _add(p, "--seed", type=int, help="echoed to the manifest; unused (exact pipeline)")
-    _add(p, "--out", default="profile_discrete.csv", help="output csv")
+    p.add_argument("--n", type=_COUNT, help="number of sites")
+    p.add_argument(
+        "--lambda", type=_parse_grid, dest="lambda_grid", help="window grid, e.g. -4..4"
+    )
+    p.add_argument("--t-base", type=int, help="base step count (default: round(log2 n))")
+    p.add_argument("--seed", type=int, help="echoed to the manifest; unused (exact pipeline)")
+    p.add_argument("--out", default="profile_discrete.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_profile_discrete)
 
     p = subs.add_parser(
         "profile-continuous", help="sampled mixture profile of the continuous limit"
     )
-    _add(p, "--lambda", type=_parse_grid, dest="lambda_grid", help="window grid, e.g. -4..4")
-    _add(p, "--samples", type=_COUNT, default=10_000, help="martingale sample count")
-    _add(p, "--horizon", type=_NONNEGATIVE_REAL, default=30.0, help="limit surrogate horizon")
-    _add(p, "--method", default="auto", help="martingale sampler: auto|direct|cascade")
-    _add(p, "--z-step", type=_POSITIVE_REAL, default=1e-3, help="quadrature step")
-    _add(p, "--seed", type=int, help="master seed (required)")
-    _add(p, "--workers", type=_COUNT, default=1, help="worker threads")
-    _add(p, "--out", default="profile_continuous.csv", help="output csv")
+    p.add_argument(
+        "--lambda", type=_parse_grid, dest="lambda_grid", help="window grid, e.g. -4..4"
+    )
+    p.add_argument("--samples", type=_COUNT, default=10_000, help="martingale sample count")
+    p.add_argument(
+        "--horizon", type=_NONNEGATIVE_REAL, default=30.0, help="limit surrogate horizon"
+    )
+    p.add_argument(
+        "--method", type=_method, default="auto", help="martingale sampler: auto|direct|cascade"
+    )
+    p.add_argument("--z-step", type=_POSITIVE_REAL, default=1e-3, help="quadrature step")
+    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
+    p.add_argument("--out", default="profile_continuous.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_profile_continuous)
 
     p = subs.add_parser("fragmentation", help="sample full-fragmentation times")
-    _add(p, "--n", type=_COUNT, help="number of sites")
-    _add(p, "--trials", type=_COUNT, default=1000, help="number of runs")
-    _add(p, "--seed", type=int, help="master seed (required)")
-    _add(p, "--out", default="fragmentation.csv", help="output csv")
+    p.add_argument("--n", type=_COUNT, help="number of sites")
+    p.add_argument("--trials", type=_COUNT, default=1000, help="number of runs")
+    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--out", default="fragmentation.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_fragmentation)
 
     p = subs.add_parser("martingale", help="sample the additive leaf-weight martingale")
-    _add(p, "--t", type=_NONNEGATIVE_REAL, help="horizon")
-    _add(p, "--samples", type=_COUNT, default=10_000, help="sample count")
-    _add(p, "--method", default="auto", help="auto|direct|cascade")
-    _add(p, "--seed", type=int, help="master seed (required)")
-    _add(p, "--workers", type=_COUNT, default=1, help="worker threads")
-    _add(p, "--out", default="martingale.csv", help="output csv (sample,t,W,leaves)")
+    p.add_argument("--t", type=_NONNEGATIVE_REAL, help="horizon")
+    p.add_argument("--samples", type=_COUNT, default=10_000, help="sample count")
+    p.add_argument("--method", type=_method, default="auto", help="auto|direct|cascade")
+    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
+    p.add_argument("--out", default="martingale.csv", help="output csv (sample,t,W,leaves)")
     _common_flags(p)
     p.set_defaults(fn=_cmd_martingale)
 
     p = subs.add_parser("w-tail", help="small-value tail of the martingale")
-    _add(
-        p, "--t", type=_NONNEGATIVE_REAL, help="horizon (omit to use --horizon limit surrogate)"
+    p.add_argument(
+        "--t", type=_NONNEGATIVE_REAL, help="horizon (omit to use --horizon limit surrogate)"
     )
-    _add(p, "--horizon", type=_NONNEGATIVE_REAL, default=30.0, help="limit surrogate horizon")
-    _add(p, "--eps", type=_parse_grid, help="thresholds, e.g. 0.5,0.25,0.125")
-    _add(p, "--samples", type=_COUNT, default=100_000, help="sample count")
-    _add(p, "--method", default="auto", help="auto|direct|cascade")
-    _add(p, "--seed", type=int, help="master seed (required)")
-    _add(p, "--workers", type=_COUNT, default=1, help="worker threads")
-    _add(p, "--out", default="w_tail.csv", help="output csv")
+    p.add_argument(
+        "--horizon", type=_NONNEGATIVE_REAL, default=30.0, help="limit surrogate horizon"
+    )
+    p.add_argument("--eps", type=_parse_grid, help="thresholds, e.g. 0.5,0.25,0.125")
+    p.add_argument("--samples", type=_COUNT, default=100_000, help="sample count")
+    p.add_argument("--method", type=_method, default="auto", help="auto|direct|cascade")
+    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
+    p.add_argument("--out", default="w_tail.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_w_tail)
 
     p = subs.add_parser(
         "lowerbound-discrete", help="exact block-event distance lower bound"
     )
-    _add(p, "--n", type=_COUNT, help="number of sites")
-    _add(p, "--t", type=_NONNEGATIVE_COUNT, help="step count")
-    _add(p, "--mc-samples", type=_NONNEGATIVE_COUNT, default=0, help="optional MC moment validation")
-    _add(p, "--seed", type=int, help="master seed (required with --mc-samples)")
-    _add(p, "--out", default="lowerbound_discrete.csv", help="output csv")
+    p.add_argument("--n", type=_COUNT, help="number of sites")
+    p.add_argument("--t", type=_NONNEGATIVE_COUNT, help="step count")
+    p.add_argument(
+        "--mc-samples", type=_mc_samples, default=0, help="optional MC moment validation"
+    )
+    p.add_argument("--seed", type=int, help="master seed (required with --mc-samples)")
+    p.add_argument("--out", default="lowerbound_discrete.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_lowerbound_discrete)
 
     p = subs.add_parser(
         "lowerbound-continuous", help="sampled block-event lower bound, continuous time"
     )
-    _add(p, "--n", type=_COUNT, help="number of sites")
-    _add(p, "--t", type=_POSITIVE_REAL, help="horizon")
-    _add(p, "--trees", type=_COUNT, default=400, help="sampled trees")
-    _add(p, "--inner", type=_COUNT, default=2048, help="sign draws per tree")
-    _add(p, "--seed", type=int, help="master seed (required)")
-    _add(p, "--out", default="lowerbound_continuous.csv", help="output csv")
+    p.add_argument("--n", type=_COUNT, help="number of sites")
+    p.add_argument("--t", type=_POSITIVE_REAL, help="horizon")
+    p.add_argument("--trees", type=_SPREAD_COUNT, default=400, help="sampled trees")
+    p.add_argument("--inner", type=_SPREAD_COUNT, default=2048, help="sign draws per tree")
+    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--out", default="lowerbound_continuous.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_lowerbound_continuous)
 
     p = subs.add_parser("spinal-check", help="size-biased reweighting identity check")
-    _add(p, "--t", type=_POSITIVE_REAL, help="horizon")
-    _add(p, "--samples", type=_COUNT, default=200_000, help="paths per side")
-    _add(p, "--seed", type=int, help="master seed (required)")
-    _add(p, "--out", default="spinal_check.csv", help="output csv")
+    p.add_argument("--t", type=_POSITIVE_REAL, help="horizon")
+    p.add_argument("--samples", type=_SPREAD_COUNT, default=200_000, help="paths per side")
+    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--out", default="spinal_check.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_spinal_check)
 
     p = subs.add_parser("selftest", help="run the acceptance registry")
-    _add(p, "--seed", type=int, default=DEFAULT_SEED, help="registry master seed")
-    _add(p, "--out", default="selftest.csv", help="result table")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="registry master seed")
+    p.add_argument("--out", default="selftest.csv", help="result table")
     _common_flags(p)
     p.set_defaults(fn=_cmd_selftest)
 
@@ -742,19 +722,23 @@ def _echo_parameters(ns: argparse.Namespace) -> Dict[str, object]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_values(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
-    ns = parser.parse_args(_join_negative_values(argv))
+    ns = parser.parse_args(argv)
     if ns.command is None:
         parser.print_help()
         return EXIT_CONFIG
-    sub = next(
-        action.choices[ns.command]
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
     try:
-        _apply_config_file(sub, ns)
+        if ns.config:
+            # file values become the command's defaults; the second parse
+            # converts them through each option's type and lets flags win
+            sub = next(
+                action.choices[ns.command]
+                for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+            )
+            sub.set_defaults(**_load_config_file(ns.config, ns))
+            ns = parser.parse_args(argv)
         if ns.command in SCIPY_COMMANDS:
             import scipy.special  # noqa: F401
         ctx = RunContext(

@@ -33,6 +33,10 @@ from .yule import sample_leaf_weights
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # cells per exp block of mixture_profile_tv: small enough to stay in cache
 _MIXTURE_BLOCK_CELLS = 1 << 16
+# mixture_profile_tv integrates on [-z_max, z_max] and adds the exact tails
+_MIXTURE_Z_MAX = 12.0
+# check_l1_l2_bound's slack on the unit masses of probs and density
+_DENSITY_TOL = 1e-9
 
 
 def _norm_cdf(x: float) -> float:
@@ -148,7 +152,6 @@ def _simpson(y: np.ndarray, h: float) -> float:
 def mixture_profile_tv(
     window: float,
     martingale_values: Sequence[float],
-    z_max: float = 12.0,
     dz: float = 1e-3,
 ) -> float:
     """Distance profile of the normal mixture at window coordinate `window`.
@@ -169,6 +172,7 @@ def mixture_profile_tv(
     if not np.isfinite(values).all() or values.min() <= 0.0:
         raise InvalidDistributionError("martingale samples must be finite and > 0")
     excess = math.exp(-window / 2.0) * values
+    z_max = _MIXTURE_Z_MAX
     half_pts = int(math.ceil(z_max / dz))
     # an even interval count: the odd point count _simpson requires
     half_pts += half_pts % 2
@@ -217,9 +221,7 @@ class DensityBoundCheck:
     holds: bool
 
 
-def check_l1_l2_bound(
-    probs: Sequence[float], density: Sequence[float], tol: float = 1e-9
-) -> DensityBoundCheck:
+def check_l1_l2_bound(probs: Sequence[float], density: Sequence[float]) -> DensityBoundCheck:
     """Verify half the L1 deviation of a density against the L2 bound.
 
     `probs` are the weights of a finite probability space and `density` a
@@ -229,9 +231,9 @@ def check_l1_l2_bound(
     f = np.asarray(density, dtype=np.float64)
     if p.shape != f.shape or p.ndim != 1 or p.size == 0:
         raise DimensionMismatchError("probs and density must be equal-length vectors")
-    if p.min() < 0 or abs(p.sum() - 1.0) > tol:
+    if p.min() < 0 or abs(p.sum() - 1.0) > _DENSITY_TOL:
         raise InvalidDistributionError("probs is not a probability vector")
-    if f.min() < 0 or abs(float(p @ f) - 1.0) > tol:
+    if f.min() < 0 or abs(float(p @ f) - 1.0) > _DENSITY_TOL:
         raise InvalidDistributionError("density must be >= 0 with unit mean")
     dev = f - 1.0
     l1_half = 0.5 * float(p @ np.abs(dev))
@@ -257,31 +259,6 @@ def two_valued_extremal_density(weight_a: float, deviation_a: float):
     probs = np.array([weight_a, 1.0 - weight_a])
     density = np.array([1.0 + deviation_a, 1.0 + other])
     return probs, density
-
-
-# ---------------------------------------------------------------------------
-# block partitions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Partition of the sites into equal blocks plus a leftover block."""
-
-    block_size: int
-    block_count: int
-    leftover: int
-
-    def __post_init__(self):
-        if self.block_size < 1 or self.block_count < 1 or self.leftover < 0:
-            raise ConfigError(
-                f"invalid block spec ({self.block_size}, {self.block_count}, "
-                f"{self.leftover})"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.block_size * self.block_count + self.leftover
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +344,9 @@ class DiscreteBlockReport:
 
     n: int
     t: int
-    spec: BlockSpec
+    block_size: int
+    block_count: int
+    leftover: int
     event_threshold: int
     stationary_block_tail: float
     stationary_event: float
@@ -400,7 +379,6 @@ def lowerbound_experiment_discrete(
     if p > n:
         raise ConfigError(f"block size {p} exceeds n={n}; no block fits")
     alpha = n // p
-    spec = BlockSpec(block_size=p, block_count=alpha, leftover=n - alpha * p)
     threshold = 20 * p
     k_min = -(-alpha // 15)
 
@@ -453,7 +431,9 @@ def lowerbound_experiment_discrete(
     return DiscreteBlockReport(
         n=n,
         t=t,
-        spec=spec,
+        block_size=p,
+        block_count=alpha,
+        leftover=n - alpha * p,
         event_threshold=threshold,
         stationary_block_tail=q_pi,
         stationary_event=pi_a,
@@ -481,7 +461,9 @@ class ContinuousBlockReport:
 
     n: int
     t: float
-    spec: BlockSpec
+    block_size: int
+    block_count: int
+    leftover: int
     event_threshold: int
     trees: int
     inner_samples: int
@@ -510,7 +492,6 @@ def lowerbound_experiment_continuous(
     if p > n:
         raise ConfigError(f"block size {p} exceeds n={n}")
     alpha = n // p
-    spec = BlockSpec(block_size=p, block_count=alpha, leftover=n - alpha * p)
     threshold = 20 * p
     k_min = -(-alpha // 15)
 
@@ -568,7 +549,9 @@ def lowerbound_experiment_continuous(
     return ContinuousBlockReport(
         n=n,
         t=t,
-        spec=spec,
+        block_size=p,
+        block_count=alpha,
+        leftover=n - alpha * p,
         event_threshold=threshold,
         trees=m,
         inner_samples=inner_samples,
@@ -623,7 +606,6 @@ def discrete_profile(
 def continuous_profile(
     windows: Sequence[float],
     martingale_values: Sequence[float],
-    z_max: float = 12.0,
     dz: float = 1e-3,
 ) -> list[ProfilePoint]:
     """Mixture-profile estimate on a window grid from one martingale batch."""
@@ -631,7 +613,7 @@ def continuous_profile(
         ProfilePoint(
             window=float(w),
             scale=math.exp(-w / 2.0),
-            tv=mixture_profile_tv(w, martingale_values, z_max=z_max, dz=dz),
+            tv=mixture_profile_tv(w, martingale_values, dz=dz),
             bound_upper=None,
             bound_lower=None,
         )

@@ -49,6 +49,8 @@ CASCADE_MIN_POOL = 1 << 20
 CASCADE_SAMPLER_VERSION = 3
 # dense cells (per-sample measure entries) one estimator batch may hold
 _ESTIMATOR_BATCH_CELLS = 1 << 20
+# spinal_identity_check passes while every two-sample |z| stays within this
+_SPINAL_Z_LIMIT = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +605,7 @@ def _cascade_martingale_batch(
     )
 
 
-def resolve_martingale_method(
-    t: float, m: int, method: str = "auto", node_budget: int = _BATCH_NODE_BUDGET
-) -> str:
+def resolve_martingale_method(t: float, m: int, method: str = "auto") -> str:
     """The sampler that `method` names for m samples at horizon t.
 
     `auto` simulates every tree in full while the expected node count
@@ -613,7 +613,7 @@ def resolve_martingale_method(
     """
     if method != "auto":
         return method
-    return "direct" if 2.0 * m * math.exp(t) <= node_budget else "cascade"
+    return "direct" if 2.0 * m * math.exp(t) <= _BATCH_NODE_BUDGET else "cascade"
 
 
 def martingale_samples(
@@ -621,7 +621,6 @@ def martingale_samples(
     m: int,
     rng: np.random.Generator,
     method: str = "auto",
-    node_budget: int = _BATCH_NODE_BUDGET,
 ) -> MartingaleBatch:
     """Sample m martingale values at horizon t.
 
@@ -632,7 +631,7 @@ def martingale_samples(
         raise ValueError("horizon must be >= 0")
     if m < 1:
         raise ValueError("need at least one sample")
-    method = resolve_martingale_method(t, m, method, node_budget)
+    method = resolve_martingale_method(t, m, method)
     if method == "direct":
         values, counts, nodes = _direct_martingale_batch(t, m, rng)
         return MartingaleBatch(float(t), values, counts, method, nodes_grown=nodes)
@@ -703,9 +702,7 @@ class SpinalCheckReport:
     passed: bool
 
 
-def spinal_identity_check(
-    t: float, m: int, rng: np.random.Generator, z_limit: float = 4.0
-) -> SpinalCheckReport:
+def spinal_identity_check(t: float, m: int, rng: np.random.Generator) -> SpinalCheckReport:
     """Compare reweighted full-rate paths against half-rate paths.
 
     Size-biasing the tree law slows the splits along one distinguished
@@ -764,5 +761,5 @@ def spinal_identity_check(
                 z_analytic=z_ref,
             )
         )
-    passed = all(abs(r.z) <= z_limit for r in results)
+    passed = all(abs(r.z) <= _SPINAL_Z_LIMIT for r in results)
     return SpinalCheckReport(t=t, samples=m, results=tuple(results), passed=passed)

@@ -420,6 +420,29 @@ def test_config_file_fills_missing_flags(tmp_path):
     ).read_bytes()
 
 
+def test_config_keys_are_dests_and_flags_win(tmp_path, capsys):
+    # `--lambda` stores to lambda_grid; the file's typed n loses to the flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda_grid = -2..2\nn = 32\nt-base = 6\n")
+    from_file = ["--config", str(cfg), "--n", "64", "--out-dir", str(tmp_path / "file")]
+    from_flags = ["--n", "64", "--lambda", "-2..2", "--t-base", "6"]
+    assert cli.main(["profile-discrete", *from_file]) == 0
+    assert cli.main(["profile-discrete", *from_flags, "--out-dir", str(tmp_path / "flag")]) == 0
+    csv_bytes = [(tmp_path / run / "profile_discrete.csv").read_bytes() for run in ("file", "flag")]
+    assert csv_bytes[0] == csv_bytes[1]
+    params = [
+        json.loads((tmp_path / run / "profile_discrete_manifest.json").read_text())["parameters"]
+        for run in ("file", "flag")
+    ]
+    assert params[0]["n"] == 64
+    assert params[0]["t_base"] == 6
+    assert params[0]["lambda_grid"] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+    assert params[0]["config"] == str(cfg)
+    for p in params:
+        del p["config"], p["out_dir"]
+    assert params[0] == params[1]
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n = 4\nbogus = 1\n")
@@ -533,11 +556,19 @@ def test_malformed_start_csv_exits_2(tmp_path, capsys):
 
 BAD_COUNTS = [
     (("martingale", "--t", "1", "--seed", "1"), "samples", "0"),
+    # not free text: a bad sampler name is a configuration error
+    (("martingale", "--t", "1", "--samples", "10", "--seed", "1"), "method", "bogus"),
     (("w-tail", "--eps", "0.5", "--seed", "1"), "samples", "-3"),
     (("profile-continuous", "--lambda", "0", "--seed", "1"), "samples", "0"),
     (("spinal-check", "--t", "1", "--seed", "1"), "samples", "-4"),
-    # spinal-check's own minimum: two paths per side
+    # counts that feed a sample standard deviation take at least 2
     (("spinal-check", "--t", "1", "--seed", "1"), "samples", "1"),
+    (("lowerbound-continuous", "--n", "400", "--t", "0.5", "--inner", "16", "--seed", "1"),
+     "trees", "1"),
+    (("lowerbound-continuous", "--n", "400", "--t", "0.5", "--trees", "5", "--seed", "1"),
+     "inner", "1"),
+    # 0 turns the moment check off; one draw has no spread
+    (("lowerbound-discrete", "--n", "400", "--t", "1", "--seed", "1"), "mc-samples", "1"),
     (("evolve-discrete", "--n", "3", "--start", "mono"), "steps", "-1"),
     (("lowerbound-continuous", "--n", "100", "--t", "1", "--seed", "1"), "trees", "-1"),
     (("lowerbound-discrete", "--n", "400", "--t", "1", "--seed", "1"), "mc-samples", "-1"),

@@ -9,7 +9,6 @@ from scipy.special import erfc
 from scipy.stats import binom
 
 from recomblab import (
-    BlockSpec,
     check_l1_l2_bound,
     continuous_profile,
     discrete_profile,
@@ -293,8 +292,15 @@ def test_binomial_ufuncs_are_scipy_stats_binom_bit_for_bit(n):
 
 
 def test_block_spec_partition():
-    spec = BlockSpec(block_size=7, block_count=3, leftover=2)
-    assert spec.n == 23
+    # equal blocks plus a leftover smaller than one block cover the n sites
+    reports = [
+        lowerbound_experiment_discrete(5120 + 7, 3),
+        lowerbound_experiment_continuous(400, 1.0, 2, rng_substream(23, 1), inner_samples=16),
+    ]
+    for report in reports:
+        assert report.block_count >= 1
+        assert 0 <= report.leftover < report.block_size
+        assert report.block_size * report.block_count + report.leftover == report.n
 
 
 def test_discrete_block_moments_match_formulas():
