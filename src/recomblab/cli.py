@@ -65,7 +65,6 @@ CHUNK_TASK_BASE = 100
 SCIPY_COMMANDS = frozenset(
     {
         "profile-discrete",
-        "profile-continuous",
         "lowerbound-discrete",
         "lowerbound-continuous",
         "selftest",
@@ -101,7 +100,10 @@ def _join_negative_values(argv: List[str]) -> List[str]:
 
 
 def _parse_grid(text: str) -> List[float]:
-    """Grid syntax: `a..b` (inclusive integer range), `a,b,c`, or a scalar."""
+    """Grid syntax: `a..b` (inclusive integer range), `a,b,c`, or a scalar.
+
+    Every point must be finite.
+    """
     text = text.strip()
     try:
         if ".." in text:
@@ -110,9 +112,10 @@ def _parse_grid(text: str) -> List[float]:
             if hi < lo:
                 raise ValueError("range upper end below lower end")
             return [float(v) for v in range(lo, hi + 1)]
-        if "," in text:
-            return [float(v) for v in text.split(",")]
-        return [float(text)]
+        grid = [float(v) for v in text.split(",")]
+        if not all(map(math.isfinite, grid)):
+            raise ValueError("points must be finite")
+        return grid
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {err}") from None
 
@@ -464,7 +467,7 @@ def _cmd_profile_continuous(ns, ctx: RunContext) -> int:
     batch = _sample_martingale(
         ctx, ns.horizon, ns.samples, ns.seed, ns.workers, ns.method
     )
-    points = profiles.continuous_profile(ns.lambda_grid, batch.values, dz=ns.z_step)
+    points = profiles.continuous_profile(ns.lambda_grid, batch.values)
     rows = [(p.window, p.scale, p.tv, p.bound_upper, p.bound_lower) for p in points]
     ctx.write_rows(ns.out, ["lambda", "scale", "tv", "upper", "lower"], rows)
     return EXIT_OK
@@ -487,8 +490,7 @@ def _cmd_martingale(ns, ctx: RunContext) -> int:
 
 def _cmd_w_tail(ns, ctx: RunContext) -> int:
     _require(ns, "seed", "eps")
-    horizon = ns.horizon if ns.t is None else ns.t
-    batch = _sample_martingale(ctx, horizon, ns.samples, ns.seed, ns.workers, ns.method)
+    batch = _sample_martingale(ctx, ns.horizon, ns.samples, ns.seed, ns.workers, ns.method)
     rows = []
     for eps in ns.eps:
         est = yule.tail_probability_from_samples(batch.values, eps)
@@ -629,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", type=_method, default="auto", help="martingale sampler: auto|direct|cascade"
     )
-    p.add_argument("--z-step", type=_POSITIVE_REAL, default=1e-3, help="quadrature step")
     p.add_argument("--seed", type=int, help="master seed (required)")
     p.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
     p.add_argument("--out", default="profile_continuous.csv", help="output csv")
@@ -655,9 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_martingale)
 
     p = subs.add_parser("w-tail", help="small-value tail of the martingale")
-    p.add_argument(
-        "--t", type=_NONNEGATIVE_REAL, help="horizon (omit to use --horizon limit surrogate)"
-    )
     p.add_argument(
         "--horizon", type=_NONNEGATIVE_REAL, default=30.0, help="limit surrogate horizon"
     )

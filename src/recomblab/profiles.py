@@ -3,15 +3,17 @@
 The discrete-time distance profile converges to the total variation distance
 between a standard normal and a centered normal with variance 1+s, written
 `gaussian_tv(s)` here; its continuous-time analogue replaces s by a random
-multiple of the limiting leaf-weight martingale and is estimated by
-`mixture_profile_tv`.  The module also carries the exact n-to-infinity
-fixed-step limit, asymptotic ratio diagnostics, the L1-from-L2 bound for
-densities on finite spaces, and the two block-magnetization experiments that
-certify distance lower bounds.
+multiple of the limiting leaf-weight martingale, and `mixture_profile_tv`
+evaluates it for a batch of martingale samples exactly, at the single
+crossing of the two densities.  The module also carries the exact
+n-to-infinity fixed-step limit, asymptotic ratio diagnostics, the L1-from-L2
+bound for densities on finite spaces, and the two block-magnetization
+experiments that certify distance lower bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -30,11 +32,6 @@ from .errors import (
 )
 from .yule import sample_leaf_weights
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-# cells per exp block of mixture_profile_tv: small enough to stay in cache
-_MIXTURE_BLOCK_CELLS = 1 << 16
-# mixture_profile_tv integrates on [-z_max, z_max] and adds the exact tails
-_MIXTURE_Z_MAX = 12.0
 # check_l1_l2_bound's slack on the unit masses of probs and density
 _DENSITY_TOL = 1e-9
 
@@ -140,65 +137,61 @@ def mono_tv_large_n_limit(t: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _simpson(y: np.ndarray, h: float) -> float:
-    """Composite Simpson's rule on an odd number of points spaced h apart.
+def _window_scale(window: float) -> float:
+    """e^(-lambda/2), the factor on the martingale at window lambda = `window`."""
+    try:
+        return math.exp(-window / 2.0)
+    except OverflowError:
+        raise ConfigError(f"window lambda = {window}: e^(-lambda/2) overflows") from None
 
-    This is scipy.integrate.simpson's even-spacing expression, bit for bit;
-    the odd point count is the caller's precondition.
-    """
-    return np.sum(y[0:-1:2] + 4.0 * y[1::2] + y[2::2]) * (h / 3.0)
 
+def mixture_profile_tv(window: float, martingale_values: Sequence[float]) -> float:
+    """Distance between N(0,1) and the mixture of N(0, 1+a) over the samples.
 
-def mixture_profile_tv(
-    window: float,
-    martingale_values: Sequence[float],
-    dz: float = 1e-3,
-) -> float:
-    """Distance profile of the normal mixture at window coordinate `window`.
-
-    Computes 1/2 * integral of |mean over samples of the N(0, 1+a)-to-N(0,1)
-    density ratio - 1| against the standard normal, where a = exp(-window/2)
-    times each martingale sample.  The mean over samples sits inside the
-    absolute value.  The quadrature runs on [-z_max, z_max] with step <= dz,
-    plus the exact tail correction (all density ratios exceed 1 out there).
-    The integrand is even in z, so it is evaluated on [0, z_max] only.  The
-    half-line interval count is even, so z = 0 is an even interior node of
-    the full composite Simpson rule (weight 2), and twice the half-line rule
-    carries exactly the full rule's weights.
+    Here a = exp(-window/2) times each martingale sample.  With u = z^2 the
+    mixture's density ratio to N(0,1) is r(u) = mean (1+a)^(-1/2)
+    exp(u a / (2(1+a))): increasing and convex in u with r(0) < 1, so it
+    crosses 1 exactly once, at u*.  The distance is the mass the mixture
+    wins beyond |z| = sqrt(u*), mean erfc(sqrt(u*/(2(1+a)))) -
+    erfc(sqrt(u*/2)).  Each sample's term alone crosses 1 at gaussian_tv's
+    (1+a)log(1+a)/a, so Newton started at the largest of these decreases
+    monotonically to u*; it stops at the first iterate that does not
+    decrease.  A sample whose a underflows to 0 has ratio 1 everywhere: it
+    counts in the mean but sets no starting point.
     """
     values = np.asarray(martingale_values, dtype=np.float64)
     if values.size == 0:
         raise InvalidDistributionError("need at least one martingale sample")
     if not np.isfinite(values).all() or values.min() <= 0.0:
         raise InvalidDistributionError("martingale samples must be finite and > 0")
-    excess = math.exp(-window / 2.0) * values
-    z_max = _MIXTURE_Z_MAX
-    half_pts = int(math.ceil(z_max / dz))
-    # an even interval count: the odd point count _simpson requires
-    half_pts += half_pts % 2
-    grid = np.linspace(0.0, z_max, half_pts + 1)
-    h = z_max / half_pts
-
-    coeff = excess / (2.0 * (excess + 1.0))
-    scale = 1.0 / np.sqrt(1.0 + excess)
-    mix = np.empty(grid.size)
-    chunk = max(1, _MIXTURE_BLOCK_CELLS // values.size)
-    for start in range(0, grid.size, chunk):
-        zz = grid[start : start + chunk]
-        block = np.outer(zz * zz, coeff)
-        np.exp(block, out=block)
-        block *= scale
-        mix[start : start + zz.size] = block.mean(axis=1)
-    integrand = np.abs(mix - 1.0) * np.exp(-grid * grid / 2.0) / _SQRT_2PI
-    # half the full-line integral of the even integrand
-    half_interior = _simpson(integrand, h)
-
-    from scipy.special import erfc
-
-    root2 = math.sqrt(2.0)
-    outside_mixture = float(np.mean(erfc(z_max / (root2 * np.sqrt(1.0 + excess)))))
-    outside_reference = math.erfc(z_max / root2)
-    return half_interior + 0.5 * (outside_mixture - outside_reference)
+    excess = _window_scale(window) * values
+    if not np.isfinite(excess).all():
+        raise ConfigError(f"window lambda = {window}: e^(-lambda/2) W overflows")
+    live = excess[excess > 0.0]
+    if live.size == 0:
+        return 0.0
+    coeff = excess / (2.0 * (1.0 + excess))
+    log_scale = 0.5 * np.log1p(excess)
+    u = float((np.log1p(live) / live * (1.0 + live)).max())
+    while True:
+        term = np.exp(u * coeff - log_scale)
+        gap = float(term.mean()) - 1.0
+        # at the crossing up to rounding; this also stops before a zero slope
+        if gap <= 0.0:
+            break
+        step = gap * values.size / float(coeff @ term)
+        if not u - step < u:
+            break
+        u -= step
+    # the exact sum of erfc(tail) - erfc(sqrt(u/2)) over the samples: each
+    # difference is >= 0, so the distance cannot round below 0
+    tails = np.sqrt(u / (2.0 * (1.0 + excess)))
+    reference = math.erfc(math.sqrt(u / 2.0))
+    return math.fsum(
+        itertools.chain(
+            map(math.erfc, tails.tolist()), itertools.repeat(-reference, values.size)
+        )
+    ) / values.size
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +597,14 @@ def discrete_profile(
 
 
 def continuous_profile(
-    windows: Sequence[float],
-    martingale_values: Sequence[float],
-    dz: float = 1e-3,
+    windows: Sequence[float], martingale_values: Sequence[float]
 ) -> list[ProfilePoint]:
-    """Mixture-profile estimate on a window grid from one martingale batch."""
+    """Mixture profile on a window grid from one martingale batch."""
     return [
         ProfilePoint(
             window=float(w),
-            scale=math.exp(-w / 2.0),
-            tv=mixture_profile_tv(w, martingale_values, dz=dz),
+            scale=_window_scale(w),
+            tv=mixture_profile_tv(w, martingale_values),
             bound_upper=None,
             bound_lower=None,
         )

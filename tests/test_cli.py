@@ -89,8 +89,7 @@ CLOCK_ARGS = {
     "evolve-continuous": ["--n", "3", "--start", "mono", "--t", "0.1"],
     "profile-discrete": ["--n", "64", "--lambda", "-1..1"],
     "profile-continuous": [
-        "--lambda", "0", "--samples", "50", "--horizon", "2", "--z-step", "0.01",
-        "--seed", "1",
+        "--lambda", "0", "--samples", "50", "--horizon", "2", "--seed", "1",
     ],
     "fragmentation": ["--n", "8", "--trials", "5", "--seed", "1"],
     # two chunks, so the worker pool runs inside the clock
@@ -148,8 +147,9 @@ def test_grid_parsing():
     assert cli._parse_grid("-4..4") == [float(v) for v in range(-4, 5)]
     assert cli._parse_grid("0.5,0.25") == [0.5, 0.25]
     assert cli._parse_grid("3") == [3.0]
-    with pytest.raises(Exception):
-        cli._parse_grid("4..-4")
+    for bad in ("4..-4", "0.5,nan", "-inf"):
+        with pytest.raises(cli.argparse.ArgumentTypeError):
+            cli._parse_grid(bad)
 
 
 def test_negative_value_folding():
@@ -581,12 +581,16 @@ BAD_COUNTS = [
 ]
 
 
+# config keys that are not their flag's name
+CONFIG_KEYS = {"lambda": "lambda_grid"}
+
+
 def _assert_bad_value_exits_2(tmp_path, capsys, source, args, key, value):
     if source == "flag":
         extra = [f"--{key}", value]
     else:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
+        cfg.write_text(f"{CONFIG_KEYS.get(key, key)} = {value}\n")
         extra = ["--config", str(cfg)]
     try:
         status = cli.main([*args, *extra, "--out-dir", str(tmp_path)])
@@ -613,11 +617,21 @@ BAD_REALS = [
     (("evolve-continuous", "--n", "2", "--start", "mono", "--t", "1"), "step", "0"),
     (("evolve-continuous", "--n", "2", "--start", "mono", "--t", "1"), "step", "nan"),
     (("profile-continuous", "--lambda", "0", "--samples", "5", "--seed", "1"), "horizon", "-1"),
-    (("profile-continuous", "--lambda", "0", "--samples", "5", "--seed", "1"), "z-step", "0"),
     (("w-tail", "--eps", "0.5", "--samples", "5", "--seed", "1"), "horizon", "-2"),
-    (("w-tail", "--eps", "0.5", "--samples", "5", "--seed", "1"), "t", "1e999"),
+    (("w-tail", "--eps", "0.5", "--samples", "5", "--seed", "1"), "horizon", "1e999"),
     (("lowerbound-discrete", "--n", "400"), "t", "-1"),
     (("lowerbound-continuous", "--n", "100", "--seed", "1"), "t", "0"),
+    # window grids: finite points only, and e^(-lambda/2) must not overflow
+    (("profile-continuous", "--samples", "5", "--horizon", "1", "--seed", "1"), "lambda", "nan"),
+    (("profile-continuous", "--samples", "5", "--horizon", "1", "--seed", "1"), "lambda", "inf"),
+    (("profile-continuous", "--samples", "5", "--horizon", "1", "--seed", "1"), "lambda", "-1500"),
+    (("profile-discrete", "--n", "64"), "lambda", "nan"),
+    (("profile-discrete", "--n", "64"), "lambda", "inf"),
+    # removed options exit 2 whatever their value
+    (("profile-continuous", "--lambda", "0", "--samples", "5", "--seed", "1"), "z-step", "0"),
+    (("profile-continuous", "--lambda", "0", "--samples", "5", "--seed", "1"), "z-step", "0.01"),
+    (("w-tail", "--eps", "0.5", "--samples", "5", "--seed", "1"), "t", "1e999"),
+    (("w-tail", "--eps", "0.5", "--samples", "5", "--seed", "1"), "t", "3"),
 ]
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.optimize import brentq
 from scipy.special import erfc
 from scipy.stats import binom
 
@@ -26,7 +27,7 @@ from recomblab import (
 )
 from recomblab import profiles
 from recomblab.errors import ConfigError, InvalidDistributionError
-from recomblab.profiles import _binom_ufuncs, _simpson
+from recomblab.profiles import _binom_ufuncs
 from recomblab.streams import rng_substream
 
 # the binomial ufuncs exactly as the package calls them
@@ -125,17 +126,20 @@ def test_mono_tv_approaches_its_large_n_limit():
 
 
 # -----------------------------------------------------------------------
-# mixture profile quadrature
+# mixture profile
 # -----------------------------------------------------------------------
 
 
 def test_mixture_profile_reduces_to_gaussian_for_unit_weights():
     ones = np.ones(64)
-    for lam in (-10.0, -6.0, 0.0, 6.0, 10.0):
+    for lam in (-10.0, -6.0, 0.0, 6.0, 10.0, 20.0, 40.0):
         s = math.exp(-lam / 2.0)
-        assert mixture_profile_tv(lam, ones) == pytest.approx(
-            gaussian_tv(s), abs=1e-6
-        )
+        assert mixture_profile_tv(lam, ones) == pytest.approx(gaussian_tv(s), abs=1e-14)
+
+
+def test_one_sample_mixture_is_the_gaussian_profile():
+    for s in 10.0 ** np.arange(-8, 9):
+        assert mixture_profile_tv(0.0, [s]) == pytest.approx(gaussian_tv(s), abs=1e-14)
 
 
 def test_mixture_profile_monotone_in_window():
@@ -146,19 +150,11 @@ def test_mixture_profile_monotone_in_window():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("points", [3, 5, 101, 24_001])
-def test_simpson_sum_is_scipy_simpson_bit_for_bit(points):
-    rng = rng_substream(21, 5)
-    y = rng.standard_normal(points) * np.exp(-np.linspace(-6.0, 6.0, points) ** 2)
-    h = 12.0 / (points - 1)
-    assert np.array_equal(_simpson(y, h), simpson(y, dx=h))
-
-
 def _mixture_profile_tv_full_grid(window, martingale_values, z_max=12.0, dz=1e-3):
-    """The mixture profile evaluated on the whole grid [-z_max, z_max].
+    """The mixture profile by Simpson's rule on the grid [-z_max, z_max].
 
-    The library evaluates the even integrand on the half-line only; this is
-    the full-grid evaluation it replaced, kept as its oracle.
+    The integrand is half |mixture density ratio - 1| against N(0,1); the
+    tails beyond z_max, where every ratio exceeds 1, are added exactly.
     """
     values = np.asarray(martingale_values, dtype=np.float64)
     excess = math.exp(-window / 2.0) * values
@@ -175,33 +171,53 @@ def _mixture_profile_tv_full_grid(window, martingale_values, z_max=12.0, dz=1e-3
         block *= scale
         mix[start : start + zz.size] = block.mean(axis=1)
     integrand = np.abs(mix - 1.0) * np.exp(-grid * grid / 2.0) / math.sqrt(2.0 * math.pi)
-    interior = _simpson(integrand, h)
+    interior = simpson(integrand, dx=h)
     root2 = math.sqrt(2.0)
     outside_mixture = float(np.mean(erfc(z_max / (root2 * np.sqrt(1.0 + excess)))))
     outside_reference = math.erfc(z_max / root2)
     return 0.5 * interior + 0.5 * (outside_mixture - outside_reference)
 
 
-@pytest.mark.parametrize("batch", ["martingale", "ones"])
-def test_half_line_mixture_quadrature_is_the_full_grid(batch):
-    if batch == "martingale":
-        values = martingale_samples(6.0, 1000, rng_substream(21, 6)).values
-    else:
-        values = np.ones(8)
-    for lam in range(-4, 5):
-        half = mixture_profile_tv(lam, values)
-        full = _mixture_profile_tv_full_grid(lam, values)
-        assert abs(half - full) <= 1e-15, (lam, half, full)
+def _mixture_profile_tv_split_quad(window, martingale_values):
+    """The mixture profile by adaptive quadrature split at the crossing.
+
+    The densities cross once on the half-line, where |difference| has its
+    kink; brentq finds that point and quad integrates each smooth side.
+    """
+    values = np.asarray(martingale_values, dtype=np.float64)
+    variance = 1.0 + math.exp(-window / 2.0) * values
+    scale = 1.0 / np.sqrt(variance)
+
+    def difference(z):
+        return float(np.mean(scale * np.exp(-z * z / (2.0 * variance)))) - math.exp(-z * z / 2.0)
+
+    crossing = brentq(difference, 0.0, 40.0, xtol=1e-15)
+    inner = quad(difference, 0.0, crossing, epsabs=1e-15, limit=200)[0]
+    outer = quad(difference, crossing, np.inf, epsabs=1e-15, limit=200)[0]
+    # half of the two-sided L1 norm is the one-sided one
+    return (outer - inner) / math.sqrt(2.0 * math.pi)
 
 
-def test_mixture_profile_odd_interval_count_rounds_up():
-    # ceil(12 / dz) = 1201 intervals per half-line; the grid takes 1202
-    dz = 12.0 / 1200.5
-    ones = np.ones(8)
+def test_mixture_profile_matches_quadrature_oracles():
+    values = martingale_samples(6.0, 1000, rng_substream(21, 6)).values
     for lam in (-4.0, 0.0, 4.0):
-        assert mixture_profile_tv(lam, ones, dz=dz) == pytest.approx(
-            _mixture_profile_tv_full_grid(lam, ones, dz=12.0 / 1202), abs=1e-15
-        )
+        tv = mixture_profile_tv(lam, values)
+        assert abs(tv - _mixture_profile_tv_split_quad(lam, values)) <= 1e-12, lam
+        # Simpson's rule loses accuracy at the kink of |difference|
+        assert abs(tv - _mixture_profile_tv_full_grid(lam, values)) <= 1e-7, lam
+
+
+def test_mixture_profile_extreme_windows(recwarn):
+    values = martingale_samples(6.0, 1000, rng_substream(21, 6)).values
+    for lam in (-1400.0, 1400.0, 1500.0):
+        assert 0.0 <= mixture_profile_tv(lam, values) <= 1.0
+    # every sample's excess underflows to 0 at lam = 1500
+    assert mixture_profile_tv(1500.0, values) == 0.0
+    assert len(recwarn) == 0
+    with pytest.raises(ConfigError, match="-1500"):
+        mixture_profile_tv(-1500.0, values)
+    with pytest.raises(ConfigError, match="-1400"):
+        mixture_profile_tv(-1400.0, [1e300])
 
 
 def test_mixture_profile_rejects_empty_batch():
@@ -387,7 +403,9 @@ def test_discrete_profile_rows():
 def test_continuous_profile_rows():
     rng = rng_substream(21, 4)
     w = rng.exponential(size=400)
-    pts = continuous_profile([-1.0, 1.0], w, dz=1e-2)
+    pts = continuous_profile([-1.0, 1.0], w)
     assert pts[0].scale == pytest.approx(math.exp(0.5))
     assert pts[0].tv > pts[1].tv
     assert pts[0].bound_upper is None
+    with pytest.raises(ConfigError, match="-1500"):
+        continuous_profile([0.0, -1500.0], w)
