@@ -29,6 +29,9 @@ from .errors import (
 DENSE_SITE_CAP = 24
 WEIGHT_SUM_TOL = 1e-12
 NEGATIVE_WEIGHT_TOL = -1e-9
+# the empty-set coefficient of a table, and the sum of the weights rebuilt
+# from one, must lie within this of 1
+EMPTY_COEFF_TOL = 1e-9
 
 
 def _check_sites(n: int) -> None:
@@ -93,7 +96,7 @@ class FourierTable:
         arr = _as_vector(self.coeffs, self.n).copy()
         if not np.isfinite(arr).all():
             raise InvalidDistributionError("non-finite coefficient")
-        if abs(arr[0] - 1.0) > 1e-9:
+        if abs(arr[0] - 1.0) > EMPTY_COEFF_TOL:
             raise InvalidDistributionError(
                 f"empty-set coefficient must be 1, got {arr[0]!r}"
             )
@@ -140,15 +143,15 @@ def wht_inverse(table: FourierTable) -> Pmf:
 
     The weights sum to the empty-set coefficient up to round-off, so the
     vector is renormalized by its computed sum as long as that sum stays
-    within the coefficient gate (1e-9); a larger deviation raises.  Round-off
+    within EMPTY_COEFF_TOL; a larger deviation raises.  Round-off
     may also leave weights slightly negative; anything below -1e-9 is a
     genuine invalidity and raises, smaller dips are clipped by `Pmf`.
     """
     raw = _butterfly(table.coeffs, -1) / float(1 << table.n)
     total = float(raw.sum())
-    if not abs(total - 1.0) <= 1e-9:
+    if not abs(total - 1.0) <= EMPTY_COEFF_TOL:
         raise InvalidDistributionError(
-            f"reconstructed weights sum to {total!r}, outside 1 +/- 1e-9"
+            f"reconstructed weights sum to {total!r}, outside 1 +/- {EMPTY_COEFF_TOL}"
         )
     return Pmf(table.n, raw / total)
 
@@ -183,26 +186,34 @@ def product_pmf(biases) -> Pmf:
         raise InvalidDistributionError("biases must lie in [-1, 1]")
     b = np.clip(b, -1.0, 1.0)
     _check_sites(b.size)
-    weights = np.array([1.0])
-    for bias in b:
-        factor = np.array([(1.0 - bias) / 2.0, (1.0 + bias) / 2.0])
-        weights = np.kron(factor, weights)
-    return Pmf(b.size, weights)
+    return Pmf(b.size, _product_weight_rows(b[None, :])[0])
 
 
 def product_fourier(biases) -> FourierTable:
-    """Character table of the product measure: coeffs[S] = prod of biases on S.
-
-    Built by doubling from the highest site down, so every product is taken
-    from the highest site to the lowest and the singleton coefficients
-    reproduce the inputs bit-for-bit.
-    """
+    """Character table of the product measure: coeffs[S] = prod of biases on S."""
     b = np.asarray(biases, dtype=np.float64)
     _check_sites(b.size)
-    coeffs = np.array([1.0])
-    for bias in b[::-1]:
-        coeffs = np.kron(coeffs, [1.0, bias])
-    return FourierTable(b.size, coeffs)
+    return FourierTable(b.size, _product_coeff_rows(b[None, :])[0])
+
+
+def _product_weight_rows(biases: np.ndarray) -> np.ndarray:
+    """Weights of the product measure of each row of a (k, n) bias array."""
+    weights = np.ones((biases.shape[0], 1))
+    for b in biases.T[:, :, None]:
+        weights = np.concatenate(((1.0 - b) / 2.0 * weights, (1.0 + b) / 2.0 * weights), axis=1)
+    return weights
+
+
+def _product_coeff_rows(biases: np.ndarray) -> np.ndarray:
+    """Character coefficients of the product measure of each row of biases.
+
+    Built by doubling from the highest site down, so every product runs from
+    the highest site to the lowest and singletons reproduce the biases exactly.
+    """
+    coeffs = np.ones((biases.shape[0], 1))
+    for b in biases.T[::-1, :, None]:
+        coeffs = np.stack((coeffs, coeffs * b), axis=2).reshape(biases.shape[0], -1)
+    return coeffs
 
 
 def stationary_product(pmf: Pmf) -> Pmf:

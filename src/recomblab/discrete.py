@@ -37,15 +37,16 @@ from .errors import (
 )
 
 # Submask-pair tables are cached dense up to PAIR_TABLE_SITE_CAP for an
-# explicit method="pairs"; `auto` takes them only up to PAIRS_AUTO_SITE_MAX,
-# above which the ranked transform path is faster even with the table warm.
+# explicit method="pairs"; `auto` takes them only up to PAIRS_AUTO_SITE_MAX.
+# From n = 12 the ranked transform path is at least as fast with the table warm;
+# at n = 11 it is slower per call but spares the table build (about 30 calls).
 # Beyond COLLIDE_SITE_CAP the state itself is too large to hold.
 PAIR_TABLE_SITE_CAP = 14
 PAIRS_AUTO_SITE_MAX = 10
 COLLIDE_SITE_CAP = 18
 DIRECT_SITE_CAP = 10
 
-# pair products one block of row-wise collisions may hold
+# products one block of a stacked collision may hold
 _ROW_TERMS_CAP = 1 << 20
 
 # Mass that each truncation in mono_mixture_tv may drop (leaf counts K, then
@@ -59,12 +60,13 @@ _MIXTURE_CHUNK_CELLS = 1 << 20
 
 @lru_cache(maxsize=3)
 def _disjoint_pair_tables(n: int):
-    """All unordered pairs {A,B} of disjoint non-both-empty submasks.
+    """All unordered pairs {A,B} of disjoint submasks, grouped by union.
 
-    Returns int32 arrays (union, a, b) with a|b = union, a&b = 0, a < b,
-    sorted by union.  Every union S != 0 splits its 2^|S| ordered submask
-    pairs into 2^{|S|-1} unordered ones; S = 0 (the single pair A=B=0) is
-    excluded and handled separately by the caller.
+    Returns (starts, a, b, scale): the pairs of union S are a[k], b[k] for k
+    from starts[S] up to starts[S+1], with a|b = S, a&b = 0 and a < b, apart
+    from the one pair A = B = 0 of S = 0.  Each pair's term f[a]g[b] +
+    f[b]g[a] counts both ordered pairs, so scale is 2^-|S|, except scale[0]
+    = 1/2: the single term of S = 0 is f0 g0 + f0 g0, exactly 2 f0 g0.
     """
     m = 3**n
     codes = np.arange(m, dtype=np.int32)
@@ -75,10 +77,13 @@ def _disjoint_pair_tables(n: int):
         a |= (trit == 1).astype(np.int32) << i
         b |= (trit == 2).astype(np.int32) << i
     keep = a < b
+    keep[0] = True  # the pair A = B = 0
     a, b = a[keep], b[keep]
     union = a | b
     order = np.argsort(union, kind="stable")
-    return union[order], a[order], b[order]
+    scale = _subset_scale(n).copy()
+    scale[0] = 0.5
+    return np.searchsorted(union[order], np.arange(1 << n)), a[order], b[order], scale
 
 
 @lru_cache(maxsize=32)
@@ -99,18 +104,19 @@ def _rank_positions(n: int) -> np.ndarray:
 
 
 def _collide_pairs(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    union, a, b = _disjoint_pair_tables(n)
+    starts, a, b, scale = _disjoint_pair_tables(n)
     # f[a]*g[b] + f[b]*g[a] is symmetric under swapping f and g term by term,
     # so the whole path is exactly commutative in floating point.  In a
     # self-collision both products are the same number and x + x = 2x exactly.
+    terms = f.take(a, axis=-1)
     if g is f:
-        terms = f[a] * f[b]
+        terms *= f.take(b, axis=-1)
         terms += terms
     else:
-        terms = f[a] * g[b] + f[b] * g[a]
-    out = np.bincount(union, weights=terms, minlength=1 << n)
-    out[0] = f[0] * g[0]
-    out *= _subset_scale(n)
+        terms *= g.take(b, axis=-1)
+        terms += f.take(b, axis=-1) * g.take(a, axis=-1)
+    out = np.add.reduceat(terms, starts, axis=-1)
+    out *= scale
     return out
 
 
@@ -137,10 +143,10 @@ def _submask_butterfly(flat: np.ndarray, n: int, op) -> None:
 
 def _rank_slices(values: np.ndarray, n: int) -> np.ndarray:
     """Split by popcount rank and apply the sum-over-submasks transform."""
-    sliced = np.zeros((n + 1) << n)
-    sliced[_rank_positions(n)] = values
-    _submask_butterfly(sliced, n, np.add)
-    return sliced.reshape(n + 1, -1)
+    sliced = np.zeros(values.shape[:-1] + ((n + 1) << n,))
+    sliced[..., _rank_positions(n)] = values
+    _submask_butterfly(sliced.reshape(-1), n, np.add)
+    return sliced.reshape(values.shape[:-1] + (n + 1, 1 << n))
 
 
 def _collide_ranked(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -150,32 +156,29 @@ def _collide_ranked(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     symmetrically, fz[i]*gz[j] + fz[j]*gz[i], so this path is exactly
     commutative as well; a self-collision transforms its operand once.
     """
-    size = 1 << n
     fz = _rank_slices(f, n)
     gz = fz if g is f else _rank_slices(g, n)
     # rank r of the product reads ranks 0..r only, so going from the top
     # rank down it can overwrite fz[r]
-    acc = np.empty(size)
-    term = np.empty(size)
-    other = np.empty(size)
+    acc = np.empty(f.shape)
+    term = np.empty(f.shape)
+    other = np.empty(f.shape)
     for r in range(n, -1, -1):
         acc.fill(0.0)
         for i in range(r // 2 + 1):
             j = r - i
-            np.multiply(fz[i], gz[j], out=term)
+            np.multiply(fz[..., i, :], gz[..., j, :], out=term)
             if i != j:
                 if gz is fz:
                     term += term
                 else:
-                    np.multiply(fz[j], gz[i], out=other)
+                    np.multiply(fz[..., j, :], gz[..., i, :], out=other)
                     term += other
             acc += term
-        fz[r] = acc
-    flat = fz.reshape(-1)
-    _submask_butterfly(flat, n, np.subtract)
-    out = flat[_rank_positions(n)]
+        fz[..., r, :] = acc
+    _submask_butterfly(fz.reshape(-1), n, np.subtract)
+    out = fz.reshape(f.shape[:-1] + (-1,))[..., _rank_positions(n)]
     out *= _subset_scale(n)
-    out[0] = f[0] * g[0]
     return out
 
 
@@ -195,58 +198,36 @@ def collide_coeffs(
 ) -> np.ndarray:
     """Collision product on raw coefficient vectors (no validation).
 
-    Passing the same array twice (``g is f``) marks a self-collision, which
-    both kernels compute with fewer products and bit-identical results.
-    `auto` is resolved by `resolve_collision_method`.  Milliseconds per call, two operands / self,
-    best of 30 on a 2-core Xeon (Python 3.11, numpy 2.4):
+    The operands are vectors or (k, 2^n) stacks of rows.  A stack is collided
+    in blocks of about _ROW_TERMS_CAP products, and each row equals the call
+    on that row's operands bit for bit.  Passing the same array twice
+    (``g is f``) marks a self-collision, which both kernels compute with
+    fewer products and bit-identical results.  `auto` is resolved by
+    `resolve_collision_method`.  Milliseconds per vector call, two operands /
+    self, best of 30 on a 2-core Xeon (Python 3.11, numpy 2.4):
 
-        n    pairs, table warm   ranked        pairs' first call (table build)
-        10   0.50 / 0.30         0.52 / 0.35     4 ms
-        11   1.55 / 0.95         1.06 / 0.70    27 ms
-        12   5.1  / 3.1          1.9  / 1.3     93 ms
-        14   55   / 37           14   / 9.5    866 ms
+        n    pairs, table warm   ranked        pair table build
+        10   0.32 / 0.17         0.80 / 0.54      6 ms
+        11   0.96 / 0.54         1.34 / 0.94     38 ms
+        12   3.4  / 1.8          2.7  / 1.8     142 ms
+        14   43   / 23           13   / 8.7    1019 ms
     """
     method = resolve_collision_method(n, method)
-    if method == "pairs":
-        if n > PAIR_TABLE_SITE_CAP:
-            raise CapacityError(
-                f"pair tables are capped at n={PAIR_TABLE_SITE_CAP}, got n={n}"
-            )
-        return _collide_pairs(f, g, n)
-    if method == "ranked":
-        if n > COLLIDE_SITE_CAP:
-            raise CapacityError(
-                f"collision is capped at n={COLLIDE_SITE_CAP}, got n={n}"
-            )
-        return _collide_ranked(f, g, n)
-    raise ValueError(f"unknown collision method {method!r}")
-
-
-def _collide_rows(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """Collision product of two (k, 2^n) stacks of coefficient rows, row by row.
-
-    Each row equals `collide_coeffs` on that row's operands bit for bit.
-    Where `auto` picks the pair tables, a block of rows shares one gather and
-    one `bincount` that sums every row's terms in the 1-D order; f[a]*g[b] +
-    f[b]*g[a] of equal rows is the self-collision's 2x exactly.  Above that,
-    each row is one ranked call, whose arithmetic dwarfs the call overhead.
-    """
-    size = 1 << n
-    if resolve_collision_method(n) != "pairs":
-        return np.array([collide_coeffs(x, y, n) for x, y in zip(f, g)]).reshape(f.shape)
-    union, a, b = _disjoint_pair_tables(n)
+    if method not in ("pairs", "ranked"):
+        raise ValueError(f"unknown collision method {method!r}")
+    pairs = method == "pairs"
+    cap = PAIR_TABLE_SITE_CAP if pairs else COLLIDE_SITE_CAP
+    if n > cap:
+        raise CapacityError(f"{method} collisions are capped at n={cap}, got n={n}")
+    kernel = _collide_pairs if pairs else _collide_ranked
+    if f.ndim == 1:
+        return kernel(f, g, n)
+    # a row takes about 3^n pair products, or (n+1) 2^n rank-split entries
+    step = max(1, _ROW_TERMS_CAP // (3**n if pairs else (n + 1) << n))
     out = np.empty(f.shape)
-    step = max(1, _ROW_TERMS_CAP // a.size)
     for lo in range(0, f.shape[0], step):
-        fs, gs = f[lo : lo + step], g[lo : lo + step]
-        terms = fs[:, a] * gs[:, b]
-        terms += fs[:, b] * gs[:, a]
-        cells = (np.arange(fs.shape[0])[:, None] * size + union).ravel()
-        out[lo : lo + step] = np.bincount(
-            cells, weights=terms.ravel(), minlength=fs.shape[0] * size
-        ).reshape(-1, size)
-    out[:, 0] = f[:, 0] * g[:, 0]
-    out *= _subset_scale(n)
+        rows = f[lo : lo + step]
+        out[lo : lo + step] = kernel(rows, rows if g is f else g[lo : lo + step], n)
     return out
 
 

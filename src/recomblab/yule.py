@@ -30,8 +30,9 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cube import FourierTable, Pmf, _butterfly, wht_forward, wht_inverse
+from .cube import _product_coeff_rows, _product_weight_rows
 from .errors import CapacityError, InvalidDistributionError, NumericalInvariantError
-from .discrete import _collide_rows, _draw_spins, collide_coeffs
+from .discrete import _draw_spins, collide_coeffs
 
 MAX_LEAVES_DEFAULT = 1 << 22
 _TREE_MEASURE_CELL_CAP = 1 << 26
@@ -51,6 +52,14 @@ CASCADE_SAMPLER_VERSION = 3
 _ESTIMATOR_BATCH_CELLS = 1 << 20
 # spinal_identity_check passes while every two-sample |z| stays within this
 _SPINAL_Z_LIMIT = 4.0
+
+
+def _exp(x: float) -> float:
+    """e^x, or CapacityError where that overflows: no tree sampler reaches it."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise CapacityError(f"e^{x:g} overflows a float", exponent=x) from None
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +90,7 @@ def _wave_batch(
     independent mean-one exponential time, so each tree has the branching
     law.  Returns the number of lineages (tree nodes) grown.
     """
-    peak = max(1.0, math.exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
+    peak = max(1.0, _exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
     chunk = max(1, min(m, int(WAVE_WIDTH / peak)))
     processed = 0
     for start in range(0, m, chunk):
@@ -221,6 +230,8 @@ def sample_yule(
 # ---------------------------------------------------------------------------
 
 COEFF_BOX_TOL = 1e-9
+# integrator steps one evolve_continuous call may take
+RK4_STEP_CAP = 1_000_000
 
 
 def _collision_field(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -233,12 +244,17 @@ def evolve_continuous(mu: Pmf, t: float, step: float = 0.01) -> Pmf:
     The horizon is split into equal steps no longer than `step`.  The
     empty-set coefficient is held at exactly 1 and every coefficient must
     stay inside [-1-tol, 1+tol]; leaving that box aborts the run, since it
-    means the trajectory is no longer a probability measure.
+    means the trajectory is no longer a probability measure.  More than
+    RK4_STEP_CAP steps raise CapacityError before any is taken.
     """
     if t < 0:
         raise ValueError("horizon must be >= 0")
     if step <= 0:
         raise ValueError("step must be > 0")
+    if t / step > RK4_STEP_CAP + 0.5:
+        raise CapacityError(
+            f"t={t} at step {step} takes over {RK4_STEP_CAP} integrator steps", horizon=t, step=step
+        )
     if t == 0:
         return mu
     n = mu.n
@@ -336,7 +352,7 @@ def _collide_waves(alive: Sequence[np.ndarray], base: np.ndarray, n: int) -> np.
     for mask in reversed(alive[:-1]):
         up = np.empty((mask.size, base.size))
         up[:] = base
-        up[mask] = _collide_rows(values[0::2], values[1::2], n)
+        up[mask] = collide_coeffs(values[0::2], values[1::2], n)
         values = up
     return values
 
@@ -357,7 +373,7 @@ def wild_mc_estimate(
 
     def batches():
         # a tree has 2 e^t - 1 nodes on average, each one row while collided
-        for size in _batch_sizes(m, cells * 2.0 * math.exp(t)):
+        for size in _batch_sizes(m, cells * 2.0 * _exp(t)):
             leaves = np.zeros(size, dtype=np.int64)
             chunks: List[List[np.ndarray]] = []
 
@@ -383,23 +399,6 @@ def wild_mc_estimate(
     return _accumulate_measures(batches(), mu.n, m, t)
 
 
-def _product_rows(biases: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Weights and character coefficients of one product measure per row.
-
-    Each row is built with the operations, in the order, of `product_pmf`
-    and `product_fourier` on that row's biases.
-    """
-    k, n = biases.shape
-    weights = np.ones((k, 1))
-    for i in range(n):
-        b = biases[:, i : i + 1]
-        weights = np.concatenate(((1.0 - b) / 2.0 * weights, (1.0 + b) / 2.0 * weights), axis=1)
-    coeffs = np.ones((k, 1))
-    for i in range(n - 1, -1, -1):
-        coeffs = np.stack((coeffs, coeffs * biases[:, i : i + 1]), axis=2).reshape(k, -1)
-    return weights, coeffs
-
-
 def double_quenched_estimate(
     mu: Pmf, t: float, m: int, rng: np.random.Generator
 ) -> MonteCarloMeasure:
@@ -420,7 +419,7 @@ def double_quenched_estimate(
                 ],
                 axis=1,
             )
-            yield _product_rows(biases)
+            yield _product_weight_rows(biases), _product_coeff_rows(biases)
 
     return _accumulate_measures(batches(), mu.n, m, t)
 
@@ -489,14 +488,18 @@ def _add_leaves(
     """Add one wave's leaves to their trees, leaf i rooting pool entry pick[i].
 
     Leaf i belongs to the tree at position owner[i] of `trees`; bincount
-    sums each tree's leaves in leaf order.
+    sums each tree's leaves in leaf order.  A leaf count that reaches 2^53,
+    where float sums stop being exact, raises CapacityError.
     """
     owner = np.repeat(np.arange(trees.size), frozen)
     w = math.ldexp(1.0, -2 * depth) * pool_w[pick]
     new_w[trees] += np.bincount(owner, weights=w, minlength=trees.size)
-    new_l[trees] += np.bincount(
+    counts = new_l[trees] + np.bincount(
         owner, weights=pool_l[pick].astype(np.float64), minlength=trees.size
-    ).astype(np.int64)
+    )
+    if counts.max() >= 2.0**53:
+        raise CapacityError("a leaf count reached 2^53, past exact float sums", leaves=counts.max())
+    new_l[trees] = counts.astype(np.int64)
 
 
 def _cascade_pool(
@@ -613,7 +616,7 @@ def resolve_martingale_method(t: float, m: int, method: str = "auto") -> str:
     """
     if method != "auto":
         return method
-    return "direct" if 2.0 * m * math.exp(t) <= _BATCH_NODE_BUDGET else "cascade"
+    return "direct" if 2.0 * m * _exp(t) <= _BATCH_NODE_BUDGET else "cascade"
 
 
 def martingale_samples(
@@ -722,7 +725,7 @@ def spinal_identity_check(t: float, m: int, rng: np.random.Generator) -> SpinalC
         raise ValueError("need at least 2 samples")
     x_half = rng.poisson(t / 2.0, m)
     x_end = x_half + rng.poisson(t / 2.0, m)
-    weights = math.exp(t / 2.0) * np.ldexp(1.0, -x_end.astype(np.int32))
+    weights = _exp(t / 2.0) * np.ldexp(1.0, -x_end.astype(np.int32))
     y_half = rng.poisson(t / 4.0, m)
     y_end = y_half + rng.poisson(t / 4.0, m)
 

@@ -515,6 +515,48 @@ def test_capacity_violation_exits_3_and_is_recorded(tmp_path):
     assert len(manifest["capacity_events"]) == 1
 
 
+OUT_OF_RANGE_RUNS = [
+    (("martingale", "--t", "60", "--samples", "3", "--seed", "1"), "2^53"),
+    (("martingale", "--t", "800", "--samples", "3", "--seed", "1"), "overflows"),
+    (
+        ("martingale", "--t", "800", "--samples", "3", "--seed", "1", "--method", "direct"),
+        "overflows",
+    ),
+    (("w-tail", "--horizon", "800", "--samples", "3", "--seed", "1", "--eps", "0.5"), "overflows"),
+    (
+        ("profile-continuous", "--horizon", "800", "--samples", "3", "--seed", "1", "--lambda", "0"),
+        "overflows",
+    ),
+    (("spinal-check", "--t", "2000", "--samples", "10", "--seed", "1"), "overflows"),
+    (("evolve-continuous", "--n", "3", "--start", "mono", "--t", "1e300"), "integrator steps"),
+    (
+        ("evolve-continuous", "--n", "3", "--start", "mono", "--t", "10", "--step", "1e-300"),
+        "integrator steps",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,reason",
+    OUT_OF_RANGE_RUNS,
+    ids=[
+        "martingale-t60", "martingale-t800", "martingale-t800-direct", "w-tail-t800",
+        "profile-continuous-t800", "spinal-check-t2000", "evolve-continuous-t1e300",
+        "evolve-continuous-step1e-300",
+    ],
+)
+def test_out_of_range_run_exits_3_and_is_recorded(tmp_path, capsys, monkeypatch, args, reason):
+    # leaf counts pass 2^53 at t = 60 whatever the pool size, so a small
+    # cascade pool reaches the cap in a fraction of the time
+    monkeypatch.setattr(yule, "CASCADE_MIN_POOL", 1 << 12)
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 3
+    (path,) = tmp_path.glob("*_manifest.json")
+    manifest = json.loads(path.read_text())
+    assert manifest["exit_status"] == 3
+    (event,) = manifest["capacity_events"]
+    assert reason in event["message"]
+
+
 def test_numerical_violation_exits_4(tmp_path, monkeypatch):
     # no stock input trips the integrator box check, so inject a command
     # body that raises and confirm the dispatcher's mapping and manifest

@@ -28,6 +28,8 @@ from recomblab import (
 )
 from recomblab.cube import (
     _butterfly,
+    _product_coeff_rows,
+    _product_weight_rows,
     pmf_from_csv,
     pmf_to_csv,
     values_to_csv,
@@ -205,6 +207,22 @@ def test_product_fourier_doubling_is_the_lowest_bit_dp_bit_for_bit(n):
     np.testing.assert_array_equal(table.coeffs, _product_fourier_lowest_bit(biases))
     singletons = table.coeffs[1 << np.arange(n)]
     np.testing.assert_array_equal(singletons, biases)
+
+
+def test_product_rows_are_the_product_builders():
+    # each row is built bit for bit as the Kronecker product of its sites and
+    # as the lowest-bit recursion of its subset products
+    biases = np.random.default_rng(36).uniform(-1.0, 1.0, size=(6, 4))
+    weights = _product_weight_rows(biases)
+    coeffs = _product_coeff_rows(biases)
+    for row, w, c in zip(biases, weights, coeffs):
+        expect = np.array([1.0])
+        for b in row:
+            expect = np.kron(np.array([(1.0 - b) / 2.0, (1.0 + b) / 2.0]), expect)
+        np.testing.assert_array_equal(w, expect)
+        np.testing.assert_array_equal(c, _product_fourier_lowest_bit(row))
+        np.testing.assert_array_equal(w, product_pmf(row).weights)
+        np.testing.assert_array_equal(c, product_fourier(row).coeffs)
 
 
 def test_stationary_product_keeps_biases_only():

@@ -103,20 +103,25 @@ def test_self_collision_shortcut_is_the_two_operand_path(n, kernel):
         )
 
 
-@pytest.mark.parametrize("n", [1, 4, 10, 11])
+@pytest.mark.parametrize("n", [1, 4, 10, 11, 12])
 def test_row_collisions_are_the_per_row_calls(monkeypatch, n):
-    # pair rows in blocks of two up to n = 10, one ranked call per row above;
+    # a cap of two rows' products collides five rows in blocks of 2, 2 and 1;
     # the last row pair is equal, which the per-row call takes as a
-    # self-collision
-    monkeypatch.setattr(discrete, "_ROW_TERMS_CAP", 3**n - 1)
+    # self-collision, and swapping the stacks changes no bit
     rng = np.random.default_rng(40 + n)
     f = np.array([wht_forward(random_pmf(n, rng)).coeffs for _ in range(5)])
     g = np.array([wht_forward(random_pmf(n, rng)).coeffs for _ in range(5)])
     g[-1] = f[-1]
-    rows = discrete._collide_rows(f, g, n)
-    for i in range(4):
-        np.testing.assert_array_equal(rows[i], collide_coeffs(f[i], g[i], n))
-    np.testing.assert_array_equal(rows[4], collide_coeffs(f[4], f[4], n))
+    for kernel, row_terms in (("pairs", 3**n), ("ranked", (n + 1) << n)):
+        monkeypatch.setattr(discrete, "_ROW_TERMS_CAP", 2 * row_terms)
+        rows = collide_coeffs(f, g, n, kernel)
+        selfs = collide_coeffs(f, f, n, kernel)
+        for i in range(4):
+            np.testing.assert_array_equal(rows[i], collide_coeffs(f[i], g[i], n, kernel))
+        for i in range(5):
+            np.testing.assert_array_equal(selfs[i], collide_coeffs(f[i], f[i], n, kernel))
+        np.testing.assert_array_equal(rows[4], selfs[4])
+        np.testing.assert_array_equal(collide_coeffs(g, f, n, kernel), rows)
 
 
 def test_collide_halves_singletons_against_uniform():

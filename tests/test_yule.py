@@ -18,7 +18,6 @@ from recomblab import (
     martingale_limit_samples,
     martingale_samples,
     monochromatic_pmf,
-    product_fourier,
     product_pmf,
     random_pmf,
     sample_yule,
@@ -157,14 +156,6 @@ def test_double_quenched_average_matches_exact_evolution():
     err = np.abs(est.mean.weights - exact.weights)
     gate = 4.0 * est.stderr + 1e-6
     assert (err <= gate).all()
-
-
-def test_product_rows_are_the_product_builders():
-    biases = rng_substream(11, 36).uniform(-1.0, 1.0, size=(6, 4))
-    weights, coeffs = yule._product_rows(biases)
-    for row, w, c in zip(biases, weights, coeffs):
-        np.testing.assert_array_equal(w, product_pmf(row).weights)
-        np.testing.assert_array_equal(c, product_fourier(row).coeffs)
 
 
 def test_wild_estimate_at_horizon_zero_is_mu():
