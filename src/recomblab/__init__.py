@@ -13,8 +13,6 @@ from .cube import (
     marginal_bias,
     monochromatic_pmf,
     point_mass,
-    pmf_from_csv,
-    pmf_to_csv,
     product_fourier,
     product_pmf,
     random_balanced_pmf,
@@ -39,7 +37,6 @@ from .discrete import (
     pair_separation_bound,
 )
 from .errors import (
-    BudgetError,
     CapacityError,
     ConfigError,
     DimensionMismatchError,

@@ -8,8 +8,13 @@ converted and checked by the option's type exactly as a flag is, and a flag
 still wins.  Outputs are a pure function of (config, seed) byte for byte; the
 manifest additionally records wall-clock time, peak resident memory, output
 checksums, any capacity caps that fired, and the random-substream derivation
-identifier.  Every file goes through one write path: a temporary file moved
-into place.
+identifier.
+
+This module is the only one that knows the CSV formats.  Every table, from a
+pmf's `index,value` rows to the martingale's `sample,t,W,leaves` rows, is
+formatted by one formatter, `_csv_text`, in the bytes csv.writer writes, and
+every file, manifests included, goes through one write path: a temporary file
+moved into place.  `_load_start` reads an `index,value` start file back.
 
 Exit codes: 2 for configuration errors (a bad value from a flag or a config
 file, through argparse's message), 3 for capacity errors, 4 for numerical
@@ -32,6 +37,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -42,6 +48,7 @@ from .acceptance import DEFAULT_SEED, run_all
 from .errors import (
     CapacityError,
     ConfigError,
+    InvalidDistributionError,
     NumericalInvariantError,
     RecombError,
 )
@@ -254,31 +261,23 @@ class RunContext:
         self.started_at = datetime.now(timezone.utc).isoformat()
         self._clock = time.perf_counter()
 
-    def _publish(self, name: str, writer_fn) -> Path:
-        """Write `name` through `writer_fn(tmp_path)`, then move it into place."""
+    def _publish(self, name: str, text: str) -> Path:
+        """Write `text` to a temporary file, then move it into place as `name`."""
         path = self.out_dir / name
         tmp = path.with_name(path.name + ".tmp")
-        writer_fn(tmp)
+        tmp.write_bytes(text.encode())
         os.replace(tmp, path)
         return path
 
-    def write_with(self, name: str, writer_fn) -> Path:
-        """Write an output through `writer_fn(path)` and record its checksum."""
-        path = self._publish(name, writer_fn)
-        blob = path.read_bytes()
+    def write_rows(self, name: str, header: Sequence[str], rows) -> Path:
+        """Write a csv output and record its checksum."""
+        text = _csv_text(header, rows)
+        path = self._publish(name, text)
+        blob = text.encode()
         self.outputs.append(
             {"file": path.name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
         )
         return path
-
-    def write_rows(self, name: str, header: Sequence[str], rows) -> Path:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-        text = buf.getvalue()
-        return self.write_with(name, lambda p: p.write_bytes(text.encode()))
 
     def record_capacity(self, err: CapacityError):
         self.capacity_events.append({"message": str(err), **err.stats})
@@ -299,10 +298,30 @@ class RunContext:
             "exit_status": status,
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        return self._publish(
-            f"{self.command.replace('-', '_')}_manifest.json",
-            lambda p: p.write_bytes(text.encode()),
-        )
+        return self._publish(f"{self.command.replace('-', '_')}_manifest.json", text)
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    """The bytes csv.writer writes for `header` and `rows`, one line per row.
+
+    Every row holds one cell per header name.  A table of plain floats and
+    ints, whose reprs never need quoting, is formatted by one printf template
+    over all its cells; any other table goes through csv.writer cell by cell.
+    The rows are flattened straight from their iterator, so a `zip` or
+    `enumerate` of them allocates no tuple per row.
+    """
+    width = len(header)
+    cells = tuple(chain.from_iterable(rows))
+    if len(cells) % width:
+        raise ValueError(f"{len(cells)} cells do not fill rows of {width}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    if {float, int}.issuperset(map(type, cells)):
+        return buf.getvalue() + ("%r," * (width - 1) + "%r\n") * (len(cells) // width) % cells
+    texts = list(map(_cell, cells))
+    writer.writerows(texts[i : i + width] for i in range(0, len(texts), width))
+    return buf.getvalue()
 
 
 def _cell(value) -> str:
@@ -330,7 +349,7 @@ def _resolve_out_dir(flag_value: Optional[str]) -> Path:
 
 
 def _load_start(spec: str, n: Optional[int]) -> cube.Pmf:
-    """A start measure: `mono`, `uniform`, `point:BITS`, or a CSV path."""
+    """A start measure: `mono`, `uniform`, `point:BITS`, or an `index,value` CSV path."""
     if spec in ("mono", "uniform") or spec.startswith("point:"):
         if n is None:
             raise ConfigError(f"--n is required with start {spec!r}")
@@ -346,7 +365,26 @@ def _load_start(spec: str, n: Optional[int]) -> cube.Pmf:
     path = Path(spec)
     if not path.exists():
         raise ConfigError(f"start {spec!r} is neither a named start nor a file")
-    pmf = cube.pmf_from_csv(path)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
+        raise ConfigError(f"cannot read start file {path}: {err}") from None
+    if rows[:1] != [["index", "value"]]:
+        raise InvalidDistributionError(f"{path}: expected header index,value")
+    rows = rows[1:]
+    values = np.empty(len(rows))
+    for expect, row in enumerate(rows):
+        try:
+            index, value = int(row[0]), float(row[1])
+        except (IndexError, ValueError):
+            index = None
+        if len(row) != 2 or index != expect:
+            raise InvalidDistributionError(f"{path}: bad row {row!r}")
+        values[expect] = value
+    if values.size == 0 or values.size & (values.size - 1):
+        raise InvalidDistributionError(f"{path}: row count {values.size} is not 2^n")
+    pmf = cube.Pmf(values.size.bit_length() - 1, values)
     if n is not None and pmf.n != n:
         raise ConfigError(f"{spec} holds {pmf.n} sites, --n says {n}")
     return pmf
@@ -426,7 +464,7 @@ def _cmd_collide(ns, ctx: RunContext) -> int:
     b = _load_start(ns.b, ns.n)
     out = discrete.collide_pmf(a, b)
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(a.n)
-    ctx.write_with(ns.out, lambda p: cube.pmf_to_csv(out, p))
+    ctx.write_rows(ns.out, ["index", "value"], enumerate(out.weights.tolist()))
     return EXIT_OK
 
 
@@ -434,7 +472,7 @@ def _cmd_evolve_discrete(ns, ctx: RunContext) -> int:
     _require(ns, "start", "steps")
     state = discrete.evolve_discrete(_load_start(ns.start, ns.n), ns.steps)
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(state.n)
-    ctx.write_with(ns.out, lambda p: cube.pmf_to_csv(state, p))
+    ctx.write_rows(ns.out, ["index", "value"], enumerate(state.weights.tolist()))
     return EXIT_OK
 
 
@@ -442,7 +480,7 @@ def _cmd_evolve_continuous(ns, ctx: RunContext) -> int:
     _require(ns, "start", "t")
     state = yule.evolve_continuous(_load_start(ns.start, ns.n), ns.t, step=ns.step)
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(state.n)
-    ctx.write_with(ns.out, lambda p: cube.pmf_to_csv(state, p))
+    ctx.write_rows(ns.out, ["index", "value"], enumerate(state.weights.tolist()))
     return EXIT_OK
 
 
@@ -484,7 +522,8 @@ def _cmd_fragmentation(ns, ctx: RunContext) -> int:
 def _cmd_martingale(ns, ctx: RunContext) -> int:
     _require(ns, "t", "seed")
     batch = _sample_martingale(ctx, ns.t, ns.samples, ns.seed, ns.workers, ns.method)
-    ctx.write_with(ns.out, batch.to_csv)
+    rows = zip(count(), repeat(batch.horizon), batch.values.tolist(), batch.leaf_counts.tolist())
+    ctx.write_rows(ns.out, ["sample", "t", "W", "leaves"], rows)
     return EXIT_OK
 
 

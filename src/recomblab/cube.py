@@ -14,7 +14,6 @@ Both directions are computed with an in-place butterfly in O(n 2^n).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -272,50 +271,3 @@ def popcount_table(n: int) -> np.ndarray:
     counts.flags.writeable = False
     return counts
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def values_to_csv(path, values: np.ndarray) -> None:
-    """Write a dense vector as ``index,value`` rows with deterministic bytes.
-
-    Neither an index nor a float repr ever needs csv quoting, so the rows
-    are joined directly, in the bytes a csv writer with a newline terminator
-    would produce.
-    """
-    floats = np.asarray(values, dtype=np.float64).tolist()
-    rows = "".join([f"{i},{v!r}\n" for i, v in enumerate(floats)])
-    with open(path, "w", newline="") as fh:
-        fh.write("index,value\n" + rows)
-
-
-def values_from_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "value"]:
-            raise InvalidDistributionError(f"{path}: expected header index,value")
-        rows = list(reader)
-    values = np.empty(len(rows))
-    for expect, row in enumerate(rows):
-        try:
-            index, value = int(row[0]), float(row[1])
-        except (IndexError, ValueError):
-            index = None
-        if len(row) != 2 or index != expect:
-            raise InvalidDistributionError(f"{path}: bad row {row!r}")
-        values[expect] = value
-    if values.size == 0 or values.size & (values.size - 1):
-        raise InvalidDistributionError(f"{path}: row count {values.size} is not 2^n")
-    return values
-
-
-def pmf_to_csv(pmf: Pmf, path) -> None:
-    values_to_csv(path, pmf.weights)
-
-
-def pmf_from_csv(path) -> Pmf:
-    values = values_from_csv(path)
-    return Pmf(values.size.bit_length() - 1, values)

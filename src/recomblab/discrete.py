@@ -31,7 +31,6 @@ from .cube import (
     wht_inverse,
 )
 from .errors import (
-    BudgetError,
     CapacityError,
     DimensionMismatchError,
 )
@@ -379,14 +378,14 @@ def mono_mixture_tv(n: int, t: int) -> float:
 
     The window holds O(n d + sqrt(n)) counts, where the full sum has n + 1;
     its rows are evaluated in chunks of about _MIXTURE_CHUNK_CELLS cells, and
-    more than _MIXTURE_CELL_BUDGET cells in all raise BudgetError.
+    more than _MIXTURE_CELL_BUDGET cells in all raise CapacityError.
     """
     if n < 1:
         raise DimensionMismatchError(f"need at least one site, got n={n}")
     if t < 0:
         raise ValueError("t must be >= 0")
     if t > 60:
-        raise BudgetError(f"leaf count 2^{t} is out of budget")
+        raise CapacityError(f"leaf count 2^{t} is out of budget")
     # imported here, not with the package: commands that never evaluate a
     # special function start without scipy (the CLI preloads it for the rest)
     from scipy.special import gammaln, logsumexp
@@ -403,7 +402,7 @@ def mono_mixture_tv(n: int, t: int) -> float:
     mhi = min(n - 1, math.ceil(n / 2 + reach))
     m = np.concatenate(([0], np.arange(mlo, mhi + 1), [n])).astype(np.float64)
     if m.size * kept > _MIXTURE_CELL_BUDGET:
-        raise BudgetError(
+        raise CapacityError(
             f"mixture evaluation needs {m.size * kept:.2e} cells, over budget",
             sites=n,
             kept_terms=kept,

@@ -31,10 +31,6 @@ class CapacityError(RecombError):
         self.stats = dict(stats)
 
 
-class BudgetError(CapacityError):
-    """A computation would exceed its documented work budget."""
-
-
 class NumericalInvariantError(RecombError):
     """A runtime numerical invariant (coefficient box, step rejection) failed."""
 

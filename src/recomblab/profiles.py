@@ -34,6 +34,11 @@ from .yule import sample_leaf_weights
 
 # check_l1_l2_bound's slack on the unit masses of probs and density
 _DENSITY_TOL = 1e-9
+# gaussian_tv_asymptotics: the two scales it probes and each ratio's gate
+_ASYMPTOTIC_SMALL_S = 1e-3
+_ASYMPTOTIC_LARGE_S = 1e6
+_ASYMPTOTIC_SMALL_TOL = 0.02
+_ASYMPTOTIC_LARGE_TOL = 0.05
 
 
 def _norm_cdf(x: float) -> float:
@@ -89,12 +94,8 @@ class AsymptoticsReport:
     passed_large: bool
 
 
-def gaussian_tv_asymptotics(
-    small_s: float = 1e-3,
-    large_s: float = 1e6,
-    small_tol: float = 0.02,
-    large_tol: float = 0.05,
-) -> AsymptoticsReport:
+def gaussian_tv_asymptotics() -> AsymptoticsReport:
+    small_s, large_s = _ASYMPTOTIC_SMALL_S, _ASYMPTOTIC_LARGE_S
     ratio_small = gaussian_tv(small_s) / (small_s / math.sqrt(2.0 * math.e * math.pi))
     complement = gaussian_tv_complement(large_s)
     ratio_large = complement * math.sqrt(2.0 * math.pi * large_s / math.log(large_s))
@@ -105,8 +106,8 @@ def gaussian_tv_asymptotics(
         large_scale_ratio=ratio_large,
         large_scale_ratio_halved=ratio_large / 2.0,
         center_value=gaussian_tv(1.0),
-        passed_small=abs(ratio_small - 1.0) <= small_tol,
-        passed_large=abs(ratio_large - 1.0) <= large_tol,
+        passed_small=abs(ratio_small - 1.0) <= _ASYMPTOTIC_SMALL_TOL,
+        passed_large=abs(ratio_large - 1.0) <= _ASYMPTOTIC_LARGE_TOL,
     )
 
 

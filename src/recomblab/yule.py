@@ -34,7 +34,8 @@ from .cube import _product_coeff_rows, _product_weight_rows
 from .errors import CapacityError, InvalidDistributionError, NumericalInvariantError
 from .discrete import _draw_spins, collide_coeffs
 
-MAX_LEAVES_DEFAULT = 1 << 22
+# leaves one sample_yule tree may reach before it raises a capacity error
+MAX_LEAVES = 1 << 22
 _TREE_MEASURE_CELL_CAP = 1 << 26
 _BATCH_NODE_BUDGET = 250_000_000
 # lineages the widest generation wave of one tree chunk may reach
@@ -183,14 +184,12 @@ class YuleTree:
         return self.parent.size
 
 
-def sample_yule(
-    t: float, rng: np.random.Generator, max_leaves: int = MAX_LEAVES_DEFAULT
-) -> YuleTree:
+def sample_yule(t: float, rng: np.random.Generator) -> YuleTree:
     """Grow one tree to horizon t and lay out its nodes wave by wave.
 
     Node ids run through the waves in order, so every child comes after its
-    parent.  A tree with more than `max_leaves` leaves has more than
-    2 max_leaves - 1 nodes, which is the node budget the wave kernel is
+    parent.  A tree with more than MAX_LEAVES leaves has more than
+    2 MAX_LEAVES - 1 nodes, which is the node budget the wave kernel is
     given: exceeding it raises a capacity error carrying the nodes grown.
     """
     if t < 0:
@@ -201,7 +200,7 @@ def sample_yule(
         1,
         rng,
         lambda trees, frozen, depth: None,
-        node_budget=2 * max_leaves - 1,
+        node_budget=2 * MAX_LEAVES - 1,
         on_wave=lambda depth, death, alive: waves.append((death, alive)),
     )
     sizes = [death.size for death, _ in waves]
@@ -449,15 +448,6 @@ class MartingaleBatch:
     pool_grown: int = 0
     expected_repeat_draws: float = 0.0
     nodes_grown: int = 0
-
-    def to_csv(self, path) -> None:
-        t = repr(float(self.horizon))
-        rows = zip(self.values.tolist(), self.leaf_counts.tolist())
-        text = "sample,t,W,leaves\n" + "".join(
-            [f"{i},{t},{v!r},{c}\n" for i, (v, c) in enumerate(rows)]
-        )
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
 
 
 def _direct_martingale_batch(

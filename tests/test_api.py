@@ -50,3 +50,23 @@ def test_every_export_has_a_non_test_user():
             break
         unused = exports - used
     assert not unused, f"exported but used by the tests alone: {sorted(unused)}"
+
+
+def test_only_the_cli_writes_files_or_knows_csv():
+    # the output formats and the write path live in cli.py alone
+    found = []
+    for path in sorted((ROOT / "src" / "recomblab").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "open" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                found.append((path.name, node.lineno, "open("))
+            elif isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes"):
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+                found.append((path.name, node.lineno, "import csv"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.append((path.name, node.lineno, "from csv import"))
+    assert not found, f"file output or csv outside cli.py: {found}"

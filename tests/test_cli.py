@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -588,12 +589,35 @@ def test_bad_value_exits_2(tmp_path):
     assert r.returncode == 2, r.stderr
 
 
-def test_malformed_start_csv_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        *[
+            (f"index,value\n{row}\n1,0.5\n", "bad row")
+            for row in ["0,abc", "x,0.5", "0", "1,0.5", "0,0.5,1"]
+        ],
+        ("index,value\n0,nan\n1,1.0\n", "non-finite"),
+        ("idx,value\n0,0.5\n1,0.5\n", "expected header"),
+        ("", "expected header"),
+        ("index,value\n0,0.25\n1,0.25\n2,0.5\n", "row count 3 is not 2^n"),
+        ("index,value\n", "row count 0 is not 2^n"),
+        # unreadable files: not UTF-8, a field over csv's size limit, a directory
+        ("index,value\n0,\udcff\n", "cannot read start file"),
+        ("index,value\n0," + "1" * 200_000 + "\n", "cannot read start file"),
+        (None, "cannot read start file"),
+    ],
+    ids=["0,abc", "x,0.5", "0", "1,0.5", "0,0.5,1", "0,nan", "header", "empty",
+         "three-rows", "no-rows", "not-utf8", "huge-field", "directory"],
+)
+def test_malformed_start_csv_exits_2(tmp_path, capsys, text, reason):
     start = tmp_path / "start.csv"
-    start.write_text("index,value\n0,abc\n1,0.5\n")
+    if text is None:
+        start.mkdir()
+    else:
+        start.write_bytes(text.encode(errors="surrogateescape"))
     status = cli.main(["collide", "--a", str(start), "--b", str(start), "--out-dir", str(tmp_path)])
     assert status == 2
-    assert "bad row" in capsys.readouterr().err
+    assert reason in capsys.readouterr().err
 
 
 BAD_COUNTS = [
@@ -693,7 +717,7 @@ def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):
     def fake_run_all(seed, printer=print):
         results = [
             CriterionResult(1, "alpha", True, "ok", 0.0, {}),
-            CriterionResult(2, "beta", False, "broken", 0.0, {}),
+            CriterionResult(2, "beta", False, 'broken, "twice"\nover', 0.25, {}),
         ]
         for r in results:
             printer(r.line)
@@ -702,9 +726,12 @@ def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_all", fake_run_all)
     status = cli.main(["selftest", "--out-dir", str(tmp_path)])
     assert status == 1
-    lines = (tmp_path / "selftest.csv").read_text().splitlines()
-    assert lines[0] == "criterion,slug,passed,seconds,summary"
-    assert lines[2].startswith("2,beta,0,")
+    # a summary with a comma, a quote and a line break is quoted as csv quotes it
+    expect = io.StringIO(newline="")
+    writer = csv.writer(expect, lineterminator="\n")
+    writer.writerow(["criterion", "slug", "passed", "seconds", "summary"])
+    writer.writerows([(1, "alpha", 1, 0.0, "ok"), (2, "beta", 0, 0.25, 'broken, "twice"\nover')])
+    assert (tmp_path / "selftest.csv").read_bytes() == expect.getvalue().encode()
 
     monkeypatch.setattr(
         cli,

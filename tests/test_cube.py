@@ -1,6 +1,7 @@
 """Dense cube representations: pmf/Fourier tables and their invariants."""
 
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -13,6 +14,7 @@ from recomblab import (
     InvalidDistributionError,
     Pmf,
     all_biases,
+    evolve_discrete,
     marginal_bias,
     monochromatic_pmf,
     point_mass,
@@ -26,14 +28,8 @@ from recomblab import (
     wht_forward,
     wht_inverse,
 )
-from recomblab.cube import (
-    _butterfly,
-    _product_coeff_rows,
-    _product_weight_rows,
-    pmf_from_csv,
-    pmf_to_csv,
-    values_to_csv,
-)
+from recomblab import cli
+from recomblab.cube import _butterfly, _product_coeff_rows, _product_weight_rows
 
 RNG = np.random.default_rng(7)
 
@@ -251,36 +247,29 @@ def test_values_csv_bytes_are_the_csv_writer_bytes(tmp_path):
             [0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 1e300, np.inf, -np.inf, np.nan],
         ]
     )
-    path = tmp_path / "values.csv"
-    values_to_csv(path, values)
     expect = io.StringIO(newline="")
     writer = csv.writer(expect, lineterminator="\n")
     writer.writerow(["index", "value"])
     for i, v in enumerate(values):
         writer.writerow([i, repr(float(v))])
-    assert path.read_bytes() == expect.getvalue().encode()
+    ctx = cli.RunContext(command="write-rows", out_dir=tmp_path, parameters={})
+    # plain floats and ints, as the pmf outputs pass them, and numpy scalars
+    for name, rows in [("plain.csv", enumerate(values.tolist())), ("numpy.csv", enumerate(values))]:
+        path = ctx.write_rows(name, ["index", "value"], rows)
+        assert path.read_bytes() == expect.getvalue().encode()
+    assert ctx.outputs[0]["sha256"] == hashlib.sha256(expect.getvalue().encode()).hexdigest()
 
 
 def test_csv_roundtrips(tmp_path):
-    pmf = random_pmf(3, RNG)
-    p = tmp_path / "pmf.csv"
-    pmf_to_csv(pmf, p)
-    assert p.read_text().splitlines()[0] == "index,value"
-    back = pmf_from_csv(p)
-    assert back.n == 3
-    np.testing.assert_array_equal(back.weights, pmf.weights)
-
-
-@pytest.mark.parametrize("row", ["0,abc", "x,0.5", "0", "1,0.5", "0,0.5,1"])
-def test_malformed_csv_row_is_invalid_distribution(tmp_path, row):
-    path = tmp_path / "bad.csv"
-    path.write_text(f"index,value\n{row}\n1,0.5\n")
-    with pytest.raises(InvalidDistributionError, match="bad row"):
-        pmf_from_csv(path)
-
-
-def test_non_finite_csv_weight_is_invalid_distribution(tmp_path):
-    path = tmp_path / "nan.csv"
-    path.write_text("index,value\n0,nan\n1,1.0\n")
-    with pytest.raises(InvalidDistributionError, match="non-finite"):
-        pmf_from_csv(path)
+    # an evolved measure written by the CLI reloads as its start bit for bit
+    args = ["evolve-discrete", "--n", "5", "--start", "mono", "--steps", "3"]
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+    path = tmp_path / "evolved_discrete.csv"
+    assert path.read_text().splitlines()[0] == "index,value"
+    back = cli._load_start(str(path), None)
+    assert back.n == 5
+    np.testing.assert_array_equal(back.weights, evolve_discrete(monochromatic_pmf(5), 3).weights)
+    again = tmp_path / "again"
+    assert cli.main(["evolve-discrete", "--start", str(path), "--steps", "0",
+                     "--out-dir", str(again)]) == 0
+    assert (again / "evolved_discrete.csv").read_bytes() == path.read_bytes()

@@ -7,7 +7,6 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from recomblab import (
-    BudgetError,
     CapacityError,
     DimensionMismatchError,
     collide,
@@ -379,21 +378,21 @@ def test_mono_mixture_window_drops_at_most_the_certified_mass(n):
 
 
 def test_mono_mixture_budget_counts_the_evaluated_cells(monkeypatch):
-    with pytest.raises(BudgetError):
+    with pytest.raises(CapacityError):
         mono_mixture_tv(5, 61)
     # the whole m-range of n = 10^6 would be 10^6 + 1 rows; the window that
     # is over budget at t = 30 is far narrower
-    with pytest.raises(BudgetError) as big:
+    with pytest.raises(CapacityError) as big:
         mono_mixture_tv(10**6, 30)
     assert big.value.stats["counts"] < 10**5
     monkeypatch.setattr(discrete, "_MIXTURE_CELL_BUDGET", 0)
-    with pytest.raises(BudgetError) as small:
+    with pytest.raises(CapacityError) as small:
         mono_mixture_tv(4096, 12)
     stats = small.value.stats
     cells = stats["counts"] * stats["kept_terms"]
     assert stats["counts"] < 4096 + 1
     monkeypatch.setattr(discrete, "_MIXTURE_CELL_BUDGET", cells - 1)
-    with pytest.raises(BudgetError):
+    with pytest.raises(CapacityError):
         mono_mixture_tv(4096, 12)
     monkeypatch.setattr(discrete, "_MIXTURE_CELL_BUDGET", cells)
     assert mono_mixture_tv(4096, 12) == _mono_mixture_tv_all_m(4096, 12)

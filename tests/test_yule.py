@@ -28,7 +28,7 @@ from recomblab import (
     wht_forward,
     wild_mc_estimate,
 )
-from recomblab import yule
+from recomblab import cli, yule
 from recomblab.streams import rng_substream
 
 
@@ -73,11 +73,12 @@ def test_tree_leaf_count_is_geometric():
     assert emp == pytest.approx(expect, abs=4 * sigma)
 
 
-def test_tree_capacity_cap():
+def test_tree_capacity_cap(monkeypatch):
+    monkeypatch.setattr(yule, "MAX_LEAVES", 64)
     rng = rng_substream(11, 2)
     with pytest.raises(CapacityError):
         for _ in range(50):
-            sample_yule(12.0, rng, max_leaves=64)
+            sample_yule(12.0, rng)
 
 
 def test_two_leaf_wave_collides_to_one_self_collision():
@@ -558,28 +559,18 @@ def test_limit_samples_positive_and_tail_estimator():
 
 
 def test_batch_csv_bytes_match_csv_writer(tmp_path):
-    batch = martingale_samples(2.0, 50, rng_substream(11, 35), method="cascade")
-    path = tmp_path / "m.csv"
-    batch.to_csv(path)
+    # `martingale` writes the one chunk of a 50-sample batch as csv.writer would
+    args = ["martingale", "--t", "2.0", "--samples", "50", "--seed", "11", "--method", "cascade"]
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+    batch = martingale_samples(
+        2.0, 50, rng_substream(11, cli.CHUNK_TASK_BASE), method="cascade"
+    )
     expected = io.StringIO(newline="")
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["sample", "t", "W", "leaves"])
     for i, (v, c) in enumerate(zip(batch.values, batch.leaf_counts)):
         writer.writerow([i, repr(float(batch.horizon)), repr(float(v)), int(c)])
-    assert path.read_bytes() == expected.getvalue().encode()
-
-
-def test_batch_csv_roundtrip(tmp_path):
-    rng = rng_substream(11, 21)
-    batch = martingale_samples(2.0, 50, rng)
-    path = tmp_path / "m.csv"
-    batch.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sample,t,W,leaves"
-    assert len(lines) == 51
-    first = lines[1].split(",")
-    assert float(first[2]) == batch.values[0]
-    assert int(first[3]) == batch.leaf_counts[0]
+    assert (tmp_path / "martingale.csv").read_bytes() == expected.getvalue().encode()
 
 
 # -----------------------------------------------------------------------
