@@ -273,3 +273,18 @@ def test_csv_roundtrips(tmp_path):
     assert cli.main(["evolve-discrete", "--start", str(path), "--steps", "0",
                      "--out-dir", str(again)]) == 0
     assert (again / "evolved_discrete.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("row", ["0,abc", "x,0.5", "0", "1,0.5", "0,0.5,1"])
+def test_malformed_csv_row_is_invalid_distribution(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"index,value\n{row}\n1,0.5\n")
+    with pytest.raises(InvalidDistributionError, match="bad row"):
+        cli._load_start(str(path), None)
+
+
+def test_non_finite_csv_weight_is_invalid_distribution(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("index,value\n0,nan\n1,1.0\n")
+    with pytest.raises(InvalidDistributionError, match="non-finite"):
+        cli._load_start(str(path), None)
