@@ -253,6 +253,9 @@ class RunContext:
     # which algorithm each `auto` picked, and how much work it did
     resolved: Dict[str, object] = field(default_factory=dict)
     counters: Dict[str, object] = field(default_factory=dict)
+    # wall seconds of named phases, kept out of the CSVs so that their bytes
+    # depend on the flags and the seed alone
+    phases: Dict[str, float] = field(default_factory=dict)
     started_at: str = ""
     _clock: float = 0.0
 
@@ -295,6 +298,7 @@ class RunContext:
             "capacity_events": self.capacity_events,
             "resolved": self.resolved,
             "counters": self.counters,
+            "phases": self.phases,
             "exit_status": status,
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -595,8 +599,9 @@ def _cmd_spinal_check(ns, ctx: RunContext) -> int:
 
 def _cmd_selftest(ns, ctx: RunContext) -> int:
     results = run_all(ns.seed, printer=print)
-    rows = [(r.number, r.slug, int(r.passed), round(r.seconds, 3), r.summary) for r in results]
-    ctx.write_rows(ns.out, ["criterion", "slug", "passed", "seconds", "summary"], rows)
+    ctx.phases.update((f"criterion_{r.number}", round(r.seconds, 3)) for r in results)
+    rows = [(r.number, r.slug, int(r.passed), r.summary) for r in results]
+    ctx.write_rows(ns.out, ["criterion", "slug", "passed", "summary"], rows)
     return EXIT_OK if all(r.passed for r in results) else 1
 
 

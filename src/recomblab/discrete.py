@@ -8,10 +8,18 @@ is a subset convolution,
 
     (mu∘nu)^(S) = 2^{-|S|} * sum over T ⊆ S of mu^(T) * nu^(S\\T),
 
-which is what the fast paths below compute.  The module also carries the
-fragmentation process that tracks which sites still share ancestry, the exact
-mixture formula for the distance to stationarity from the two-point
-(monochromatic) start, and the closed-form upper bounds.
+which is what the fast paths below compute.  Each collision kernel comes in
+three parts, and a collision is readout(product(lift mu, lift nu)).  The
+pairs kernel sums the disjoint submask pairs, with lift and readout the
+identity.  The ranked kernel (the fast subset convolution of Bjorklund,
+Husfeldt, Kaski and Koivisto) lifts by rank split and zeta transform,
+multiplies the rank polynomials of each mask, and reads out by Moebius
+transform.  The readout maps ring products to collisions, so
+`evolve_discrete` lifts once, squares in the ring and reads out once, and
+the integrator in `yule` lifts and reads out once per step.  The module also
+carries the fragmentation process that tracks which sites still share
+ancestry, the exact mixture formula for the distance to stationarity from
+the two-point (monochromatic) start, and the closed-form upper bounds.
 """
 
 from __future__ import annotations
@@ -141,44 +149,67 @@ def _submask_butterfly(flat: np.ndarray, n: int, op) -> None:
 
 
 def _rank_slices(values: np.ndarray, n: int) -> np.ndarray:
-    """Split by popcount rank and apply the sum-over-submasks transform."""
+    """Lift: split by popcount rank and apply the sum-over-submasks transform."""
     sliced = np.zeros(values.shape[:-1] + ((n + 1) << n,))
     sliced[..., _rank_positions(n)] = values
     _submask_butterfly(sliced.reshape(-1), n, np.add)
     return sliced.reshape(values.shape[:-1] + (n + 1, 1 << n))
 
 
-def _collide_ranked(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """Subset convolution through rank-split zeta/Moebius transforms.
+def _ranked_product(fz: np.ndarray, gz: np.ndarray, n: int) -> np.ndarray:
+    """Ring product of two lifts; overwrites and returns fz.
 
-    O(2^n n^2) instead of O(3^n).  The rank products are accumulated
-    symmetrically, fz[i]*gz[j] + fz[j]*gz[i], so this path is exactly
-    commutative as well; a self-collision transforms its operand once.
+    Per mask, the rank polynomials are multiplied, truncated at degree n, and
+    degree r is scaled by 2^-r.  The rank products are accumulated
+    symmetrically, fz[i]*gz[j] + fz[j]*gz[i], so the product is exactly
+    commutative; ``gz is fz`` squares.
     """
-    fz = _rank_slices(f, n)
-    gz = fz if g is f else _rank_slices(g, n)
     # rank r of the product reads ranks 0..r only, so going from the top
-    # rank down it can overwrite fz[r]
-    acc = np.empty(f.shape)
-    term = np.empty(f.shape)
-    other = np.empty(f.shape)
+    # rank down it can overwrite fz[r].  A square sums each cross product
+    # once and doubles the sum, which is exactly the sum of the doubled
+    # products.
+    square = gz is fz
+    acc = np.empty(fz.shape[:-2] + fz.shape[-1:])
+    term = np.empty(acc.shape)
+    other = np.empty(acc.shape)
     for r in range(n, -1, -1):
         acc.fill(0.0)
-        for i in range(r // 2 + 1):
-            j = r - i
-            np.multiply(fz[..., i, :], gz[..., j, :], out=term)
-            if i != j:
-                if gz is fz:
-                    term += term
-                else:
-                    np.multiply(fz[..., j, :], gz[..., i, :], out=other)
-                    term += other
+        for i in range((r + 1) // 2):
+            np.multiply(fz[..., i, :], gz[..., r - i, :], out=term)
+            if not square:
+                np.multiply(fz[..., r - i, :], gz[..., i, :], out=other)
+                term += other
             acc += term
-        fz[..., r, :] = acc
-    _submask_butterfly(fz.reshape(-1), n, np.subtract)
-    out = fz.reshape(f.shape[:-1] + (-1,))[..., _rank_positions(n)]
-    out *= _subset_scale(n)
-    return out
+        if square:
+            acc += acc
+        if r % 2 == 0:
+            np.multiply(fz[..., r // 2, :], gz[..., r // 2, :], out=term)
+            acc += term
+        np.multiply(acc, 0.5**r, out=fz[..., r, :])
+    return fz
+
+
+def _rank_readout(z: np.ndarray, n: int) -> np.ndarray:
+    """Readout: the inverse transform, in place on z, then the rank-|S|
+    entry of every mask S."""
+    _submask_butterfly(z.reshape(-1), n, np.subtract)
+    return z.reshape(z.shape[:-2] + (-1,))[..., _rank_positions(n)]
+
+
+def _unchanged(values: np.ndarray, n: int) -> np.ndarray:
+    return values
+
+
+# (lift, product, readout) of each kernel; a product may overwrite its first
+# operand and a readout its operand.  A ranked lift has no Moebius mass below
+# rank |S| at mask S, ring products keep that, and the mass above rank |S|
+# never reaches the readout, so the readout maps ring products to collisions:
+# a run of products can stay lifted between one lift and one readout.  The
+# 2^-r scale of rank r is a power of two, so it changes no rounding.
+_KERNELS = {
+    "pairs": (_unchanged, _collide_pairs, _unchanged),
+    "ranked": (_rank_slices, _ranked_product, _rank_readout),
+}
 
 
 def resolve_collision_method(n: int, method: str = "auto") -> str:
@@ -192,10 +223,28 @@ def resolve_collision_method(n: int, method: str = "auto") -> str:
     return "pairs" if n <= PAIRS_AUTO_SITE_MAX else "ranked"
 
 
+def _collision_kernel(n: int, method: str = "auto"):
+    """The (lift, product, readout) parts of the kernel `method` names on n
+    sites, after its site cap is checked."""
+    method = resolve_collision_method(n, method)
+    if method not in _KERNELS:
+        raise ValueError(f"unknown collision method {method!r}")
+    cap = PAIR_TABLE_SITE_CAP if method == "pairs" else COLLIDE_SITE_CAP
+    if n > cap:
+        raise CapacityError(f"{method} collisions are capped at n={cap}, got n={n}")
+    return _KERNELS[method]
+
+
 def collide_coeffs(
     f: np.ndarray, g: np.ndarray, n: int, method: str = "auto"
 ) -> np.ndarray:
     """Collision product on raw coefficient vectors (no validation).
+
+    A collision is readout(product(lift f, lift g)) with the parts of the
+    kernel: identity, disjoint-pair sums and identity for `pairs`; rank
+    split plus zeta transform, truncated product of the rank polynomials
+    with degree r scaled by 2^-r, and Moebius transform plus the
+    popcount-|S| entry of each mask S for `ranked`.
 
     The operands are vectors or (k, 2^n) stacks of rows.  A stack is collided
     in blocks of about _ROW_TERMS_CAP products, and each row equals the call
@@ -212,21 +261,20 @@ def collide_coeffs(
         14   43   / 23           13   / 8.7    1019 ms
     """
     method = resolve_collision_method(n, method)
-    if method not in ("pairs", "ranked"):
-        raise ValueError(f"unknown collision method {method!r}")
-    pairs = method == "pairs"
-    cap = PAIR_TABLE_SITE_CAP if pairs else COLLIDE_SITE_CAP
-    if n > cap:
-        raise CapacityError(f"{method} collisions are capped at n={cap}, got n={n}")
-    kernel = _collide_pairs if pairs else _collide_ranked
+    lift, product, readout = _collision_kernel(n, method)
+
+    def kernel(a, b):
+        lifted = lift(a, n)
+        return readout(product(lifted, lifted if b is a else lift(b, n), n), n)
+
     if f.ndim == 1:
-        return kernel(f, g, n)
+        return kernel(f, g)
     # a row takes about 3^n pair products, or (n+1) 2^n rank-split entries
-    step = max(1, _ROW_TERMS_CAP // (3**n if pairs else (n + 1) << n))
+    step = max(1, _ROW_TERMS_CAP // (3**n if method == "pairs" else (n + 1) << n))
     out = np.empty(f.shape)
     for lo in range(0, f.shape[0], step):
         rows = f[lo : lo + step]
-        out[lo : lo + step] = kernel(rows, rows if g is f else g[lo : lo + step], n)
+        out[lo : lo + step] = kernel(rows, rows if g is f else g[lo : lo + step])
     return out
 
 
@@ -273,13 +321,22 @@ def collide_direct(mu: Pmf, nu: Pmf) -> Pmf:
 
 
 def evolve_discrete(mu: Pmf, steps: int) -> Pmf:
-    """State after `steps` rounds of self-collision."""
+    """State after `steps` rounds of self-collision.
+
+    The state stays in the collision kernel's lifted domain: one lift,
+    `steps` ring squares and one readout.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    n = mu.n
     coeffs = wht_forward(mu).coeffs
-    for _ in range(steps):
-        coeffs = collide_coeffs(coeffs, coeffs, mu.n)
-    return wht_inverse(FourierTable(mu.n, coeffs))
+    if steps:
+        lift, product, readout = _collision_kernel(n)
+        state = lift(coeffs, n)
+        for _ in range(steps):
+            state = product(state, state, n)
+        coeffs = readout(state, n)
+    return wht_inverse(FourierTable(n, coeffs))
 
 
 def _draw_spins(mu: Pmf, count: int, rng: np.random.Generator) -> np.ndarray:

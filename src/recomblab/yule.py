@@ -32,7 +32,7 @@ import numpy as np
 from .cube import FourierTable, Pmf, _butterfly, wht_forward, wht_inverse
 from .cube import _product_coeff_rows, _product_weight_rows
 from .errors import CapacityError, InvalidDistributionError, NumericalInvariantError
-from .discrete import _draw_spins, collide_coeffs
+from .discrete import _collision_kernel, _draw_spins, collide_coeffs
 
 # leaves one sample_yule tree may reach before it raises a capacity error
 MAX_LEAVES = 1 << 22
@@ -233,18 +233,23 @@ COEFF_BOX_TOL = 1e-9
 RK4_STEP_CAP = 1_000_000
 
 
-def _collision_field(coeffs: np.ndarray, n: int) -> np.ndarray:
-    return collide_coeffs(coeffs, coeffs, n) - coeffs
+def _collision_field(state: np.ndarray, product, n: int) -> np.ndarray:
+    # a ring product may overwrite its first operand, so it squares a copy
+    square = state.copy()
+    return product(square, square, n) - state
 
 
 def evolve_continuous(mu: Pmf, t: float, step: float = 0.01) -> Pmf:
     """Integrate the character-space ODE with fixed-step classical order 4.
 
-    The horizon is split into equal steps no longer than `step`.  The
-    empty-set coefficient is held at exactly 1 and every coefficient must
-    stay inside [-1-tol, 1+tol]; leaving that box aborts the run, since it
-    means the trajectory is no longer a probability measure.  More than
-    RK4_STEP_CAP steps raise CapacityError before any is taken.
+    The horizon is split into equal steps no longer than `step`.  Each step
+    lifts the coefficients into the collision kernel's domain once, takes
+    all four stages there and reads the result out once (see
+    `discrete.collide_coeffs`).  The empty-set coefficient is then held at
+    exactly 1 and every coefficient must stay inside [-1-tol, 1+tol];
+    leaving that box aborts the run, since it means the trajectory is no
+    longer a probability measure.  More than RK4_STEP_CAP steps raise
+    CapacityError before any is taken.
     """
     if t < 0:
         raise ValueError("horizon must be >= 0")
@@ -259,13 +264,15 @@ def evolve_continuous(mu: Pmf, t: float, step: float = 0.01) -> Pmf:
     n = mu.n
     nsteps = max(1, round(t / step))
     h = t / nsteps
-    c = wht_forward(mu).coeffs.copy()
+    lift, product, readout = _collision_kernel(n)
+    c = wht_forward(mu).coeffs
     for _ in range(nsteps):
-        k1 = _collision_field(c, n)
-        k2 = _collision_field(c + (0.5 * h) * k1, n)
-        k3 = _collision_field(c + (0.5 * h) * k2, n)
-        k4 = _collision_field(c + h * k3, n)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z = lift(c, n)
+        k1 = _collision_field(z, product, n)
+        k2 = _collision_field(z + (0.5 * h) * k1, product, n)
+        k3 = _collision_field(z + (0.5 * h) * k2, product, n)
+        k4 = _collision_field(z + h * k3, product, n)
+        c = readout(z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), n)
         c[0] = 1.0
         worst = float(np.abs(c).max())
         if worst > 1.0 + COEFF_BOX_TOL:

@@ -731,8 +731,8 @@ def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):
     # a summary with a comma, a quote and a line break is quoted as csv quotes it
     expect = io.StringIO(newline="")
     writer = csv.writer(expect, lineterminator="\n")
-    writer.writerow(["criterion", "slug", "passed", "seconds", "summary"])
-    writer.writerows([(1, "alpha", 1, 0.0, "ok"), (2, "beta", 0, 0.25, 'broken, "twice"\nover')])
+    writer.writerow(["criterion", "slug", "passed", "summary"])
+    writer.writerows([(1, "alpha", 1, "ok"), (2, "beta", 0, 'broken, "twice"\nover')])
     assert (tmp_path / "selftest.csv").read_bytes() == expect.getvalue().encode()
 
     monkeypatch.setattr(
@@ -741,3 +741,26 @@ def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):
         lambda seed, printer=print: [CriterionResult(1, "alpha", True, "ok", 0.0, {})],
     )
     assert cli.main(["selftest", "--out-dir", str(tmp_path)]) == 0
+
+
+def test_selftest_csv_does_not_depend_on_timing(tmp_path, monkeypatch):
+    # the same verdicts at two different timings give the same csv bytes;
+    # each criterion's seconds go to the manifest instead
+    from recomblab.acceptance import CriterionResult
+
+    tables, timings = [], []
+    for k, seconds in enumerate((0.125, 17.5)):
+        results = [
+            CriterionResult(1, "alpha", True, "ok", seconds, {}),
+            CriterionResult(2, "beta", False, "off", 2 * seconds, {}),
+        ]
+        monkeypatch.setattr(cli, "run_all", lambda seed, printer=print, rs=results: rs)
+        out = tmp_path / str(k)
+        assert cli.main(["selftest", "--out-dir", str(out)]) == 1
+        tables.append((out / "selftest.csv").read_bytes())
+        timings.append(json.loads((out / "selftest_manifest.json").read_text())["phases"])
+    assert tables[0] == tables[1]
+    assert timings == [
+        {"criterion_1": 0.125, "criterion_2": 0.25},
+        {"criterion_1": 17.5, "criterion_2": 35.0},
+    ]

@@ -9,6 +9,7 @@ from scipy.special import gammaln, logsumexp
 from recomblab import (
     CapacityError,
     DimensionMismatchError,
+    FourierTable,
     collide,
     collide_coeffs,
     collide_direct,
@@ -28,6 +29,7 @@ from recomblab import (
     tv_distance,
     uniform_pmf,
     wht_forward,
+    wht_inverse,
 )
 from recomblab import discrete
 from recomblab.discrete import PAIRS_AUTO_SITE_MAX, _disjoint_pair_tables
@@ -157,6 +159,40 @@ def test_evolution_converges_to_bias_matched_product():
     target = stationary_product(pmf)
     final = evolve_discrete(pmf, 40)
     assert tv_distance(final, target) < 1e-10
+
+
+def _evolve_by_collisions(mu, checkpoints):
+    """The weights after each checkpoint round of one collide_coeffs call per
+    round: the oracle for evolve_discrete, which stays lifted between rounds."""
+    coeffs = wht_forward(mu).coeffs
+    states = {}
+    for step in range(1, max(checkpoints) + 1):
+        coeffs = collide_coeffs(coeffs, coeffs, mu.n)
+        if step in checkpoints:
+            states[step] = wht_inverse(FourierTable(mu.n, coeffs)).weights
+    return states
+
+
+@pytest.mark.parametrize("n", [11, 12, 16])
+def test_evolve_discrete_from_mono_is_the_collision_loop_bit_for_bit(n):
+    mono = monochromatic_pmf(n)
+    for steps, oracle in _evolve_by_collisions(mono, (1, 8, 16, 30)).items():
+        assert evolve_discrete(mono, steps).weights.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("n", [11, 12, 13, 14])
+def test_evolve_discrete_from_random_start_matches_the_collision_loop(n):
+    mu = random_pmf(n, np.random.default_rng(70 + n))
+    oracle = _evolve_by_collisions(mu, (8,))[8]
+    np.testing.assert_allclose(evolve_discrete(mu, 8).weights, oracle, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [4, 9, 10])
+def test_evolve_discrete_with_pairs_is_the_collision_loop_bit_for_bit(n):
+    # the pairs kernel has no lift, so nothing may change a bit
+    for mu in (monochromatic_pmf(n), random_pmf(n, np.random.default_rng(80 + n))):
+        for steps, oracle in _evolve_by_collisions(mu, (1, 8)).items():
+            assert evolve_discrete(mu, steps).weights.tobytes() == oracle.tobytes()
 
 
 def test_trajectory_distances_decrease_eventually():

@@ -10,6 +10,8 @@ from scipy import stats as sps
 
 from recomblab import (
     CapacityError,
+    FourierTable,
+    NumericalInvariantError,
     Pmf,
     collide_coeffs,
     double_quenched_estimate,
@@ -26,6 +28,7 @@ from recomblab import (
     tail_probability_from_samples,
     tv_distance,
     wht_forward,
+    wht_inverse,
     wild_mc_estimate,
 )
 from recomblab import cli, yule
@@ -127,6 +130,48 @@ def test_continuous_trajectory_monotone_times():
     target = stationary_product(mu)
     d = [tv_distance(evolve_continuous(mu, t), target) for t in (0.5, 1.0, 2.0)]
     assert d[0] > d[1] > d[2]
+
+
+def _rk4_by_collisions(mu, t, step):
+    """evolve_continuous with one collide_coeffs call per stage: the oracle
+    for the integrator, which lifts once per step."""
+    n = mu.n
+    nsteps = max(1, round(t / step))
+    h = t / nsteps
+
+    def field(c):
+        return collide_coeffs(c, c, n) - c
+
+    c = wht_forward(mu).coeffs
+    for _ in range(nsteps):
+        k1 = field(c)
+        k2 = field(c + (0.5 * h) * k1)
+        k3 = field(c + (0.5 * h) * k2)
+        k4 = field(c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c[0] = 1.0
+    return wht_inverse(FourierTable(n, c)).weights
+
+
+@pytest.mark.parametrize("n", [4, 10, 11, 12])
+def test_continuous_steps_match_the_per_collision_integrator(n):
+    # the pairs kernel (n <= 10) has no lift and keeps every bit; the ranked
+    # kernel takes all four stages of a step in its ring
+    for mu in (monochromatic_pmf(n), random_pmf(n, rng_substream(11, 40 + n))):
+        out = evolve_continuous(mu, 0.5, step=0.01).weights
+        oracle = _rk4_by_collisions(mu, 0.5, 0.01)
+        if n <= 10:
+            assert out.tobytes() == oracle.tobytes()
+        else:
+            np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "n, step, magnitude", [(11, 3.0, "1.23"), (4, 4.0, "2.06")]
+)
+def test_too_long_steps_leave_the_unit_box(n, step, magnitude):
+    with pytest.raises(NumericalInvariantError, match=f"magnitude {magnitude}"):
+        evolve_continuous(monochromatic_pmf(n), 24.0, step=step)
 
 
 # -----------------------------------------------------------------------
