@@ -25,7 +25,6 @@ from .cube import (
 )
 from .discrete import (
     DiscreteUpperBounds,
-    collide,
     collide_coeffs,
     collide_direct,
     collide_pmf,
@@ -49,10 +48,7 @@ from .profiles import (
     ContinuousBlockReport,
     DensityBoundCheck,
     DiscreteBlockReport,
-    ProfilePoint,
     check_l1_l2_bound,
-    continuous_profile,
-    discrete_profile,
     gaussian_tv,
     gaussian_tv_asymptotics,
     gaussian_tv_complement,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class CriterionResult:
     passed: bool
     summary: str
     seconds: float
-    details: Dict[str, object] = field(default_factory=dict)
 
     @property
     def line(self) -> str:
@@ -45,19 +44,17 @@ class CriterionResult:
 class Criterion:
     number: int
     slug: str
-    title: str
     fn: Callable[[int], tuple]
 
     def run(self, seed: int = DEFAULT_SEED) -> CriterionResult:
         start = time.perf_counter()
-        passed, summary, details = self.fn(seed)
+        passed, summary = self.fn(seed)
         return CriterionResult(
             number=self.number,
             slug=self.slug,
             passed=passed,
             summary=summary,
             seconds=time.perf_counter() - start,
-            details=details,
         )
 
 
@@ -77,9 +74,7 @@ def _criterion_1(seed: int):
         )
         worst = max(worst, gap)
     ok = worst <= 1e-12
-    return ok, f"200 random pairs, n<=6, max weight gap {worst:.2e} (tol 1e-12)", {
-        "worst_gap": worst
-    }
+    return ok, f"200 random pairs, n<=6, max weight gap {worst:.2e} (tol 1e-12)"
 
 
 def _criterion_2(seed: int):
@@ -92,9 +87,7 @@ def _criterion_2(seed: int):
             tv = cube.tv_distance(discrete.evolve_discrete(mono, t), pi)
             worst = max(worst, abs(tv - discrete.mono_mixture_tv(n, t)))
     ok = worst <= 1e-10
-    return ok, f"n<=12, t<=10, max |tv - mixture formula| {worst:.2e} (tol 1e-10)", {
-        "worst_gap": worst
-    }
+    return ok, f"n<=12, t<=10, max |tv - mixture formula| {worst:.2e} (tol 1e-10)"
 
 
 def _criterion_3(seed: int):
@@ -120,7 +113,6 @@ def _criterion_3(seed: int):
         ok,
         f"max gap at n=4096 {worst:.2e} (tol 0.03); "
         f"shrinks from n=1024 max {max(gaps[1024]):.2e}: {shrinking}",
-        {"gaps_1024": gaps[1024], "gaps_4096": gaps[4096]},
     )
 
 
@@ -153,21 +145,17 @@ def _criterion_4(seed: int):
     return (
         ok,
         f"{checked} states, {plateau_cases} plateau cases, {violations} violations",
-        {"violations": violations, "plateau_cases": plateau_cases},
     )
 
 
 def _criterion_5(seed: int):
     """Fixed-step distances at n=2000 sit on the large-n limit values."""
     worst = 0.0
-    vals = {}
     for t in (1, 2, 3):
         v = discrete.mono_mixture_tv(2000, t)
-        lim = profiles.mono_tv_large_n_limit(t)
-        vals[t] = (v, lim)
-        worst = max(worst, abs(v - lim))
+        worst = max(worst, abs(v - profiles.mono_tv_large_n_limit(t)))
     ok = worst <= 0.01
-    return ok, f"t in 1..3, max |tv - limit| {worst:.2e} (tol 0.01)", {"values": vals}
+    return ok, f"t in 1..3, max |tv - limit| {worst:.2e} (tol 0.01)"
 
 
 def _criterion_6(seed: int):
@@ -175,7 +163,7 @@ def _criterion_6(seed: int):
     vals = [discrete.mono_mixture_tv(200, t) for t in range(0, 14)]
     bump = max(vals[i + 1] - vals[i] for i in range(len(vals) - 1))
     ok = bump > 0.05
-    return ok, f"max one-step increase {bump:.4f} (needs > 0.05)", {"curve": vals}
+    return ok, f"max one-step increase {bump:.4f} (needs > 0.05)"
 
 
 def _criterion_7(seed: int):
@@ -198,7 +186,6 @@ def _criterion_7(seed: int):
     return (
         ok,
         f"closed-form error {worst:.2e} (tol 1e-6), halving ratio {ratio:.2f} in [12,20]",
-        {"worst": worst, "halving_ratio": ratio},
     )
 
 
@@ -240,12 +227,6 @@ def _criterion_8(seed: int):
         ok,
         f"tree-average max z {wz:.2f}, quenched-average max z {dz:.2f} (<=4); "
         f"deterministic coeffs gap {max(wg, dg):.1e}",
-        {
-            "wild_max_z": wz,
-            "dq_max_z": dz,
-            "wild_exact_gap": wg,
-            "dq_exact_gap": dg,
-        },
     )
 
 
@@ -274,7 +255,7 @@ def _criterion_9(seed: int):
         report = yule.spinal_identity_check(t, 200_000, rng_substream(seed, 9200 + k))
         ok = ok and report.passed
         parts.append(f"spinal(t={t:g}) {'ok' if report.passed else 'FAIL'}")
-    return ok, "; ".join(parts), {}
+    return ok, "; ".join(parts)
 
 
 def _criterion_10(seed: int):
@@ -291,7 +272,6 @@ def _criterion_10(seed: int):
         ok,
         f"log tails {logs[0]:.3f} > {logs[1]:.3f} > {logs[2]:.3f}, "
         f"decrements {drop1:.3f} -> {drop2:.3f} growing",
-        {"log_tails": logs},
     )
 
 
@@ -307,8 +287,7 @@ def _criterion_11(seed: int):
         dev = f - 1.0
         l1h = 0.5 * (p * np.abs(dev)).sum(axis=1)
         l2 = np.sqrt((p * dev * dev).sum(axis=1))
-        bound = np.where(l2 <= 1.0, l2 / 2.0, l2 * l2 / (1.0 + l2 * l2))
-        violations += int((l1h > bound + 1e-12).sum())
+        violations += int((l1h > profiles.l1_from_l2_bound(l2) + 1e-12).sum())
     worst_eq = 0.0
     for a in (0.3, 0.7, 1.0):
         chk = profiles.check_l1_l2_bound(*profiles.two_valued_extremal_density(0.5, a))
@@ -322,7 +301,6 @@ def _criterion_11(seed: int):
     return (
         ok,
         f"1e5 densities, {violations} violations; extremal equality gap {worst_eq:.1e}",
-        {"violations": violations, "equality_gap": worst_eq},
     )
 
 
@@ -352,11 +330,6 @@ def _criterion_12(seed: int):
         f"{rep.large_scale_ratio:.4f} vs gate [0.95, 1.05] "
         f"({'ok' if rep.passed_large else 'FAIL'}; halved diagnostic "
         f"{rep.large_scale_ratio_halved:.4f})",
-        {
-            "small_ratio": rep.small_scale_ratio,
-            "large_ratio": rep.large_scale_ratio,
-            "large_ratio_halved": rep.large_scale_ratio_halved,
-        },
     )
 
 
@@ -378,11 +351,6 @@ def _criterion_13(seed: int):
         f"rare-event mass {rep.stationary_event:.2e} <= 1/20; "
         f"second-moment bound {rep.paley_zygmund_bound:.3f} >= 1/12; "
         f"tv lower bound {rep.tv_lower_bound:.4f} > 0.9",
-        {
-            "first_rel": first_rel,
-            "second_rel": second_rel,
-            "tv_lower_bound": rep.tv_lower_bound,
-        },
     )
 
 
@@ -408,25 +376,24 @@ def _criterion_14(seed: int):
         ok,
         f"constant-input gap {worst_const:.1e} (tol 1e-6); monotone {monotone}; "
         f"two-seed gap {seed_gap:.4f} (tol 0.01)",
-        {"constant_gap": worst_const, "seed_gap": seed_gap, "profile": prof_a},
     )
 
 
 CRITERIA: List[Criterion] = [
-    Criterion(1, "collision-oracle", "Fourier collision vs direct construction", _criterion_1),
-    Criterion(2, "mixture-formula", "mixture distance vs exact evolution", _criterion_2),
-    Criterion(3, "gaussian-profile", "cutoff window approaches the Gaussian profile", _criterion_3),
-    Criterion(4, "upper-bounds", "site and plateau bounds never violated", _criterion_4),
-    Criterion(5, "fixed-step-limit", "large-n fixed-step limit values", _criterion_5),
-    Criterion(6, "non-monotone", "distance curve rises after collapse", _criterion_6),
-    Criterion(7, "integrator", "closed form and order-4 convergence", _criterion_7),
-    Criterion(8, "stochastic-representations", "tree and quenched averages match the semigroup", _criterion_8),
-    Criterion(9, "martingale-checks", "means, below-one mass, size-biased identity", _criterion_9),
-    Criterion(10, "limit-tail", "limit small-value tail steepens", _criterion_10),
-    Criterion(11, "l1-l2-bound", "density bound holds with tight extremals", _criterion_11),
-    Criterion(12, "profile-asymptotics", "asymptotic ratio gates at both extremes", _criterion_12),
-    Criterion(13, "block-lower-bound", "exact block experiment certifies 0.9", _criterion_13),
-    Criterion(14, "mixture-profile", "mixture profile equivalence and stability", _criterion_14),
+    Criterion(1, "collision-oracle", _criterion_1),
+    Criterion(2, "mixture-formula", _criterion_2),
+    Criterion(3, "gaussian-profile", _criterion_3),
+    Criterion(4, "upper-bounds", _criterion_4),
+    Criterion(5, "fixed-step-limit", _criterion_5),
+    Criterion(6, "non-monotone", _criterion_6),
+    Criterion(7, "integrator", _criterion_7),
+    Criterion(8, "stochastic-representations", _criterion_8),
+    Criterion(9, "martingale-checks", _criterion_9),
+    Criterion(10, "limit-tail", _criterion_10),
+    Criterion(11, "l1-l2-bound", _criterion_11),
+    Criterion(12, "profile-asymptotics", _criterion_12),
+    Criterion(13, "block-lower-bound", _criterion_13),
+    Criterion(14, "mixture-profile", _criterion_14),
 ]
 
 

@@ -14,7 +14,8 @@ pairs kernel sums the disjoint submask pairs, with lift and readout the
 identity.  The ranked kernel (the fast subset convolution of Bjorklund,
 Husfeldt, Kaski and Koivisto) lifts by rank split and zeta transform,
 multiplies the rank polynomials of each mask, and reads out by Moebius
-transform.  The readout maps ring products to collisions, so
+transform; both transforms run on the butterfly that `cube` shares with
+the Walsh transform.  The readout maps ring products to collisions, so
 `evolve_discrete` lifts once, squares in the ring and reads out once, and
 the integrator in `yule` lifts and reads out once per step.  The module also
 carries the fragmentation process that tracks which sites still share
@@ -34,6 +35,7 @@ import numpy as np
 from .cube import (
     FourierTable,
     Pmf,
+    _butterfly,
     popcount_table,
     wht_forward,
     wht_inverse,
@@ -127,32 +129,11 @@ def _collide_pairs(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _submask_butterfly(flat: np.ndarray, n: int, op) -> None:
-    """Sum over submasks (op=np.add) or its inverse (op=np.subtract), in
-    place, on every 2^n-long block of `flat`.
-
-    Half-widths 2 and 4 run as that many strided 1-D updates: the blocked
-    (rows, 2, h) view would make numpy loop over h innermost, several times
-    slower at those widths.  Each entry gets the same single update either
-    way, so the result does not depend on the choice.
-    """
-    for i in range(n):
-        h = 1 << i
-        step = 2 * h
-        if h in (2, 4):
-            for k in range(h):
-                upper = flat[k + h :: step]
-                op(upper, flat[k::step], out=upper)
-        else:
-            blk = flat.reshape(-1, 2, h)
-            op(blk[:, 1, :], blk[:, 0, :], out=blk[:, 1, :])
-
-
 def _rank_slices(values: np.ndarray, n: int) -> np.ndarray:
     """Lift: split by popcount rank and apply the sum-over-submasks transform."""
     sliced = np.zeros(values.shape[:-1] + ((n + 1) << n,))
     sliced[..., _rank_positions(n)] = values
-    _submask_butterfly(sliced.reshape(-1), n, np.add)
+    _butterfly(sliced, n, np.add)
     return sliced.reshape(values.shape[:-1] + (n + 1, 1 << n))
 
 
@@ -192,7 +173,7 @@ def _ranked_product(fz: np.ndarray, gz: np.ndarray, n: int) -> np.ndarray:
 def _rank_readout(z: np.ndarray, n: int) -> np.ndarray:
     """Readout: the inverse transform, in place on z, then the rank-|S|
     entry of every mask S."""
-    _submask_butterfly(z.reshape(-1), n, np.subtract)
+    _butterfly(z, n, np.subtract)
     return z.reshape(z.shape[:-2] + (-1,))[..., _rank_positions(n)]
 
 
@@ -278,19 +259,16 @@ def collide_coeffs(
     return out
 
 
-def collide(a: FourierTable, b: FourierTable) -> FourierTable:
-    """Collision product of two measures given in character coordinates.
-
-    Exactly commutative: collide(a, b) and collide(b, a) agree bit for bit.
-    """
-    if a.n != b.n:
-        raise DimensionMismatchError("operands live on different cubes")
-    return FourierTable(a.n, collide_coeffs(a.coeffs, b.coeffs, a.n))
-
-
 def collide_pmf(mu: Pmf, nu: Pmf) -> Pmf:
-    """Collision product in the weight representation (transform round trip)."""
-    return wht_inverse(collide(wht_forward(mu), wht_forward(nu)))
+    """Collision product in the weight representation (transform round trip).
+
+    Exactly commutative: collide_pmf(mu, nu) and collide_pmf(nu, mu) agree
+    bit for bit.
+    """
+    if mu.n != nu.n:
+        raise DimensionMismatchError("operands live on different cubes")
+    coeffs = collide_coeffs(wht_forward(mu).coeffs, wht_forward(nu).coeffs, mu.n)
+    return wht_inverse(FourierTable(mu.n, coeffs))
 
 
 def collide_direct(mu: Pmf, nu: Pmf) -> Pmf:

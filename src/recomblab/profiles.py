@@ -8,7 +8,9 @@ evaluates it for a batch of martingale samples exactly, at the single
 crossing of the two densities.  The module also carries the exact
 n-to-infinity fixed-step limit, asymptotic ratio diagnostics, the L1-from-L2
 bound for densities on finite spaces, and the two block-magnetization
-experiments that certify distance lower bounds.
+experiments that certify distance lower bounds.  The command-line profile
+tables are built in `cli` straight from `gaussian_tv`, `mixture_profile_tv`
+and `discrete.mono_mixture_tv`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 # scipy.special is imported inside the functions that call it, so commands
 # that never evaluate a special function start without it
 
-from .discrete import mono_mixture_tv
 from .errors import (
     CapacityError,
     ConfigError,
@@ -84,12 +85,9 @@ class AsymptoticsReport:
     reported alongside as a diagnostic.
     """
 
-    small_scale: float
     small_scale_ratio: float
-    large_scale: float
     large_scale_ratio: float
     large_scale_ratio_halved: float
-    center_value: float
     passed_small: bool
     passed_large: bool
 
@@ -100,12 +98,9 @@ def gaussian_tv_asymptotics() -> AsymptoticsReport:
     complement = gaussian_tv_complement(large_s)
     ratio_large = complement * math.sqrt(2.0 * math.pi * large_s / math.log(large_s))
     return AsymptoticsReport(
-        small_scale=small_s,
         small_scale_ratio=ratio_small,
-        large_scale=large_s,
         large_scale_ratio=ratio_large,
         large_scale_ratio_halved=ratio_large / 2.0,
-        center_value=gaussian_tv(1.0),
         passed_small=abs(ratio_small - 1.0) <= _ASYMPTOTIC_SMALL_TOL,
         passed_large=abs(ratio_large - 1.0) <= _ASYMPTOTIC_LARGE_TOL,
     )
@@ -138,14 +133,6 @@ def mono_tv_large_n_limit(t: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _window_scale(window: float) -> float:
-    """e^(-lambda/2), the factor on the martingale at window lambda = `window`."""
-    try:
-        return math.exp(-window / 2.0)
-    except OverflowError:
-        raise ConfigError(f"window lambda = {window}: e^(-lambda/2) overflows") from None
-
-
 def mixture_profile_tv(window: float, martingale_values: Sequence[float]) -> float:
     """Distance between N(0,1) and the mixture of N(0, 1+a) over the samples.
 
@@ -165,7 +152,10 @@ def mixture_profile_tv(window: float, martingale_values: Sequence[float]) -> flo
         raise InvalidDistributionError("need at least one martingale sample")
     if not np.isfinite(values).all() or values.min() <= 0.0:
         raise InvalidDistributionError("martingale samples must be finite and > 0")
-    excess = _window_scale(window) * values
+    try:
+        excess = math.exp(-window / 2.0) * values
+    except OverflowError:
+        raise ConfigError(f"window lambda = {window}: e^(-lambda/2) overflows") from None
     if not np.isfinite(excess).all():
         raise ConfigError(f"window lambda = {window}: e^(-lambda/2) W overflows")
     live = excess[excess > 0.0]
@@ -200,11 +190,16 @@ def mixture_profile_tv(window: float, martingale_values: Sequence[float]) -> flo
 # ---------------------------------------------------------------------------
 
 
-def l1_from_l2_bound(x: float) -> float:
-    """Best bound on half the L1 deviation given the L2 deviation x."""
-    if x < 0:
-        raise InvalidDistributionError(f"L2 deviation must be >= 0, got {x}")
-    return x / 2.0 if x <= 1.0 else x * x / (1.0 + x * x)
+def l1_from_l2_bound(x):
+    """Best bound on half the L1 deviation given the L2 deviation x.
+
+    Elementwise for an array of deviations; a float in, a float out.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if (x < 0).any():
+        raise InvalidDistributionError(f"L2 deviation must be >= 0, got {x.min()}")
+    bound = np.where(x <= 1.0, x / 2.0, x * x / (1.0 + x * x))
+    return bound if bound.ndim else float(bound)
 
 
 @dataclass(frozen=True)
@@ -557,57 +552,3 @@ def lowerbound_experiment_continuous(
         first_moment_max_abs_z=float(np.abs(moment_zs).max()),
         second_moment_bound_ok=second_ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# profile drivers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProfilePoint:
-    window: float
-    scale: float
-    tv: float
-    bound_upper: Optional[float]
-    bound_lower: Optional[float]
-
-
-def discrete_profile(
-    n: int, windows: Sequence[int], t_base: Optional[int] = None
-) -> list[ProfilePoint]:
-    """Exact two-point-start profile at steps t_base + window."""
-    if t_base is None:
-        t_base = round(math.log2(n))
-    points = []
-    for w in windows:
-        t = t_base + w
-        if t < 0:
-            raise ConfigError(f"window {w} puts the step count below zero")
-        scale = n * 2.0 ** (-t)
-        points.append(
-            ProfilePoint(
-                window=float(w),
-                scale=scale,
-                tv=mono_mixture_tv(n, t),
-                bound_upper=min(1.0, scale),
-                bound_lower=None,
-            )
-        )
-    return points
-
-
-def continuous_profile(
-    windows: Sequence[float], martingale_values: Sequence[float]
-) -> list[ProfilePoint]:
-    """Mixture profile on a window grid from one martingale batch."""
-    return [
-        ProfilePoint(
-            window=float(w),
-            scale=_window_scale(w),
-            tv=mixture_profile_tv(w, martingale_values),
-            bound_upper=None,
-            bound_lower=None,
-        )
-        for w in windows
-    ]

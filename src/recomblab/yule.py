@@ -400,7 +400,10 @@ def wild_mc_estimate(
                     sites=mu.n,
                 )
             coeffs = np.concatenate([_collide_waves(c, base, mu.n) for c in chunks])
-            yield _butterfly(coeffs.T, -1).T / cells, coeffs
+            weights = coeffs.copy()
+            _butterfly(weights, mu.n, np.add, np.subtract)
+            weights /= cells
+            yield weights, coeffs
 
     return _accumulate_measures(batches(), mu.n, m, t)
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,15 +176,16 @@ def test_chunk_plan_is_worker_free_and_covers_total():
 # -----------------------------------------------------------------------
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    args = ["martingale", "--t", "2.5", "--samples", "400", "--seed", "77"]
-    r1 = run_cli(args + ["--out-dir", str(tmp_path / "a")], tmp_path)
-    r2 = run_cli(args + ["--out-dir", str(tmp_path / "b")], tmp_path)
-    assert r1.returncode == 0, r1.stderr
-    assert r2.returncode == 0, r2.stderr
-    a = (tmp_path / "a" / "martingale.csv").read_bytes()
-    b = (tmp_path / "b" / "martingale.csv").read_bytes()
-    assert a == b
+@pytest.mark.parametrize("command", sorted(set(CLOCK_ARGS) - {"selftest"}))
+def test_rerun_is_byte_identical(tmp_path, capsys, command):
+    checksums = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert cli.main([command, *CLOCK_ARGS[command], "--out-dir", str(out)]) == 0
+        (path,) = out.glob("*_manifest.json")
+        outputs = json.loads(path.read_text())["outputs"]
+        checksums.append([(entry["file"], entry["sha256"]) for entry in outputs])
+    assert checksums[0] and checksums[0] == checksums[1]
 
 
 def test_worker_count_does_not_change_output(tmp_path):
@@ -396,10 +398,30 @@ def test_profile_continuous_csv_shape(tmp_path):
         tmp_path,
     )
     assert r.returncode == 0, r.stderr
-    lines = (out / "profile_continuous.csv").read_text().splitlines()
-    assert lines[0] == "lambda,scale,tv,upper,lower"
-    # upper/lower bounds are not defined here: cells stay empty
-    assert lines[1].endswith(",,")
+    with open(out / "profile_continuous.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["lambda", "scale", "tv"]
+    assert all(cell for row in rows for cell in row)
+    windows, scales, tvs = zip(*[map(float, row) for row in rows[1:]])
+    assert windows == (-1.0, 0.0, 1.0)
+    assert scales == tuple(math.exp(-w / 2.0) for w in windows)
+    assert tvs[0] > tvs[1] > tvs[2]
+
+
+def test_profile_discrete_rows(tmp_path, capsys):
+    args = ["profile-discrete", "--n", "256", "--lambda", "-2,0,2"]
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "profile_discrete.csv", newline="") as fh:
+        rows = [[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]]
+    assert [row[0] for row in rows] == [-2.0, 0.0, 2.0]
+    for w, s, tv, _, upper in rows:
+        # the base step count defaults to round(log2 n) = 8
+        assert tv == discrete.mono_mixture_tv(256, 8 + int(w))
+        assert upper == min(1.0, s)
+    # a window that puts the step count below zero is a configuration error
+    args = ["profile-discrete", "--n", "8", "--lambda", "-5"]
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 2
+    assert "below zero" in capsys.readouterr().err
 
 
 def test_config_file_fills_missing_flags(tmp_path):
@@ -718,8 +740,8 @@ def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):
 
     def fake_run_all(seed, printer=print):
         results = [
-            CriterionResult(1, "alpha", True, "ok", 0.0, {}),
-            CriterionResult(2, "beta", False, 'broken, "twice"\nover', 0.25, {}),
+            CriterionResult(1, "alpha", True, "ok", 0.0),
+            CriterionResult(2, "beta", False, 'broken, "twice"\nover', 0.25),
         ]
         for r in results:
             printer(r.line)
@@ -738,7 +760,7 @@ def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli,
         "run_all",
-        lambda seed, printer=print: [CriterionResult(1, "alpha", True, "ok", 0.0, {})],
+        lambda seed, printer=print: [CriterionResult(1, "alpha", True, "ok", 0.0)],
     )
     assert cli.main(["selftest", "--out-dir", str(tmp_path)]) == 0
 
@@ -751,8 +773,8 @@ def test_selftest_csv_does_not_depend_on_timing(tmp_path, monkeypatch):
     tables, timings = [], []
     for k, seconds in enumerate((0.125, 17.5)):
         results = [
-            CriterionResult(1, "alpha", True, "ok", seconds, {}),
-            CriterionResult(2, "beta", False, "off", 2 * seconds, {}),
+            CriterionResult(1, "alpha", True, "ok", seconds),
+            CriterionResult(2, "beta", False, "off", 2 * seconds),
         ]
         monkeypatch.setattr(cli, "run_all", lambda seed, printer=print, rs=results: rs)
         out = tmp_path / str(k)

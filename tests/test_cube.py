@@ -88,12 +88,44 @@ def _butterfly_inverse(values):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def _subset_sums(values, op):
+    """Oracle: the zeta (op=np.add) or Moebius (np.subtract) transform as its
+    own pass."""
+    out = values.astype(np.float64).copy()
+    h = 1
+    while h < out.shape[0]:
+        blk = out.reshape(-1, 2, h)
+        blk[:, 1, :] = op(blk[:, 1, :], blk[:, 0, :])
+        h *= 2
+    return out
+
+
+def _in_place(values, n, *ops):
+    out = values.copy()
+    _butterfly(out, n, *ops)
+    return out
+
+
+# the update of each transform, and its oracle
+BUTTERFLY_OPS = [
+    ((np.subtract, np.add), _butterfly_forward),
+    ((np.add, np.subtract), _butterfly_inverse),
+    ((np.add,), lambda v: _subset_sums(v, np.add)),
+    ((np.subtract,), lambda v: _subset_sums(v, np.subtract)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
 def test_signed_butterfly_is_both_directions_bit_for_bit(n):
     rng = np.random.default_rng(n)
     values = rng.normal(size=1 << n)
-    np.testing.assert_array_equal(_butterfly(values, 1), _butterfly_forward(values))
-    np.testing.assert_array_equal(_butterfly(values, -1), _butterfly_inverse(values))
+    stack = rng.normal(size=(3, 1 << n))
+    for ops, oracle in BUTTERFLY_OPS:
+        np.testing.assert_array_equal(_in_place(values, n, *ops), oracle(values))
+        # a stack of rows gets exactly the operations of each row alone
+        rows = _in_place(stack, n, *ops)
+        for row, start in zip(rows, stack):
+            np.testing.assert_array_equal(row, oracle(start))
     # and the transforms built on it keep the old transforms' bits
     pmf = random_pmf(n, rng)
     table = wht_forward(pmf)

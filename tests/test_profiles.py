@@ -11,8 +11,6 @@ from scipy.stats import binom
 
 from recomblab import (
     check_l1_l2_bound,
-    continuous_profile,
-    discrete_profile,
     gaussian_tv,
     gaussian_tv_asymptotics,
     gaussian_tv_complement,
@@ -88,7 +86,7 @@ def test_small_scale_asymptote():
     report = gaussian_tv_asymptotics()
     assert report.passed_small
     assert report.small_scale_ratio == pytest.approx(1.0, abs=0.02)
-    assert report.center_value == pytest.approx(0.16606407498351294, abs=1e-12)
+    assert gaussian_tv(1.0) == pytest.approx(0.16606407498351294, abs=1e-12)
 
 
 @pytest.mark.xfail(
@@ -241,6 +239,17 @@ def test_l1_from_l2_bound_shape():
     assert all(v < 1.0 for v in vals)
 
 
+def test_l1_from_l2_bound_array_is_the_scalar_bound_bit_for_bit():
+    rng = rng_substream(21, 5)
+    grid = np.concatenate(([0.0, 1.0, np.nextafter(1.0, 2.0)], rng.exponential(size=200)))
+    bounds = l1_from_l2_bound(grid)
+    np.testing.assert_array_equal(bounds, [l1_from_l2_bound(float(x)) for x in grid])
+    assert isinstance(l1_from_l2_bound(0.5), float)
+    for bad in (-0.1, np.array([0.5, -1e-300])):
+        with pytest.raises(InvalidDistributionError):
+            l1_from_l2_bound(bad)
+
+
 def test_l1_l2_bound_on_random_densities():
     rng = rng_substream(21, 1)
     for n in (3, 5, 8):
@@ -383,29 +392,3 @@ def test_continuous_block_report_equals_per_draw_evaluation(monkeypatch):
     assert len(per_tree) == 120 and sum(per_tree) < 120 * 512
     monkeypatch.setattr(profiles, "np", _NumpyWithoutDedup())
     assert report == run()
-
-
-# -----------------------------------------------------------------------
-# profile drivers
-# -----------------------------------------------------------------------
-
-
-def test_discrete_profile_rows():
-    points = discrete_profile(256, [-2, 0, 2])
-    assert [p.window for p in points] == [-2.0, 0.0, 2.0]
-    for p in points:
-        assert p.tv == pytest.approx(mono_mixture_tv(256, round(8 + p.window)))
-        assert p.bound_upper == min(1.0, p.scale)
-    with pytest.raises(ConfigError):
-        discrete_profile(8, [-5])
-
-
-def test_continuous_profile_rows():
-    rng = rng_substream(21, 4)
-    w = rng.exponential(size=400)
-    pts = continuous_profile([-1.0, 1.0], w)
-    assert pts[0].scale == pytest.approx(math.exp(0.5))
-    assert pts[0].tv > pts[1].tv
-    assert pts[0].bound_upper is None
-    with pytest.raises(ConfigError, match="-1500"):
-        continuous_profile([0.0, -1500.0], w)
