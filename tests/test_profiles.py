@@ -392,3 +392,18 @@ def test_continuous_block_report_equals_per_draw_evaluation(monkeypatch):
     assert len(per_tree) == 120 and sum(per_tree) < 120 * 512
     monkeypatch.setattr(profiles, "np", _NumpyWithoutDedup())
     assert report == run()
+
+
+# -----------------------------------------------------------------------
+# the continuous profile rows
+# -----------------------------------------------------------------------
+
+
+def test_continuous_profile_rows():
+    # profile-continuous writes mixture_profile_tv at each window of one batch
+    rng = rng_substream(21, 4)
+    w = rng.exponential(size=400)
+    tvs = [mixture_profile_tv(lam, w) for lam in (-1.0, 1.0)]
+    assert tvs[0] > tvs[1]
+    with pytest.raises(ConfigError, match="-1500"):
+        mixture_profile_tv(-1500.0, w)
