@@ -83,11 +83,16 @@ SCIPY_COMMANDS = frozenset(
 # small parsing helpers
 # ---------------------------------------------------------------------------
 
-_NUMBER_VALUE = re.compile(r"^-[0-9][0-9.,]*(\.\.\-?[0-9][0-9.]*)?$")
+# a value that argparse would take for an option: `-` then a digit or `.digit`
+# (no option name starts that way)
+_NUMBER_VALUE = re.compile(r"-\.?[0-9]")
 
 
 def _join_negative_values(argv: List[str]) -> List[str]:
-    """Fold `--flag -4..4` into `--flag=-4..4` so argparse accepts it."""
+    """Fold `--flag -4..4`, `--flag -3,-1` or `--flag -1e1` into `--flag=...`.
+
+    argparse reads such a token as an option; joined, it is the flag's value.
+    """
     out = []
     i = 0
     while i < len(argv):
@@ -150,14 +155,6 @@ _COUNT = _count(1)
 _NONNEGATIVE_COUNT = _count(0)
 # a count that feeds a sample standard deviation
 _SPREAD_COUNT = _count(2)
-
-
-def _mc_samples(text: str) -> int:
-    """argparse type for `--mc-samples`: 0 turns the check off, else >= 2."""
-    value = _NONNEGATIVE_COUNT(text)
-    if value == 1:
-        raise argparse.ArgumentTypeError("expected 0 (no check) or an integer >= 2, got 1")
-    return value
 
 
 _MARTINGALE_METHODS = ("auto", "direct", "cascade")
@@ -558,27 +555,10 @@ def _cmd_w_tail(ns, ctx: RunContext) -> int:
     return EXIT_OK
 
 
-def _report_rows(report) -> List[tuple]:
-    return [
-        (name, value)
-        for name, value in vars(report).items()
-        if value is None or isinstance(value, (int, float, bool, str))
-    ]
-
-
 def _cmd_lowerbound_discrete(ns, ctx: RunContext) -> int:
     _require(ns, "n", "t")
-    rng = None
-    if ns.mc_samples:
-        _require(ns, "seed")
-        rng = rng_substream(ns.seed, 0)
-    report = profiles.lowerbound_experiment_discrete(
-        ns.n, ns.t, rng=rng, mc_samples=ns.mc_samples
-    )
-    rows = _report_rows(report)
-    if report.mc is not None:
-        rows.extend(_report_rows(report.mc))
-    ctx.write_rows(ns.out, ["key", "value"], rows)
+    report = profiles.lowerbound_experiment_discrete(ns.n, ns.t)
+    ctx.write_rows(ns.out, ["key", "value"], vars(report).items())
     return EXIT_OK
 
 
@@ -588,7 +568,7 @@ def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
         ns.n, ns.t, ns.trees, rng_substream(ns.seed, 0), inner_samples=ns.inner
     )
     ctx.resolved["tree_sampler_version"] = yule.TREE_SAMPLER_VERSION
-    ctx.write_rows(ns.out, ["key", "value"], _report_rows(report))
+    ctx.write_rows(ns.out, ["key", "value"], vars(report).items())
     return EXIT_OK
 
 
@@ -727,10 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=_COUNT, help="number of sites")
     p.add_argument("--t", type=_NONNEGATIVE_COUNT, help="step count")
-    p.add_argument(
-        "--mc-samples", type=_mc_samples, default=0, help="optional MC moment validation"
-    )
-    p.add_argument("--seed", type=int, help="master seed (required with --mc-samples)")
     p.add_argument("--out", default="lowerbound_discrete.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_lowerbound_discrete)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -255,19 +255,13 @@ def two_valued_extremal_density(weight_a: float, deviation_a: float):
 # ---------------------------------------------------------------------------
 
 
-def _binom_ufuncs():
-    """The private ufuncs (cdf, pmf, sf) that scipy.stats.binom evaluates.
+def _binom_pmf(k, n: int, p):
+    """Binomial(n, p) pmf at k, in log space: no difference of cdf values."""
+    from scipy.special import gammaln, xlog1py, xlogy
 
-    They are exact for in-support arguments (0 <= k < n for cdf and sf,
-    0 <= k <= n for pmf, 0 <= p <= 1).  Calling them directly keeps
-    scipy.stats out of every command, and importing them here, not with the
-    package, keeps scipy.special out of the commands that never call them.
-    The dependency on scipy internals is pinned bitwise to scipy.stats.binom
-    by tests/test_profiles.py, which checks the objects returned here.
-    """
-    from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
-
-    return _binom_cdf, _binom_pmf, _binom_sf
+    return np.exp(
+        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) + xlogy(k, p) + xlog1py(n - k, -p)
+    )
 
 
 def _square_tail_given_bias(block_size: int, up_prob, threshold: int):
@@ -289,10 +283,12 @@ def _square_tail_given_bias(block_size: int, up_prob, threshold: int):
     if s > p:
         out = np.zeros_like(up)
         return float(out) if out.ndim == 0 else out
+    from scipy.special import bdtr, bdtrc
+
     b_hi = (p + s) // 2
     b_lo = (p - s) // 2
-    _binom_cdf, _, _binom_sf = _binom_ufuncs()
-    out = _binom_sf(b_hi - 1, p, up) + _binom_cdf(b_lo, p, up)
+    # P(B >= b_hi) + P(B <= b_lo); bdtrc(k) is P(B > k)
+    out = bdtrc(b_hi - 1, p, up) + bdtr(b_lo, p, up)
     return float(out) if out.ndim == 0 else out
 
 
@@ -313,13 +309,23 @@ def _fourth_moment_given_bias(p: int, q: np.ndarray) -> np.ndarray:
     return a**4 + 6.0 * a * a * central2 + 4.0 * a * central3 + central4
 
 
-@dataclass(frozen=True)
-class BlockMomentMC:
-    samples: int
-    first_moment_mean: float
-    first_moment_z: float
-    second_moment_mean: float
-    second_moment_z: float
+def _block_event(n: int, p: int):
+    """The event both block experiments test, for blocks of p sites.
+
+    The n sites hold alpha = n // p blocks; the event is that at least
+    k_min = ceil(alpha / 15) of them have squared magnetization >= 20 p.
+    Returns alpha, that threshold, k_min, the per-block tail q_pi under the
+    uniform stationary law, and the event's stationary mass pi_a.
+    """
+    if p > n:
+        raise ConfigError(f"block size {p} exceeds n={n}; no block fits")
+    from scipy.special import bdtrc
+
+    alpha = n // p
+    threshold = 20 * p
+    k_min = -(-alpha // 15)
+    q_pi = float(_square_tail_given_bias(p, 0.5, threshold))
+    return alpha, threshold, k_min, q_pi, float(bdtrc(k_min - 1, alpha, q_pi))
 
 
 @dataclass(frozen=True)
@@ -347,16 +353,10 @@ class DiscreteBlockReport:
     second_moment_formula: float
     second_moment_exact: float
     paley_zygmund_bound: float
-    mc: Optional[BlockMomentMC]
 
 
-def lowerbound_experiment_discrete(
-    n: int,
-    t: int,
-    rng: Optional[np.random.Generator] = None,
-    mc_samples: int = 0,
-) -> DiscreteBlockReport:
-    """Exact discrete-time block experiment with optional MC validation.
+def lowerbound_experiment_discrete(n: int, t: int) -> DiscreteBlockReport:
+    """Exact discrete-time block experiment.
 
     Blocks of size 80 * 2^t start all-equal and evolve independently; the
     per-block law of the squared magnetization after t steps is the exact
@@ -365,15 +365,8 @@ def lowerbound_experiment_discrete(
     if t < 0:
         raise ValueError("t must be >= 0")
     p = 80 << t
-    if p > n:
-        raise ConfigError(f"block size {p} exceeds n={n}; no block fits")
-    alpha = n // p
-    threshold = 20 * p
-    k_min = -(-alpha // 15)
-
-    _binom_cdf, _binom_pmf, _binom_sf = _binom_ufuncs()
-    q_pi = float(_square_tail_given_bias(p, 0.5, threshold))
-    pi_a = float(_binom_sf(k_min - 1, alpha, q_pi))
+    alpha, threshold, k_min, q_pi, pi_a = _block_event(n, p)
+    from scipy.special import bdtr
 
     leaves = 1 << t
     counts = np.arange(leaves + 1)
@@ -381,7 +374,7 @@ def lowerbound_experiment_discrete(
     up = counts / leaves
     bias = 2.0 * up - 1.0
     q_mu = float(leaf_weights @ _square_tail_given_bias(p, up, threshold))
-    mu_ac = float(_binom_cdf(k_min - 1, alpha, q_mu))
+    mu_ac = float(bdtr(k_min - 1, alpha, q_mu))
 
     # moments of the squared magnetization under the evolved block law,
     # both from the closed-form leaf-bias moments and from the mixture
@@ -397,25 +390,6 @@ def lowerbound_experiment_discrete(
 
     ratio = 1.0 - threshold / first_exact
     pz = 0.0 if ratio <= 0 else ratio * ratio * first_exact**2 / second_exact
-
-    mc = None
-    if rng is not None and mc_samples > 0:
-        k_draw = rng.binomial(leaves, 0.5, size=mc_samples)
-        up_draw = k_draw / leaves
-        b_draw = rng.binomial(p, up_draw)
-        xi = (2.0 * b_draw - p) ** 2
-        mean1 = float(xi.mean())
-        se1 = float(xi.std(ddof=1)) / math.sqrt(mc_samples)
-        xi2 = xi * xi
-        mean2 = float(xi2.mean())
-        se2 = float(xi2.std(ddof=1)) / math.sqrt(mc_samples)
-        mc = BlockMomentMC(
-            samples=mc_samples,
-            first_moment_mean=mean1,
-            first_moment_z=(mean1 - first_formula) / se1,
-            second_moment_mean=mean2,
-            second_moment_z=(mean2 - second_formula) / se2,
-        )
 
     return DiscreteBlockReport(
         n=n,
@@ -434,7 +408,6 @@ def lowerbound_experiment_discrete(
         second_moment_formula=second_formula,
         second_moment_exact=second_exact,
         paley_zygmund_bound=pz,
-        mc=mc,
     )
 
 
@@ -478,15 +451,8 @@ def lowerbound_experiment_continuous(
     p = int(math.sqrt(80.0 * n) * math.exp(t / 4.0) / math.sqrt(damp))
     if p < 2:
         raise ConfigError(f"block size {p} too small at n={n}, t={t}")
-    if p > n:
-        raise ConfigError(f"block size {p} exceeds n={n}")
-    alpha = n // p
-    threshold = 20 * p
-    k_min = -(-alpha // 15)
-
-    _binom_cdf, _binom_pmf, _binom_sf = _binom_ufuncs()
-    q_pi = float(_square_tail_given_bias(p, 0.5, threshold))
-    pi_a = float(_binom_sf(k_min - 1, alpha, q_pi))
+    alpha, threshold, k_min, q_pi, pi_a = _block_event(n, p)
+    from scipy.special import bdtr
 
     p2, p3, p4 = _second_moment_coeffs(p)
     decay = math.exp(-t / 2.0)
@@ -532,7 +498,7 @@ def lowerbound_experiment_continuous(
     pi_pmf = _binom_pmf(counts_grid, alpha, q_pi)
     block_count_tv = 0.5 * float(np.abs(mix_pmf - pi_pmf).sum())
 
-    below = _binom_cdf(k_min - 1, alpha, block_tails)
+    below = bdtr(k_min - 1, alpha, block_tails)
     mu_ac = float(below.mean())
     mu_se = float(below.std(ddof=1)) / math.sqrt(m)
     return ContinuousBlockReport(

@@ -70,3 +70,23 @@ def test_only_the_cli_writes_files_or_knows_csv():
             elif isinstance(node, ast.ImportFrom) and node.module == "csv":
                 found.append((path.name, node.lineno, "from csv import"))
     assert not found, f"file output or csv outside cli.py: {found}"
+
+
+def test_no_module_imports_private_scipy():
+    # a `_`-prefixed scipy module or name is internal, and any scipy release
+    # may rename it
+    found = []
+    for path in sorted((ROOT / "src" / "recomblab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports = [(alias.name, []) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports = [(node.module, [alias.name for alias in node.names])]
+            else:
+                continue
+            for module, names in imports:
+                parts = module.split(".")
+                private = [part for part in parts + names if part.startswith("_")]
+                if parts[0] == "scipy" and private:
+                    found.append((path.name, node.lineno, module, private))
+    assert not found, f"private scipy imports: {found}"

@@ -25,11 +25,7 @@ from recomblab import (
 )
 from recomblab import profiles
 from recomblab.errors import ConfigError, InvalidDistributionError
-from recomblab.profiles import _binom_ufuncs
 from recomblab.streams import rng_substream
-
-# the binomial ufuncs exactly as the package calls them
-_binom_cdf, _binom_pmf, _binom_sf = _binom_ufuncs()
 
 
 # -----------------------------------------------------------------------
@@ -301,19 +297,52 @@ def _binom_probs():
     return np.concatenate([edges, rng.uniform(size=200)])
 
 
-@pytest.mark.parametrize("n", _BINOM_SIZES)
-def test_binomial_ufuncs_are_scipy_stats_binom_bit_for_bit(n):
-    probs = _binom_probs()[None, :]
-    below = np.arange(n)[:, None]
-    support = np.arange(n + 1)[:, None]
-    assert np.array_equal(_binom_pmf(support, n, probs), binom.pmf(support, n, probs))
-    assert np.array_equal(_binom_cdf(below, n, probs), binom.cdf(below, n, probs))
-    assert np.array_equal(_binom_sf(below, n, probs), binom.sf(below, n, probs))
-    # the experiments call with Python scalars too
-    for k in (0, n // 2, n - 1):
-        for q in (0.0, 0.5, 1.0, 0.3):
-            assert _binom_cdf(k, n, q) == binom.cdf(k, n, q)
-            assert _binom_sf(k, n, q) == binom.sf(k, n, q)
+def _event_tail(p, probs, threshold):
+    """P((2B - p)^2 >= threshold), B ~ Binomial(p, q): a sum of scipy.stats pmfs."""
+    support = np.arange(p + 1)
+    event = (2 * support - p) ** 2 >= threshold
+    return binom.pmf(support[event, None], p, np.atleast_1d(probs)[None, :]).sum(axis=0)
+
+
+def _assert_close(value, oracle, rel, floor=0.0):
+    value, oracle = np.asarray(value), np.asarray(oracle)
+    assert value.shape == oracle.shape
+    gap = np.abs(value - oracle)
+    assert (gap <= rel * np.abs(oracle) + floor).all(), float((gap / np.abs(oracle)).max())
+
+
+@pytest.mark.parametrize("p", _BINOM_SIZES)
+def test_binomial_law_matches_scipy_stats(p):
+    # the public scipy.special law against scipy.stats.binom; the gates were
+    # fixed before the first run
+    probs = _binom_probs()
+    support = np.arange(p + 1)[:, None]
+    _assert_close(
+        profiles._binom_pmf(support, p, probs), binom.pmf(support, p, probs), 1e-10, 1e-100
+    )
+    for threshold in (0, 1, p, 20 * p, p * p):
+        oracle = _event_tail(p, probs, threshold)
+        tails = profiles._square_tail_given_bias(p, probs, threshold)
+        _assert_close(tails, oracle, 1e-10, 1e-100)
+        # the experiments call with a Python float too
+        for q, expect in zip(probs[:5].tolist(), oracle[:5]):
+            tail = profiles._square_tail_given_bias(p, q, threshold)
+            _assert_close(tail, expect, 1e-10, 1e-100)
+
+
+def test_discrete_block_laws_match_scipy_stats():
+    report = lowerbound_experiment_discrete(5120, 3)
+    p, alpha, leaves = 640, 8, 8
+    threshold, k_min = 20 * p, 1
+    assert (report.block_size, report.block_count, report.event_threshold) == (
+        p, alpha, threshold,
+    )
+    q_pi = _event_tail(p, 0.5, threshold)[0]
+    up = np.arange(leaves + 1) / leaves
+    q_mu = binom.pmf(np.arange(leaves + 1), leaves, 0.5) @ _event_tail(p, up, threshold)
+    _assert_close(report.stationary_event, binom.sf(k_min - 1, alpha, q_pi), 1e-10)
+    _assert_close(report.evolved_block_tail, q_mu, 1e-10)
+    _assert_close(report.evolved_complement, binom.cdf(k_min - 1, alpha, q_mu), 1e-10)
 
 
 def test_block_spec_partition():
@@ -340,15 +369,6 @@ def test_discrete_block_moments_match_formulas():
     assert report.stationary_event <= 1.0 / 20.0
     assert report.paley_zygmund_bound >= 1.0 / 12.0
     assert report.tv_lower_bound > 0.9
-    assert report.mc is None
-
-
-def test_discrete_block_mc_agrees_with_formulas():
-    rng = rng_substream(21, 2)
-    report = lowerbound_experiment_discrete(2560, 3, rng=rng, mc_samples=4000)
-    assert report.mc is not None
-    assert abs(report.mc.first_moment_z) < 4.0
-    assert abs(report.mc.second_moment_z) < 4.0
 
 
 def test_continuous_block_bound_is_dominated_by_z_law():
