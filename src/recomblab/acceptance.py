@@ -259,11 +259,11 @@ def _criterion_9(seed: int):
 
 
 def _criterion_10(seed: int):
-    """Small-value tail of the limit surrogate steepens as epsilon shrinks."""
-    batch = yule.martingale_limit_samples(1_000_000, rng_substream(seed, 10_000))
+    """Small-value tail of the martingale limit steepens as epsilon shrinks."""
+    values = yule.martingale_limit_samples(1_000_000, rng_substream(seed, 10_000))
     logs = []
     for eps in (0.5, 0.25, 0.125):
-        est = yule.tail_probability_from_samples(batch.values, eps)
+        est = yule.tail_probability_from_samples(values, eps)
         logs.append(math.log(est.probability))
     drop1 = logs[0] - logs[1]
     drop2 = logs[1] - logs[2]
@@ -364,10 +364,10 @@ def _criterion_14(seed: int):
             - profiles.gaussian_tv(math.exp(-w / 2.0))
         )
         worst_const = max(worst_const, gap)
-    batch_a = yule.martingale_limit_samples(10_000, rng_substream(seed, 14_000))
-    batch_b = yule.martingale_limit_samples(10_000, rng_substream(seed, 14_001))
-    prof_a = [profiles.mixture_profile_tv(w, batch_a.values) for w in windows]
-    prof_b = [profiles.mixture_profile_tv(w, batch_b.values) for w in windows]
+    values_a = yule.martingale_limit_samples(10_000, rng_substream(seed, 14_000))
+    values_b = yule.martingale_limit_samples(10_000, rng_substream(seed, 14_001))
+    prof_a = [profiles.mixture_profile_tv(w, values_a) for w in windows]
+    prof_b = [profiles.mixture_profile_tv(w, values_b) for w in windows]
     monotone = all(prof_a[i + 1] < prof_a[i] for i in range(len(windows) - 1))
     in_range = all(0.0 <= v <= 1.0 for v in prof_a + prof_b)
     seed_gap = max(abs(a - b) for a, b in zip(prof_a, prof_b))

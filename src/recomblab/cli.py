@@ -454,6 +454,22 @@ def _sample_martingale(
     return batch
 
 
+def _martingale_values(ns, ctx: RunContext) -> np.ndarray:
+    """The `--samples` martingale values of `w-tail` and `profile-continuous`.
+
+    At `--horizon` they come from `_sample_martingale`.  Without it they are
+    exact draws of the t = inf limit, from substream 0 in one call whatever
+    `--workers` is; the limit has one sampler, so `--method` must be `auto`.
+    """
+    if ns.horizon is not None:
+        return _sample_martingale(ctx, ns.horizon, ns.samples, ns.seed, ns.workers, ns.method).values
+    if ns.method != "auto":
+        raise ConfigError(f"--method {ns.method} needs --horizon: the limit has one sampler")
+    ctx.resolved["martingale_method"] = "limit"
+    ctx.counters["nodes_grown"] = 0
+    return yule.martingale_limit_samples(ns.samples, rng_substream(ns.seed, 0))
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -510,13 +526,11 @@ def _cmd_profile_discrete(ns, ctx: RunContext) -> int:
 def _cmd_profile_continuous(ns, ctx: RunContext) -> int:
     """Mixture profile on the window grid from one martingale batch."""
     _require(ns, "lambda_grid", "seed")
-    batch = _sample_martingale(
-        ctx, ns.horizon, ns.samples, ns.seed, ns.workers, ns.method
-    )
+    values = _martingale_values(ns, ctx)
     rows = []
     for w in ns.lambda_grid:
         # before the scale: it turns an e^(-w/2) that overflows into a ConfigError
-        tv = profiles.mixture_profile_tv(w, batch.values)
+        tv = profiles.mixture_profile_tv(w, values)
         rows.append((w, math.exp(-w / 2.0), tv))
     ctx.write_rows(ns.out, ["lambda", "scale", "tv"], rows)
     return EXIT_OK
@@ -540,10 +554,10 @@ def _cmd_martingale(ns, ctx: RunContext) -> int:
 
 def _cmd_w_tail(ns, ctx: RunContext) -> int:
     _require(ns, "seed", "eps")
-    batch = _sample_martingale(ctx, ns.horizon, ns.samples, ns.seed, ns.workers, ns.method)
+    values = _martingale_values(ns, ctx)
     rows = []
     for eps in ns.eps:
-        est = yule.tail_probability_from_samples(batch.values, eps)
+        est = yule.tail_probability_from_samples(values, eps)
         rows.append(
             (eps, est.probability, est.stderr, est.ci_low, est.ci_high, est.samples)
         )
@@ -660,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=_COUNT, default=10_000, help="martingale sample count")
     p.add_argument(
-        "--horizon", type=_NONNEGATIVE_REAL, default=30.0, help="limit surrogate horizon"
+        "--horizon", type=_NONNEGATIVE_REAL, help="finite horizon; default the exact t = inf limit"
     )
     p.add_argument(
         "--method", type=_method, default="auto", help="martingale sampler: auto|direct|cascade"
@@ -691,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("w-tail", help="small-value tail of the martingale")
     p.add_argument(
-        "--horizon", type=_NONNEGATIVE_REAL, default=30.0, help="limit surrogate horizon"
+        "--horizon", type=_NONNEGATIVE_REAL, help="finite horizon; default the exact t = inf limit"
     )
     p.add_argument("--eps", type=_parse_grid, help="thresholds, e.g. 0.5,0.25,0.125")
     p.add_argument("--samples", type=_COUNT, default=100_000, help="sample count")

@@ -283,12 +283,13 @@ def _square_tail_given_bias(block_size: int, up_prob, threshold: int):
     if s > p:
         out = np.zeros_like(up)
         return float(out) if out.ndim == 0 else out
-    from scipy.special import bdtr, bdtrc
+    from scipy.special import betainc
 
     b_hi = (p + s) // 2
     b_lo = (p - s) // 2
-    # P(B >= b_hi) + P(B <= b_lo); bdtrc(k) is P(B > k)
-    out = bdtrc(b_hi - 1, p, up) + bdtr(b_lo, p, up)
+    # P(B >= b_hi) + P(B <= b_lo), where for 0 <= k < n a Bin(n, q) count has
+    # P(B > k) = I_q(k+1, n-k) and P(B <= k) = I_(1-q)(n-k, k+1)
+    out = betainc(b_hi, p - b_hi + 1, up) + betainc(p - b_lo, b_lo + 1, 1.0 - up)
     return float(out) if out.ndim == 0 else out
 
 
@@ -319,13 +320,13 @@ def _block_event(n: int, p: int):
     """
     if p > n:
         raise ConfigError(f"block size {p} exceeds n={n}; no block fits")
-    from scipy.special import bdtrc
+    from scipy.special import betainc
 
     alpha = n // p
     threshold = 20 * p
     k_min = -(-alpha // 15)
     q_pi = float(_square_tail_given_bias(p, 0.5, threshold))
-    return alpha, threshold, k_min, q_pi, float(bdtrc(k_min - 1, alpha, q_pi))
+    return alpha, threshold, k_min, q_pi, float(betainc(k_min, alpha - k_min + 1, q_pi))
 
 
 @dataclass(frozen=True)
@@ -366,7 +367,7 @@ def lowerbound_experiment_discrete(n: int, t: int) -> DiscreteBlockReport:
         raise ValueError("t must be >= 0")
     p = 80 << t
     alpha, threshold, k_min, q_pi, pi_a = _block_event(n, p)
-    from scipy.special import bdtr
+    from scipy.special import betainc
 
     leaves = 1 << t
     counts = np.arange(leaves + 1)
@@ -374,7 +375,7 @@ def lowerbound_experiment_discrete(n: int, t: int) -> DiscreteBlockReport:
     up = counts / leaves
     bias = 2.0 * up - 1.0
     q_mu = float(leaf_weights @ _square_tail_given_bias(p, up, threshold))
-    mu_ac = float(bdtr(k_min - 1, alpha, q_mu))
+    mu_ac = float(betainc(alpha - k_min + 1, k_min, 1.0 - q_mu))
 
     # moments of the squared magnetization under the evolved block law,
     # both from the closed-form leaf-bias moments and from the mixture
@@ -452,7 +453,7 @@ def lowerbound_experiment_continuous(
     if p < 2:
         raise ConfigError(f"block size {p} too small at n={n}, t={t}")
     alpha, threshold, k_min, q_pi, pi_a = _block_event(n, p)
-    from scipy.special import bdtr
+    from scipy.special import betainc
 
     p2, p3, p4 = _second_moment_coeffs(p)
     decay = math.exp(-t / 2.0)
@@ -498,7 +499,7 @@ def lowerbound_experiment_continuous(
     pi_pmf = _binom_pmf(counts_grid, alpha, q_pi)
     block_count_tv = 0.5 * float(np.abs(mix_pmf - pi_pmf).sum())
 
-    below = bdtr(k_min - 1, alpha, block_tails)
+    below = betainc(alpha - k_min + 1, k_min, 1.0 - block_tails)
     mu_ac = float(below.mean())
     mu_se = float(below.std(ddof=1)) / math.sqrt(m)
     return ContinuousBlockReport(

@@ -17,8 +17,8 @@ martingale
 
     value = e^{t/2} * sum over leaves x of 4^{-depth(x)}
 
-with direct and time-chunked samplers, tail estimation for its limit, and an
-importance-reweighting check of the size-biased (spinal) identity.
+with direct and time-chunked samplers, exact draws of its limit, tail
+estimation, and a reweighting check of the size-biased (spinal) identity.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cube import FourierTable, Pmf, _butterfly, wht_forward, wht_inverse
-from .cube import _product_coeff_rows, _product_weight_rows
+from .cube import FourierTable, Pmf, _product_coeff_rows, wht_forward, wht_inverse
 from .errors import CapacityError, InvalidDistributionError, NumericalInvariantError
 from .discrete import _collision_kernel, _draw_spins, collide_coeffs
 
@@ -89,8 +88,11 @@ def _wave_batch(
     positions 2k and 2k+1 of the next wave, and depth 0 starts a new chunk
     whose lineages are its trees in order.  Every lineage splits after an
     independent mean-one exponential time, so each tree has the branching
-    law.  Returns the number of lineages (tree nodes) grown.
+    law.  Returns the number of lineages (tree nodes) grown.  Every tree
+    sampler comes through here, so here a horizon outside [0, inf) raises.
     """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"horizon must be finite and >= 0, got {t}")
     peak = max(1.0, _exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
     chunk = max(1, min(m, int(WAVE_WIDTH / peak)))
     processed = 0
@@ -192,8 +194,6 @@ def sample_yule(t: float, rng: np.random.Generator) -> YuleTree:
     2 MAX_LEAVES - 1 nodes, which is the node budget the wave kernel is
     given: exceeding it raises a capacity error carrying the nodes grown.
     """
-    if t < 0:
-        raise ValueError("horizon must be >= 0")
     waves: List[Tuple[np.ndarray, np.ndarray]] = []
     _wave_batch(
         t,
@@ -290,25 +290,20 @@ def evolve_continuous(mu: Pmf, t: float, step: float = 0.01) -> Pmf:
 
 @dataclass(frozen=True)
 class MonteCarloMeasure:
-    """Sample mean of a measure-valued estimator with per-entry spread.
+    """Sample mean and standard error of an estimator's character coefficients.
 
-    Spread is tracked both for the weights and for the character
-    coefficients; the latter makes deterministic coefficients (the empty
-    set, always 1) detectable by their exactly-zero standard error.
+    A deterministic coefficient (the empty set, always 1) is detectable by
+    its exactly-zero standard error.
     """
 
-    mean: Pmf
-    stderr: np.ndarray
     coeff_mean: np.ndarray
     coeff_stderr: np.ndarray
     samples: int
     horizon: float
 
 
-def _accumulate_measures(
-    batches: Iterable[Tuple[np.ndarray, np.ndarray]], n: int, m: int, t: float
-) -> MonteCarloMeasure:
-    """Mean and spread of per-sample (weight rows, coefficient rows) batches.
+def _accumulate_measures(batches: Iterable[np.ndarray], m: int, t: float) -> MonteCarloMeasure:
+    """Mean and spread of batches of per-sample coefficient rows.
 
     Sums are taken of each entry's offset from the first sample, so an entry
     that never varies sums exact zeros: its mean is that common value and
@@ -318,23 +313,16 @@ def _accumulate_measures(
     if m < 2:
         raise ValueError("need at least 2 samples")
     shift = total = squares = None
-    for w, c in batches:
-        rows = np.concatenate((w, c), axis=1)
+    for rows in batches:
         if shift is None:
             shift = rows[0].copy()
             total, squares = np.zeros_like(shift), np.zeros_like(shift)
-        rows -= shift
+        rows = rows - shift
         total += rows.sum(axis=0)
         squares += np.square(rows).sum(axis=0)
-    mean = shift + total / m
-    stderr = np.sqrt(np.maximum(squares - total * total / m, 0.0) / ((m - 1.0) * m))
-    cells = 1 << n
     return MonteCarloMeasure(
-        # guard the 1e-12 sum invariant against accumulated round-off
-        mean=Pmf(n, mean[:cells] / mean[:cells].sum()),
-        stderr=stderr[:cells],
-        coeff_mean=mean[cells:],
-        coeff_stderr=stderr[cells:],
+        coeff_mean=shift + total / m,
+        coeff_stderr=np.sqrt(np.maximum(squares - total * total / m, 0.0) / ((m - 1.0) * m)),
         samples=m,
         horizon=t,
     )
@@ -399,13 +387,9 @@ def wild_mc_estimate(
                     leaves=widest,
                     sites=mu.n,
                 )
-            coeffs = np.concatenate([_collide_waves(c, base, mu.n) for c in chunks])
-            weights = coeffs.copy()
-            _butterfly(weights, mu.n, np.add, np.subtract)
-            weights /= cells
-            yield weights, coeffs
+            yield np.concatenate([_collide_waves(c, base, mu.n) for c in chunks])
 
-    return _accumulate_measures(batches(), mu.n, m, t)
+    return _accumulate_measures(batches(), m, t)
 
 
 def double_quenched_estimate(
@@ -428,9 +412,9 @@ def double_quenched_estimate(
                 ],
                 axis=1,
             )
-            yield _product_weight_rows(biases), _product_coeff_rows(biases)
+            yield _product_coeff_rows(biases)
 
-    return _accumulate_measures(batches(), mu.n, m, t)
+    return _accumulate_measures(batches(), m, t)
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +611,11 @@ def martingale_samples(
 ) -> MartingaleBatch:
     """Sample m martingale values at horizon t.
 
-    `auto` is resolved by `resolve_martingale_method`; the cascade
-    sampler's per-sample law is exact up to pool-bootstrap reuse.
+    The horizon is checked before `resolve_martingale_method` resolves
+    `auto`; the cascade's per-sample law is exact up to pool-bootstrap reuse.
     """
-    if t < 0:
-        raise ValueError("horizon must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"horizon must be finite and >= 0, got {t}")
     if m < 1:
         raise ValueError("need at least one sample")
     method = resolve_martingale_method(t, m, method)
@@ -643,16 +627,17 @@ def martingale_samples(
     raise ValueError(f"unknown sampling method {method!r}")
 
 
-def martingale_limit_samples(
-    m: int, rng: np.random.Generator, horizon: float = 30.0
-) -> MartingaleBatch:
-    """Late-horizon martingale values standing in for the almost-sure limit.
+def martingale_limit_samples(m: int, rng: np.random.Generator) -> np.ndarray:
+    """m independent exact draws of the martingale's almost-sure limit W.
 
-    No convergence rate is asserted: the horizon is a surrogate, and callers
-    should treat horizon sensitivity (see the acceptance checks) as the
-    convergence diagnostic.
+    W = 1/X with X chi-squared on 3 degrees of freedom (inverse gamma, shape
+    3/2, scale 1/2; Laplace transform (1 + sqrt(2 lam)) e^(-sqrt(2 lam))).
+    The root splits after an Exp(1) time tau and both subtrees' weights are
+    quartered, so W solves the smoothing transform W = A (W1 + W2) with
+    A = e^(tau/2) / 4 and W1, W2 independent copies of W; this law is its
+    unique fixed point of mean one (Durrett and Liggett 1983; Liu 1998).
     """
-    return martingale_samples(horizon, m, rng)
+    return 1.0 / rng.chisquare(3, m)
 
 
 @dataclass(frozen=True)

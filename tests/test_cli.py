@@ -56,7 +56,7 @@ def test_package_import_loads_no_scipy(tmp_path, module):
 # Runs one command in a fresh interpreter and prints the modules imported
 # between the start of the manifest clock and the end of the manifest, and
 # every scipy module loaded by then.  selftest runs four quick criteria that
-# between them call gammaln, logsumexp, xlogy, bdtr and bdtrc.
+# between them call gammaln, logsumexp, xlogy and betainc.
 CLOCK_PROBE = """
 import json, sys
 from recomblab import acceptance, cli
@@ -85,6 +85,7 @@ print(json.dumps({
 }))
 """
 
+# keyed by command, or by `command@case` for a second run of one command
 CLOCK_ARGS = {
     "collide": ["--n", "3", "--a", "mono", "--b", "uniform"],
     "evolve-discrete": ["--n", "3", "--start", "mono", "--steps", "2"],
@@ -100,6 +101,9 @@ CLOCK_ARGS = {
         "--horizon", "3", "--samples", "50", "--eps", "0.5", "--method", "cascade",
         "--seed", "1",
     ],
+    # no --horizon: exact draws of the t = inf limit
+    "w-tail@limit": ["--samples", "50", "--eps", "0.5", "--seed", "1"],
+    "profile-continuous@limit": ["--lambda", "0", "--samples", "50", "--seed", "1"],
     "lowerbound-discrete": ["--n", "400", "--t", "1"],
     "lowerbound-continuous": [
         "--n", "400", "--t", "0.5", "--trees", "5", "--inner", "16", "--seed", "1",
@@ -115,17 +119,18 @@ def test_clock_probe_covers_every_command():
         for action in cli.build_parser()._actions
         if isinstance(action, cli.argparse._SubParsersAction)
     )
-    assert set(CLOCK_ARGS) == set(commands)
+    assert {case.partition("@")[0] for case in CLOCK_ARGS} == set(commands)
     assert cli.SCIPY_COMMANDS <= set(commands)
 
 
-@pytest.mark.parametrize("command", sorted(CLOCK_ARGS))
-def test_no_import_runs_inside_the_manifest_clock(tmp_path, command):
+@pytest.mark.parametrize("case", sorted(CLOCK_ARGS))
+def test_no_import_runs_inside_the_manifest_clock(tmp_path, case):
     # wall_seconds times the work alone; a module loaded lazily inside it
     # would count start-up cost, and a scipy import in a command that needs
     # none would bring back a quarter-second start
+    command = case.partition("@")[0]
     r = run_python(
-        ["-c", CLOCK_PROBE, command, *CLOCK_ARGS[command], "--out-dir", str(tmp_path)],
+        ["-c", CLOCK_PROBE, command, *CLOCK_ARGS[case], "--out-dir", str(tmp_path)],
         tmp_path,
     )
     assert r.returncode == 0, r.stderr
@@ -178,12 +183,13 @@ def test_chunk_plan_is_worker_free_and_covers_total():
 # -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", sorted(set(CLOCK_ARGS) - {"selftest"}))
-def test_rerun_is_byte_identical(tmp_path, capsys, command):
+@pytest.mark.parametrize("case", sorted(set(CLOCK_ARGS) - {"selftest"}))
+def test_rerun_is_byte_identical(tmp_path, capsys, case):
     checksums = []
     for run in ("a", "b"):
         out = tmp_path / run
-        assert cli.main([command, *CLOCK_ARGS[command], "--out-dir", str(out)]) == 0
+        args = [case.partition("@")[0], *CLOCK_ARGS[case], "--out-dir", str(out)]
+        assert cli.main(args) == 0
         (path,) = out.glob("*_manifest.json")
         outputs = json.loads(path.read_text())["outputs"]
         checksums.append([(entry["file"], entry["sha256"]) for entry in outputs])
@@ -213,6 +219,37 @@ def test_cascade_worker_count_does_not_change_output(tmp_path):
     assert (tmp_path / "w1" / "w_tail.csv").read_bytes() == (
         tmp_path / "w2" / "w_tail.csv"
     ).read_bytes()
+
+
+def test_limit_run_is_one_draw_whatever_the_workers(tmp_path, capsys):
+    # without --horizon: 25 000 values from substream 0 in one call, no tree
+    args = ["w-tail", "--samples", "25000", "--eps", "0.5,0.25", "--seed", "5"]
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert cli.main([*args, "--workers", workers, "--out-dir", str(out)]) == 0
+        tables.append((out / "w_tail.csv").read_bytes())
+        manifest = json.loads((out / "w_tail_manifest.json").read_text())
+        assert manifest["resolved"] == {"martingale_method": "limit"}
+        assert manifest["counters"] == {"nodes_grown": 0}
+        assert manifest["parameters"]["horizon"] is None
+    assert tables[0] == tables[1]
+    values = yule.martingale_limit_samples(25000, rng_substream(5, 0))
+    with open(tmp_path / "1" / "w_tail.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            below = (values <= float(row["eps"])).sum()
+            assert float(row["probability"]) == below / 25000
+
+
+def test_default_profile_continuous_is_the_limit_profile(tmp_path, capsys):
+    # the README command against the exact t = inf profile at w = -4, -2, 0, 2, 4
+    args = ["profile-continuous", "--lambda", "-4..4", "--samples", "20000", "--seed", "7"]
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "profile_continuous.csv", newline="") as fh:
+        tv = {float(row["lambda"]): float(row["tv"]) for row in csv.DictReader(fh)}
+    exact = {-4.0: 0.347653, -2.0: 0.213023, 0.0: 0.114603, 2.0: 0.055028, 4.0: 0.024185}
+    for w, value in exact.items():
+        assert abs(tv[w] - value) <= 0.005, w
 
 
 def test_manifest_names_the_sampler_and_its_pool(tmp_path):
@@ -286,7 +323,10 @@ def test_nodes_grown_counts_every_tree_node(tmp_path):
 # and both cascade outputs at cascade sampler version 3 (the last pool grown
 # only at the entries the final stage draws).  The `lowerbound-continuous`
 # digest was recorded again when its binomial law moved to the public
-# scipy.special functions: the same draws, five cells changed in the last bits.
+# scipy.special functions, and again when its binomial tails moved from
+# bdtr/bdtrc to betainc: both times the same draws, cells changed in the last
+# bits.  The limit `w-tail` pins the exact t = inf draw, 1 / chi-squared(3)
+# from substream 0.
 SEEDED_OUTPUT_SHA256 = [
     (
         ("martingale", "--t", "2.5", "--samples", "400", "--seed", "77",
@@ -307,6 +347,11 @@ SEEDED_OUTPUT_SHA256 = [
         "6d1c8a93235dcfa63eec2f155bc1736b6009623febf85ab773a94bb857cfc97e",
     ),
     (
+        ("w-tail", "--samples", "300", "--eps", "0.5,0.25", "--seed", "5"),
+        "w_tail.csv",
+        "fb68d6bc64163a41d55b69a901de0f88ab4f352574bd850bc8e2e7efa7194257",
+    ),
+    (
         ("fragmentation", "--n", "64", "--trials", "300", "--seed", "1"),
         "fragmentation.csv",
         "c9846ceeda46efc21856ae472345e127ca9afe6bfd1b9294f2393637255e8abf",
@@ -315,7 +360,7 @@ SEEDED_OUTPUT_SHA256 = [
         ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "120",
          "--inner", "512", "--seed", "9"),
         "lowerbound_continuous.csv",
-        "49015f6d91e60f41d7fb03cebf5878b3c0ebe99843cfd4ddefb9c750bf0631ee",
+        "3cb97d1fcd466df03b591e9a05c0e8793fb7a55d26b2be6c001674bac89e7381",
     ),
 ]
 
@@ -324,7 +369,7 @@ SEEDED_OUTPUT_SHA256 = [
     "args,name,digest",
     SEEDED_OUTPUT_SHA256,
     ids=[
-        "martingale-direct", "martingale-cascade", "w-tail-cascade",
+        "martingale-direct", "martingale-cascade", "w-tail-cascade", "w-tail-limit",
         "fragmentation", "lowerbound-continuous",
     ],
 )
@@ -657,6 +702,10 @@ BAD_COUNTS = [
     (("martingale", "--t", "1", "--seed", "1"), "samples", "0"),
     # not free text: a bad sampler name is a configuration error
     (("martingale", "--t", "1", "--samples", "10", "--seed", "1"), "method", "bogus"),
+    # the t = inf limit has one sampler: a tree sampler needs --horizon
+    (("w-tail", "--eps", "0.5", "--samples", "5", "--seed", "1"), "method", "cascade"),
+    (("w-tail", "--eps", "0.5", "--samples", "5", "--seed", "1"), "method", "direct"),
+    (("profile-continuous", "--lambda", "0", "--samples", "5", "--seed", "1"), "method", "cascade"),
     (("w-tail", "--eps", "0.5", "--seed", "1"), "samples", "-3"),
     (("profile-continuous", "--lambda", "0", "--seed", "1"), "samples", "0"),
     (("spinal-check", "--t", "1", "--seed", "1"), "samples", "-4"),

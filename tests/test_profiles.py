@@ -1,6 +1,7 @@
 """Profile shapes, density bounds, and block-event lower bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,6 +344,36 @@ def test_discrete_block_laws_match_scipy_stats():
     _assert_close(report.stationary_event, binom.sf(k_min - 1, alpha, q_pi), 1e-10)
     _assert_close(report.evolved_block_tail, q_mu, 1e-10)
     _assert_close(report.evolved_complement, binom.cdf(k_min - 1, alpha, q_mu), 1e-10)
+
+
+def _exact_binomial_sum(n, q, counts):
+    """Sum of C(n, B) q^B (1 - q)^(n - B) over B in counts, as an exact rational."""
+    q = Fraction(q)
+    a, d = q.numerator, q.denominator
+    return Fraction(sum(math.comb(n, b) * a**b * (d - a) ** (n - b) for b in counts), d**n)
+
+
+def _relative_gap(value, exact):
+    return float(abs(Fraction(float(value)) - exact) / exact)
+
+
+def test_block_laws_match_exact_rational_sums():
+    # gate, fixed before the first run: 1e-14 relative.  The tails are the
+    # ones the discrete experiment evaluates for t = 0..4, among them the
+    # README block tail at p = 640, q = 1/2 (5.6e-13 off through bdtr/bdtrc)
+    for t in range(5):
+        p, leaves = 80 << t, 1 << t
+        up = np.arange(leaves + 1) / leaves
+        event = [b for b in range(p + 1) if (2 * b - p) ** 2 >= 20 * p]
+        tails = profiles._square_tail_given_bias(p, up, 20 * p)
+        for q, tail in zip(up.tolist(), tails.tolist()):
+            assert _relative_gap(tail, _exact_binomial_sum(p, q, event)) <= 1e-14, (p, q)
+    report = lowerbound_experiment_discrete(5120, 3)
+    alpha, k_min = report.block_count, 1
+    stationary = _exact_binomial_sum(alpha, report.stationary_block_tail, range(k_min, alpha + 1))
+    complement = _exact_binomial_sum(alpha, report.evolved_block_tail, range(k_min))
+    assert _relative_gap(report.stationary_event, stationary) <= 1e-14
+    assert _relative_gap(report.evolved_complement, complement) <= 1e-14
 
 
 def test_block_spec_partition():

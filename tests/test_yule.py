@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sps
 
 from recomblab import (
@@ -179,15 +180,17 @@ def test_too_long_steps_leave_the_unit_box(n, step, magnitude):
 # -----------------------------------------------------------------------
 
 
+def _within_4_se(est, mu, t):
+    exact = wht_forward(evolve_continuous(mu, t, step=1e-3)).coeffs
+    return np.abs(est.coeff_mean - exact) <= 4.0 * est.coeff_stderr + 1e-9
+
+
 def test_wild_average_matches_exact_evolution():
     n, t, m = 3, 1.0, 3000
     rng = rng_substream(11, 8)
     mu = monochromatic_pmf(n)
     est = wild_mc_estimate(mu, t, m, rng)
-    exact = evolve_continuous(mu, t, step=1e-3)
-    err = np.abs(est.mean.weights - exact.weights)
-    gate = 4.0 * est.stderr + 1e-6
-    assert (err <= gate).all()
+    assert _within_4_se(est, mu, t).all()
     # singleton coefficients never fluctuate across trees
     assert est.coeff_stderr[0b001] == 0.0
     assert est.coeff_stderr[0b010] == 0.0
@@ -198,10 +201,7 @@ def test_double_quenched_average_matches_exact_evolution():
     rng = rng_substream(11, 9)
     mu = monochromatic_pmf(n)
     est = double_quenched_estimate(mu, t, m, rng)
-    exact = evolve_continuous(mu, t, step=1e-3)
-    err = np.abs(est.mean.weights - exact.weights)
-    gate = 4.0 * est.stderr + 1e-6
-    assert (err <= gate).all()
+    assert _within_4_se(est, mu, t).all()
 
 
 def test_wild_estimate_at_horizon_zero_is_mu():
@@ -209,7 +209,6 @@ def test_wild_estimate_at_horizon_zero_is_mu():
     rng = rng_substream(11, 10)
     mu = random_pmf(3, rng)
     est = wild_mc_estimate(mu, 0.0, 50, rng)
-    np.testing.assert_allclose(est.mean.weights, mu.weights, atol=1e-15)
     assert np.array_equal(est.coeff_mean, wht_forward(mu).coeffs)
     assert not est.coeff_stderr.any()
 
@@ -567,6 +566,96 @@ def test_node_budget_error_matches_oracle():
     assert err.value.stats["nodes"] > 5000
 
 
+# -----------------------------------------------------------------------
+# the t = inf limit W = 1 / chi-squared(3)
+# -----------------------------------------------------------------------
+
+LIMIT_LAW = sps.invgamma(1.5, scale=0.5)
+
+
+def _limit_laplace(lam):
+    # E e^(-lam W) for W = 1 / chi-squared(3)
+    root = math.sqrt(2.0 * lam)
+    return (1.0 + root) * math.exp(-root)
+
+
+def _limit_cdf(eps):
+    # P(W <= eps) = P(chi-squared(3) >= 1 / eps)
+    return math.erfc(1.0 / math.sqrt(2.0 * eps)) + math.sqrt(
+        2.0 / (math.pi * eps)
+    ) * math.exp(-1.0 / (2.0 * eps))
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.25, 1.0, 4.0, 25.0])
+def test_limit_laplace_transform_is_the_smoothing_fixed_point(lam):
+    # W = A (W1 + W2) with A = e^(tau/2) / 4, tau ~ Exp(1), gives
+    # L(lam) = E[L(A lam)^2], an integral over u = e^(-tau) uniform on (0, 1);
+    # and L is the transform of the sampled law
+    fixed, _ = integrate.quad(
+        lambda u: _limit_laplace(lam / (4.0 * math.sqrt(u))) ** 2,
+        0.0,
+        1.0,
+        epsabs=1e-15,
+        epsrel=1e-13,
+        limit=200,
+    )
+    assert abs(fixed - _limit_laplace(lam)) <= 1e-12
+    transform, _ = integrate.quad(
+        lambda x: math.exp(-lam * x) * LIMIT_LAW.pdf(x), 0.0, math.inf, epsabs=1e-14, limit=200
+    )
+    assert abs(transform - _limit_laplace(lam)) <= 1e-10
+
+
+def test_limit_samples_follow_the_inverse_chi_squared_law():
+    m = 100_000
+    values = martingale_limit_samples(m, rng_substream(11, 50))
+    # 99.9% point of the one-sample KS null
+    assert sps.kstest(values, LIMIT_LAW.cdf).statistic < 1.949 / math.sqrt(m)
+
+
+def test_one_smoothing_step_keeps_the_limit_law():
+    m = 100_000
+    rng = rng_substream(11, 51)
+    w1 = martingale_limit_samples(m, rng)
+    w2 = martingale_limit_samples(m, rng)
+    scale = np.exp(rng.standard_exponential(m) / 2.0) / 4.0
+    stat = sps.kstest(scale * (w1 + w2), LIMIT_LAW.cdf).statistic
+    assert stat < 1.949 / math.sqrt(m)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25, 0.125])
+def test_limit_small_value_tail_matches_its_closed_form(eps):
+    exact = _limit_cdf(eps)
+    assert abs(exact - LIMIT_LAW.cdf(eps)) <= 1e-12 * exact
+    m = 1_000_000
+    values = martingale_limit_samples(m, rng_substream(11, 52))
+    phat = np.count_nonzero(values <= eps) / m
+    assert abs(phat - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / m)
+
+
+# every tree sampler rejects a horizon outside [0, inf) before growing a tree
+BAD_HORIZON_CALLS = {
+    "wild-negative": lambda rng: wild_mc_estimate(monochromatic_pmf(2), -1.0, 4, rng),
+    "quenched-nan": lambda rng: double_quenched_estimate(monochromatic_pmf(2), math.nan, 4, rng),
+    "leaf-weights-nan": lambda rng: yule.sample_leaf_weights(math.nan, 3, rng),
+    "yule-negative": lambda rng: sample_yule(-1.0, rng),
+    "yule-nan": lambda rng: sample_yule(math.nan, rng),
+    "martingale-nan": lambda rng: martingale_samples(math.nan, 3, rng),
+    "martingale-negative-cascade": lambda rng: martingale_samples(-1.0, 3, rng, "cascade"),
+    "martingale-inf": lambda rng: martingale_samples(math.inf, 3, rng),
+    "martingale-inf-cascade": lambda rng: martingale_samples(math.inf, 3, rng, "cascade"),
+    # before the check these two grew a tree toward the 10^9-node budget
+    "martingale-inf-direct": lambda rng: martingale_samples(math.inf, 3, rng, "direct"),
+    "wild-inf": lambda rng: wild_mc_estimate(monochromatic_pmf(2), math.inf, 4, rng),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HORIZON_CALLS))
+def test_tree_samplers_reject_a_horizon_outside_zero_to_inf(case):
+    with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
+        BAD_HORIZON_CALLS[case](rng_substream(11, 53))
+
+
 @pytest.mark.xfail(
     strict=True,
     reason=(
@@ -588,10 +677,11 @@ def test_horizon_10_vs_30_within_ks_noise():
 
 
 def test_limit_samples_positive_and_tail_estimator():
-    rng = rng_substream(11, 19)
-    batch = martingale_limit_samples(3000, rng, horizon=12.0)
-    assert (batch.values >= 0).all()
-    assert batch.horizon == 12.0
+    # the limit is one draw per sample: 1 / chi-squared(3), grown from no tree
+    values = martingale_limit_samples(3000, rng_substream(11, 19))
+    assert values.shape == (3000,)
+    assert (values > 0).all()
+    assert np.array_equal(values, 1.0 / rng_substream(11, 19).chisquare(3, 3000))
 
     est = tail_probability_from_samples(np.array([0.1, 0.6, 2.0]), 0.5)
     assert est.probability == pytest.approx(1.0 / 3.0)
