@@ -512,12 +512,14 @@ def _cmd_profile_discrete(ns, ctx: RunContext) -> int:
         windows.append(int(w))
     t_base = round(math.log2(ns.n)) if ns.t_base is None else ns.t_base
     rows = []
+    ctx.counters["mixture_cells"] = 0
     for w in windows:
         t = t_base + w
         if t < 0:
             raise ConfigError(f"window {w} puts the step count below zero")
         scale = ns.n * 2.0 ** (-t)
         tv = discrete.mono_mixture_tv(ns.n, t)
+        ctx.counters["mixture_cells"] += discrete.mixture_window(ns.n, t).cells
         rows.append((float(w), scale, tv, profiles.gaussian_tv(scale), min(1.0, scale)))
     ctx.write_rows(ns.out, ["lambda", "s", "tv_exact", "phi_s", "upper_bound"], rows)
     return EXIT_OK

@@ -31,7 +31,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidDistributionError,
 )
-from .yule import sample_leaf_weights
+from .yule import _check_horizon, sample_leaf_weights
 
 # check_l1_l2_bound's slack on the unit masses of probs and density
 _DENSITY_TOL = 1e-9
@@ -446,8 +446,7 @@ def lowerbound_experiment_continuous(
     rng: np.random.Generator,
     inner_samples: int = 2048,
 ) -> ContinuousBlockReport:
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    _check_horizon(t, positive=True)
     damp = max(1.0, math.log(1.0 / t))
     p = int(math.sqrt(80.0 * n) * math.exp(t / 4.0) / math.sqrt(damp))
     if p < 2:

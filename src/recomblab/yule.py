@@ -54,6 +54,13 @@ _ESTIMATOR_BATCH_CELLS = 1 << 20
 _SPINAL_Z_LIMIT = 4.0
 
 
+def _check_horizon(t: float, *, positive: bool = False) -> None:
+    """ValueError unless 0 <= t < inf, or 0 < t < inf where `positive`."""
+    bound = ">" if positive else ">="
+    if not (t < math.inf and (t > 0.0 if positive else t >= 0.0)):
+        raise ValueError(f"horizon must be finite and {bound} 0, got {t}")
+
+
 def _exp(x: float) -> float:
     """e^x, or CapacityError where that overflows: no tree sampler reaches it."""
     try:
@@ -91,8 +98,7 @@ def _wave_batch(
     law.  Returns the number of lineages (tree nodes) grown.  Every tree
     sampler comes through here, so here a horizon outside [0, inf) raises.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"horizon must be finite and >= 0, got {t}")
+    _check_horizon(t)
     peak = max(1.0, _exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
     chunk = max(1, min(m, int(WAVE_WIDTH / peak)))
     processed = 0
@@ -251,8 +257,7 @@ def evolve_continuous(mu: Pmf, t: float, step: float = 0.01) -> Pmf:
     longer a probability measure.  More than RK4_STEP_CAP steps raise
     CapacityError before any is taken.
     """
-    if t < 0:
-        raise ValueError("horizon must be >= 0")
+    _check_horizon(t)
     if step <= 0:
         raise ValueError("step must be > 0")
     if t / step > RK4_STEP_CAP + 0.5:
@@ -362,6 +367,7 @@ def wild_mc_estimate(
     (every group of sites whose value agrees across all leaves, in
     particular singletons) has exactly zero spread.
     """
+    _check_horizon(t)
     base = wht_forward(mu).coeffs
     cells = 1 << mu.n
 
@@ -614,8 +620,7 @@ def martingale_samples(
     The horizon is checked before `resolve_martingale_method` resolves
     `auto`; the cascade's per-sample law is exact up to pool-bootstrap reuse.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"horizon must be finite and >= 0, got {t}")
+    _check_horizon(t)
     if m < 1:
         raise ValueError("need at least one sample")
     method = resolve_martingale_method(t, m, method)
@@ -704,8 +709,7 @@ def spinal_identity_check(t: float, m: int, rng: np.random.Generator) -> SpinalC
     and compared by a two-sample z statistic, with the closed-form value of
     the right-hand side reported alongside.
     """
-    if t <= 0:
-        raise ValueError("horizon must be > 0")
+    _check_horizon(t, positive=True)
     if m < 2:
         raise ValueError("need at least 2 samples")
     x_half = rng.poisson(t / 2.0, m)

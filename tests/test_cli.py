@@ -419,9 +419,11 @@ def test_manifest_records_checksums_and_parameters(tmp_path):
     assert manifest["parameters"]["lambda_grid"] == [-2.0, -1.0, 0.0, 1.0, 2.0]
     assert manifest["wall_seconds"] >= 0
     assert manifest["peak_rss_kb"] > 0
-    # an exact command resolves no sampler and counts no pool
+    # an exact command resolves no sampler and counts no pool; it counts
+    # the log-cells of its five step counts t = 4..8
     assert manifest["resolved"] == {}
-    assert manifest["counters"] == {}
+    cells = sum(discrete.mixture_window(64, t).cells for t in range(4, 9))
+    assert manifest["counters"] == {"mixture_cells": cells}
     (entry,) = manifest["outputs"]
     blob = (out / entry["file"]).read_bytes()
     assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
@@ -455,6 +457,15 @@ def test_profile_continuous_csv_shape(tmp_path):
     assert windows == (-1.0, 0.0, 1.0)
     assert scales == tuple(math.exp(-w / 2.0) for w in windows)
     assert tvs[0] > tvs[1] > tvs[2]
+
+
+def test_profile_discrete_counts_the_mixture_cells(tmp_path):
+    # at n = 8 each certified window holds every cell: the 9 occupation
+    # counts times the 2^t - 1 interior leaf counts, at t = 2, 3, 4
+    args = ["profile-discrete", "--n", "8", "--lambda", "-1..1", "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    manifest = json.loads((tmp_path / "profile_discrete_manifest.json").read_text())
+    assert manifest["counters"] == {"mixture_cells": 9 * (3 + 7 + 15)}
 
 
 def test_profile_discrete_rows(tmp_path, capsys):

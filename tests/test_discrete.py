@@ -1,6 +1,7 @@
 """Discrete-time dynamics: collision operator, quenched oracle, fragmentation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,6 +432,43 @@ def test_mono_mixture_budget_counts_the_evaluated_cells(monkeypatch):
         mono_mixture_tv(4096, 12)
     monkeypatch.setattr(discrete, "_MIXTURE_CELL_BUDGET", cells)
     assert mono_mixture_tv(4096, 12) == _mono_mixture_tv_all_m(4096, 12)
+
+
+# block sizes in cells, from the (K, m) window: one row per block, a last
+# block of a single row, and one block for the whole window
+BLOCK_CELLS = {
+    "one-cell": lambda window: 1,
+    "one-row-left-over": lambda window: window.kept * (window.counts - 1),
+    "whole-window": lambda window: window.cells,
+}
+
+
+@pytest.mark.parametrize("blocks", sorted(BLOCK_CELLS))
+def test_mono_mixture_blocks_change_no_bit(monkeypatch, blocks):
+    cases = (
+        [(4096, t) for t in range(12, 17)]
+        + [(17, t) for t in range(3, 16)]
+        + [(257, t) for t in range(19)]
+    )
+    default = {case: mono_mixture_tv(*case) for case in cases}
+    for n, t in cases:
+        window = discrete.mixture_window(n, t)
+        cells = max(1, BLOCK_CELLS[blocks](window))
+        monkeypatch.setattr(discrete, "_MIXTURE_CHUNK_CELLS", cells)
+        assert mono_mixture_tv(n, t) == default[n, t], (n, t)
+
+
+def test_mono_mixture_working_set_is_two_blocks():
+    # two float64 blocks of 2^17 cells and their flags trace about 2.4 MB;
+    # logsumexp's broadcast temporaries and copies traced 49 MB
+    mono_mixture_tv(4096, 16)
+    tracemalloc.start()
+    try:
+        mono_mixture_tv(4096, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000, peak
 
 
 def test_mono_mixture_tv_edges():

@@ -17,6 +17,7 @@ from recomblab import (
     collide_coeffs,
     double_quenched_estimate,
     evolve_continuous,
+    lowerbound_experiment_continuous,
     marginal_bias,
     martingale_limit_samples,
     martingale_samples,
@@ -654,6 +655,26 @@ BAD_HORIZON_CALLS = {
 def test_tree_samplers_reject_a_horizon_outside_zero_to_inf(case):
     with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
         BAD_HORIZON_CALLS[case](rng_substream(11, 53))
+
+
+# entry points that once failed deep inside on a NaN or infinite horizon:
+# converting NaN to an integer, numpy's Poisson sampler, log(1/t), or the
+# integrator's step cap
+HORIZON_ENTRY_POINTS = {
+    "evolve-continuous": lambda t, rng: evolve_continuous(monochromatic_pmf(2), t),
+    "wild-mc": lambda t, rng: wild_mc_estimate(monochromatic_pmf(2), t, 4, rng),
+    "spinal-check": lambda t, rng: spinal_identity_check(t, 10, rng),
+    "lowerbound-continuous": lambda t, rng: lowerbound_experiment_continuous(
+        400, t, 2, rng, inner_samples=16
+    ),
+}
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRY_POINTS))
+def test_entry_points_reject_a_horizon_that_is_not_finite(entry, horizon):
+    with pytest.raises(ValueError, match=f"horizon must be finite and >=? 0, got {horizon}"):
+        HORIZON_ENTRY_POINTS[entry](horizon, rng_substream(11, 54))
 
 
 @pytest.mark.xfail(
