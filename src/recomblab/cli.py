@@ -2,13 +2,10 @@
 
 Every subcommand reads its parameters from flags, runs one experiment, writes
 CSV outputs plus a JSON run manifest, and exits 0 on success.  Each option
-declares its default with argparse; `--config FILE` replaces those defaults
-with the file's `dest = value` lines and parses again, so a file value is
-converted and checked by the option's type exactly as a flag is, and a flag
-still wins.  Outputs are a pure function of (config, seed) byte for byte; the
-manifest additionally records wall-clock time, peak resident memory, output
-checksums, any capacity caps that fired, and the random-substream derivation
-identifier.
+declares its default, or that it is required, with argparse.  Outputs are a
+pure function of (flags, seed) byte for byte; the manifest additionally
+records wall-clock time, peak resident memory, output checksums, any capacity
+caps that fired, and the random-substream derivation identifier.
 
 This module is the only one that knows the CSV formats.  Every table, from a
 pmf's `index,value` rows to the martingale's `sample,t,W,leaves` rows, is
@@ -16,9 +13,9 @@ formatted by one formatter, `_csv_text`, in the bytes csv.writer writes, and
 every file, manifests included, goes through one write path: a temporary file
 moved into place.  `_load_start` reads an `index,value` start file back.
 
-Exit codes: 2 for configuration errors (a bad value from a flag or a config
-file, through argparse's message), 3 for capacity errors, 4 for numerical
-invariant violations.
+Exit codes: 2 for configuration errors (a missing or bad flag exits through
+argparse's message), 3 for capacity errors, 4 for numerical invariant
+violations.
 """
 
 from __future__ import annotations
@@ -133,11 +130,7 @@ def _parse_grid(text: str) -> List[float]:
 
 
 def _count(minimum: int):
-    """argparse type for a count option: an integer of at least `minimum`.
-
-    argparse converts config-file values through the same type, so a bad
-    count exits 2 from a flag and from a config file alike.
-    """
+    """argparse type for a count option: an integer of at least `minimum`."""
 
     def parse(text: str) -> int:
         try:
@@ -160,25 +153,8 @@ _SPREAD_COUNT = _count(2)
 _MARTINGALE_METHODS = ("auto", "direct", "cascade")
 
 
-def _method(text: str) -> str:
-    """argparse type for `--method`, the martingale sampler.
-
-    Not `choices`: argparse does not check choices against a default that a
-    config file set.
-    """
-    if text not in _MARTINGALE_METHODS:
-        raise argparse.ArgumentTypeError(
-            f"expected one of {', '.join(_MARTINGALE_METHODS)}, got {text!r}"
-        )
-    return text
-
-
 def _real(minimum: float, *, strict: bool = False):
-    """argparse type for a real option: a finite float >= `minimum`.
-
-    With `strict` the value must exceed `minimum`.  Like `_count`, it also
-    converts config values, so a bad value exits 2 from either source.
-    """
+    """argparse type for a real option: a finite float >= `minimum` (> with `strict`)."""
     relation = ">" if strict else ">="
 
     def parse(text: str) -> float:
@@ -197,42 +173,6 @@ def _real(minimum: float, *, strict: bool = False):
 
 _NONNEGATIVE_REAL = _real(0.0)
 _POSITIVE_REAL = _real(0.0, strict=True)
-
-
-def _load_config_file(path: str, ns: argparse.Namespace) -> Dict[str, str]:
-    """The `key = value` lines of a config file, keyed by option dest.
-
-    A `command` key is ignored; any other key that names no option of the
-    parsed command is an error.
-    """
-    values: Dict[str, str] = {}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if not key:
-            raise ConfigError(f"{path}:{lineno}: empty key")
-        values[key] = value.strip()
-    values.pop("command", None)
-    unknown = set(values) - (set(vars(ns)) - {"command", "config", "fn"})
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return values
-
-
-def _require(ns: argparse.Namespace, *names: str):
-    for name in names:
-        if getattr(ns, name, None) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ConfigError(f"{flag} is required (flag or config file)")
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +416,6 @@ def _martingale_values(ns, ctx: RunContext) -> np.ndarray:
 
 
 def _cmd_collide(ns, ctx: RunContext) -> int:
-    _require(ns, "a", "b")
     a = _load_start(ns.a, ns.n)
     b = _load_start(ns.b, ns.n)
     out = discrete.collide_pmf(a, b)
@@ -486,7 +425,6 @@ def _cmd_collide(ns, ctx: RunContext) -> int:
 
 
 def _cmd_evolve_discrete(ns, ctx: RunContext) -> int:
-    _require(ns, "start", "steps")
     state = discrete.evolve_discrete(_load_start(ns.start, ns.n), ns.steps)
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(state.n)
     ctx.write_rows(ns.out, ["index", "value"], enumerate(state.weights.tolist()))
@@ -494,7 +432,6 @@ def _cmd_evolve_discrete(ns, ctx: RunContext) -> int:
 
 
 def _cmd_evolve_continuous(ns, ctx: RunContext) -> int:
-    _require(ns, "start", "t")
     state = yule.evolve_continuous(_load_start(ns.start, ns.n), ns.t, step=ns.step)
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(state.n)
     ctx.write_rows(ns.out, ["index", "value"], enumerate(state.weights.tolist()))
@@ -502,15 +439,14 @@ def _cmd_evolve_continuous(ns, ctx: RunContext) -> int:
 
 
 def _cmd_profile_discrete(ns, ctx: RunContext) -> int:
-    """Exact two-point-start profile at steps t_base + window, with the
-    Gaussian profile and the site union bound at each window's scale."""
-    _require(ns, "n", "lambda_grid")
+    """Exact two-point-start profile at steps round(log2 n) + window, with
+    the Gaussian profile and the site union bound at each window's scale."""
     windows = []
     for w in ns.lambda_grid:
         if w != int(w):
             raise ConfigError(f"discrete profile windows must be integers, got {w}")
         windows.append(int(w))
-    t_base = round(math.log2(ns.n)) if ns.t_base is None else ns.t_base
+    t_base = round(math.log2(ns.n))
     rows = []
     ctx.counters["mixture_cells"] = 0
     for w in windows:
@@ -527,7 +463,6 @@ def _cmd_profile_discrete(ns, ctx: RunContext) -> int:
 
 def _cmd_profile_continuous(ns, ctx: RunContext) -> int:
     """Mixture profile on the window grid from one martingale batch."""
-    _require(ns, "lambda_grid", "seed")
     values = _martingale_values(ns, ctx)
     rows = []
     for w in ns.lambda_grid:
@@ -539,7 +474,6 @@ def _cmd_profile_continuous(ns, ctx: RunContext) -> int:
 
 
 def _cmd_fragmentation(ns, ctx: RunContext) -> int:
-    _require(ns, "n", "seed")
     times = discrete.fragmentation_times(ns.n, ns.trials, rng_substream(ns.seed, 0))
     ctx.resolved["fragmentation_sampler_version"] = discrete.FRAGMENTATION_SAMPLER_VERSION
     ctx.write_rows(ns.out, ["trial", "time"], enumerate(times.tolist()))
@@ -547,7 +481,6 @@ def _cmd_fragmentation(ns, ctx: RunContext) -> int:
 
 
 def _cmd_martingale(ns, ctx: RunContext) -> int:
-    _require(ns, "t", "seed")
     batch = _sample_martingale(ctx, ns.t, ns.samples, ns.seed, ns.workers, ns.method)
     rows = zip(count(), repeat(batch.horizon), batch.values.tolist(), batch.leaf_counts.tolist())
     ctx.write_rows(ns.out, ["sample", "t", "W", "leaves"], rows)
@@ -555,7 +488,6 @@ def _cmd_martingale(ns, ctx: RunContext) -> int:
 
 
 def _cmd_w_tail(ns, ctx: RunContext) -> int:
-    _require(ns, "seed", "eps")
     values = _martingale_values(ns, ctx)
     rows = []
     for eps in ns.eps:
@@ -572,14 +504,12 @@ def _cmd_w_tail(ns, ctx: RunContext) -> int:
 
 
 def _cmd_lowerbound_discrete(ns, ctx: RunContext) -> int:
-    _require(ns, "n", "t")
     report = profiles.lowerbound_experiment_discrete(ns.n, ns.t)
     ctx.write_rows(ns.out, ["key", "value"], vars(report).items())
     return EXIT_OK
 
 
 def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
-    _require(ns, "n", "t", "seed")
     report = profiles.lowerbound_experiment_continuous(
         ns.n, ns.t, ns.trees, rng_substream(ns.seed, 0), inner_samples=ns.inner
     )
@@ -589,7 +519,6 @@ def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
 
 
 def _cmd_spinal_check(ns, ctx: RunContext) -> int:
-    _require(ns, "t", "seed")
     report = yule.spinal_identity_check(ns.t, ns.samples, rng_substream(ns.seed, 0))
     rows = [
         (r.name, r.weighted_mean, r.plain_mean, r.z, r.analytic, r.z_analytic)
@@ -618,7 +547,6 @@ def _cmd_selftest(ns, ctx: RunContext) -> int:
 
 def _common_flags(sub):
     sub.add_argument("--out-dir", help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
-    sub.add_argument("--config", help="key=value config file; flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -632,24 +560,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("collide", help="one collision of two measures")
     p.add_argument("--n", type=_COUNT, help="number of sites (needed for named starts)")
-    p.add_argument("--a", help="first measure: mono | uniform | point:BITS | csv path")
-    p.add_argument("--b", help="second measure")
+    p.add_argument(
+        "--a", required=True, help="first measure: mono | uniform | point:BITS | csv path"
+    )
+    p.add_argument("--b", required=True, help="second measure")
     p.add_argument("--out", default="collide.csv", help="output pmf csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_collide)
 
     p = subs.add_parser("evolve-discrete", help="iterate the self-collision map")
     p.add_argument("--n", type=_COUNT, help="number of sites")
-    p.add_argument("--start", help="start measure: mono | uniform | point:BITS | csv path")
-    p.add_argument("--steps", type=_NONNEGATIVE_COUNT, help="number of steps")
+    p.add_argument(
+        "--start", required=True, help="start measure: mono | uniform | point:BITS | csv path"
+    )
+    p.add_argument("--steps", required=True, type=_NONNEGATIVE_COUNT, help="number of steps")
     p.add_argument("--out", default="evolved_discrete.csv", help="output pmf csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_evolve_discrete)
 
     p = subs.add_parser("evolve-continuous", help="integrate the continuous dynamics")
     p.add_argument("--n", type=_COUNT, help="number of sites")
-    p.add_argument("--start", help="start measure: mono | uniform | point:BITS | csv path")
-    p.add_argument("--t", type=_NONNEGATIVE_REAL, help="horizon")
+    p.add_argument(
+        "--start", required=True, help="start measure: mono | uniform | point:BITS | csv path"
+    )
+    p.add_argument("--t", required=True, type=_NONNEGATIVE_REAL, help="horizon")
     p.add_argument("--step", type=_POSITIVE_REAL, default=0.01, help="integrator step bound")
     p.add_argument("--out", default="evolved_continuous.csv", help="output pmf csv")
     _common_flags(p)
@@ -658,11 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "profile-discrete", help="exact distance profile around the mixing window"
     )
-    p.add_argument("--n", type=_COUNT, help="number of sites")
+    p.add_argument("--n", required=True, type=_COUNT, help="number of sites")
     p.add_argument(
-        "--lambda", type=_parse_grid, dest="lambda_grid", help="window grid, e.g. -4..4"
+        "--lambda", required=True, type=_parse_grid, dest="lambda_grid", help="windows, e.g. -4..4"
     )
-    p.add_argument("--t-base", type=int, help="base step count (default: round(log2 n))")
     p.add_argument("--seed", type=int, help="echoed to the manifest; unused (exact pipeline)")
     p.add_argument("--out", default="profile_discrete.csv", help="output csv")
     _common_flags(p)
@@ -672,34 +605,34 @@ def build_parser() -> argparse.ArgumentParser:
         "profile-continuous", help="sampled mixture profile of the continuous limit"
     )
     p.add_argument(
-        "--lambda", type=_parse_grid, dest="lambda_grid", help="window grid, e.g. -4..4"
+        "--lambda", required=True, type=_parse_grid, dest="lambda_grid", help="windows, e.g. -4..4"
     )
     p.add_argument("--samples", type=_COUNT, default=10_000, help="martingale sample count")
     p.add_argument(
         "--horizon", type=_NONNEGATIVE_REAL, help="finite horizon; default the exact t = inf limit"
     )
     p.add_argument(
-        "--method", type=_method, default="auto", help="martingale sampler: auto|direct|cascade"
+        "--method", choices=_MARTINGALE_METHODS, default="auto", help="martingale sampler"
     )
-    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--seed", required=True, type=int, help="master seed")
     p.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
     p.add_argument("--out", default="profile_continuous.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_profile_continuous)
 
     p = subs.add_parser("fragmentation", help="sample full-fragmentation times")
-    p.add_argument("--n", type=_COUNT, help="number of sites")
+    p.add_argument("--n", required=True, type=_COUNT, help="number of sites")
     p.add_argument("--trials", type=_COUNT, default=1000, help="number of runs")
-    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--seed", required=True, type=int, help="master seed")
     p.add_argument("--out", default="fragmentation.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_fragmentation)
 
     p = subs.add_parser("martingale", help="sample the additive leaf-weight martingale")
-    p.add_argument("--t", type=_NONNEGATIVE_REAL, help="horizon")
+    p.add_argument("--t", required=True, type=_NONNEGATIVE_REAL, help="horizon")
     p.add_argument("--samples", type=_COUNT, default=10_000, help="sample count")
-    p.add_argument("--method", type=_method, default="auto", help="auto|direct|cascade")
-    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--method", choices=_MARTINGALE_METHODS, default="auto", help="sampler")
+    p.add_argument("--seed", required=True, type=int, help="master seed")
     p.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
     p.add_argument("--out", default="martingale.csv", help="output csv (sample,t,W,leaves)")
     _common_flags(p)
@@ -709,10 +642,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--horizon", type=_NONNEGATIVE_REAL, help="finite horizon; default the exact t = inf limit"
     )
-    p.add_argument("--eps", type=_parse_grid, help="thresholds, e.g. 0.5,0.25,0.125")
+    p.add_argument(
+        "--eps", required=True, type=_parse_grid, help="thresholds, e.g. 0.5,0.25,0.125"
+    )
     p.add_argument("--samples", type=_COUNT, default=100_000, help="sample count")
-    p.add_argument("--method", type=_method, default="auto", help="auto|direct|cascade")
-    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--method", choices=_MARTINGALE_METHODS, default="auto", help="sampler")
+    p.add_argument("--seed", required=True, type=int, help="master seed")
     p.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
     p.add_argument("--out", default="w_tail.csv", help="output csv")
     _common_flags(p)
@@ -721,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "lowerbound-discrete", help="exact block-event distance lower bound"
     )
-    p.add_argument("--n", type=_COUNT, help="number of sites")
-    p.add_argument("--t", type=_NONNEGATIVE_COUNT, help="step count")
+    p.add_argument("--n", required=True, type=_COUNT, help="number of sites")
+    p.add_argument("--t", required=True, type=_NONNEGATIVE_COUNT, help="step count")
     p.add_argument("--out", default="lowerbound_discrete.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_lowerbound_discrete)
@@ -730,19 +665,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "lowerbound-continuous", help="sampled block-event lower bound, continuous time"
     )
-    p.add_argument("--n", type=_COUNT, help="number of sites")
-    p.add_argument("--t", type=_POSITIVE_REAL, help="horizon")
+    p.add_argument("--n", required=True, type=_COUNT, help="number of sites")
+    p.add_argument("--t", required=True, type=_POSITIVE_REAL, help="horizon")
     p.add_argument("--trees", type=_SPREAD_COUNT, default=400, help="sampled trees")
     p.add_argument("--inner", type=_SPREAD_COUNT, default=2048, help="sign draws per tree")
-    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--seed", required=True, type=int, help="master seed")
     p.add_argument("--out", default="lowerbound_continuous.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_lowerbound_continuous)
 
     p = subs.add_parser("spinal-check", help="size-biased reweighting identity check")
-    p.add_argument("--t", type=_POSITIVE_REAL, help="horizon")
+    p.add_argument("--t", required=True, type=_POSITIVE_REAL, help="horizon")
     p.add_argument("--samples", type=_SPREAD_COUNT, default=200_000, help="paths per side")
-    p.add_argument("--seed", type=int, help="master seed (required)")
+    p.add_argument("--seed", required=True, type=int, help="master seed")
     p.add_argument("--out", default="spinal_check.csv", help="output csv")
     _common_flags(p)
     p.set_defaults(fn=_cmd_spinal_check)
@@ -772,27 +707,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ns.command is None:
         parser.print_help()
         return EXIT_CONFIG
-    try:
-        if ns.config:
-            # file values become the command's defaults; the second parse
-            # converts them through each option's type and lets flags win
-            sub = next(
-                action.choices[ns.command]
-                for action in parser._actions
-                if isinstance(action, argparse._SubParsersAction)
-            )
-            sub.set_defaults(**_load_config_file(ns.config, ns))
-            ns = parser.parse_args(argv)
-        if ns.command in SCIPY_COMMANDS:
-            import scipy.special  # noqa: F401
-        ctx = RunContext(
-            command=ns.command,
-            out_dir=_resolve_out_dir(ns.out_dir),
-            parameters=_echo_parameters(ns),
-        )
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    if ns.command in SCIPY_COMMANDS:
+        import scipy.special  # noqa: F401
+    ctx = RunContext(
+        command=ns.command,
+        out_dir=_resolve_out_dir(ns.out_dir),
+        parameters=_echo_parameters(ns),
+    )
     status = EXIT_OK
     try:
         status = ns.fn(ns, ctx)

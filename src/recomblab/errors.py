@@ -36,4 +36,4 @@ class NumericalInvariantError(RecombError):
 
 
 class ConfigError(RecombError):
-    """Bad command-line / config-file input."""
+    """Bad command-line input or experiment parameters."""

@@ -52,8 +52,8 @@ def gaussian_tv(s: float) -> float:
     The densities cross at z* with z*^2 = (1+s)log(1+s)/s, and the distance
     is the mass each density wins between the crossings.
     """
-    if s < 0:
-        raise InvalidDistributionError(f"variance excess must be >= 0, got {s}")
+    if not 0 <= s < math.inf:
+        raise InvalidDistributionError(f"variance excess must be finite and >= 0, got {s}")
     if s == 0:
         return 0.0
     z_star = math.sqrt((1.0 + s) * math.log1p(s) / s)
@@ -62,8 +62,8 @@ def gaussian_tv(s: float) -> float:
 
 def gaussian_tv_complement(s: float) -> float:
     """1 - gaussian_tv(s), in a form free of large-s cancellation."""
-    if s < 0:
-        raise InvalidDistributionError(f"variance excess must be >= 0, got {s}")
+    if not 0 <= s < math.inf:
+        raise InvalidDistributionError(f"variance excess must be finite and >= 0, got {s}")
     if s == 0:
         return 1.0
     z_star = math.sqrt((1.0 + s) * math.log1p(s) / s)
@@ -447,6 +447,10 @@ def lowerbound_experiment_continuous(
     inner_samples: int = 2048,
 ) -> ContinuousBlockReport:
     _check_horizon(t, positive=True)
+    if m < 2 or inner_samples < 2:
+        raise ValueError(
+            f"need at least 2 trees and 2 sign draws per tree, got {m} and {inner_samples}"
+        )
     damp = max(1.0, math.log(1.0 / t))
     p = int(math.sqrt(80.0 * n) * math.exp(t / 4.0) / math.sqrt(damp))
     if p < 2:

@@ -1,4 +1,4 @@
-"""Command-line driver: reproducibility, manifests, config, exit codes."""
+"""Command-line driver: reproducibility, manifests, flags, exit codes."""
 
 import csv
 import hashlib
@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,15 @@ def run_python(args, cwd, env_extra=None):
 
 def run_cli(args, cwd, env_extra=None):
     return run_python(["-m", "recomblab.cli", *args], cwd, env_extra)
+
+
+def _subparsers(parser):
+    """The subcommand parsers of `parser`, keyed by command."""
+    return next(
+        action.choices
+        for action in parser._actions
+        if isinstance(action, cli.argparse._SubParsersAction)
+    )
 
 
 @pytest.mark.parametrize("module", ["recomblab", "recomblab.cli"])
@@ -114,11 +124,7 @@ CLOCK_ARGS = {
 
 
 def test_clock_probe_covers_every_command():
-    commands = next(
-        action.choices
-        for action in cli.build_parser()._actions
-        if isinstance(action, cli.argparse._SubParsersAction)
-    )
+    commands = _subparsers(cli.build_parser())
     assert {case.partition("@")[0] for case in CLOCK_ARGS} == set(commands)
     assert cli.SCIPY_COMMANDS <= set(commands)
 
@@ -489,54 +495,69 @@ def test_profile_discrete_rows(tmp_path, capsys):
     assert "below zero" in capsys.readouterr().err
 
 
-def test_config_file_fills_missing_flags(tmp_path):
+def test_config_file_fills_missing_flags(tmp_path, capsys):
+    # the one file that fills a flag is a start measure: its row count is the
+    # missing --n, so three steps from a three-step output are six steps from
+    # mono. A settings file fills none: --config is not an option
+    out1, out2, out3 = tmp_path / "c1", tmp_path / "c2", tmp_path / "c3"
+    mono = ["evolve-discrete", "--n", "4", "--start", "mono", "--steps"]
+    assert cli.main([*mono, "3", "--out-dir", str(out1)]) == 0
+    start = str(out1 / "evolved_discrete.csv")
+    assert cli.main(["evolve-discrete", "--start", start, "--steps", "3", "--out-dir", str(out2)]) == 0
+    assert cli.main([*mono, "6", "--out-dir", str(out3)]) == 0
+    assert (out2 / "evolved_discrete.csv").read_bytes() == (
+        out3 / "evolved_discrete.csv"
+    ).read_bytes()
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# settings\nn = 4\nstart = mono\nsteps = 3\n")
-    out1, out2 = tmp_path / "c1", tmp_path / "c2"
-    r1 = run_cli(
-        ["evolve-discrete", "--config", str(cfg), "--steps", "6", "--out-dir", str(out1)],
-        tmp_path,
-    )
-    r2 = run_cli(
-        ["evolve-discrete", "--n", "4", "--start", "mono", "--steps", "6", "--out-dir", str(out2)],
-        tmp_path,
-    )
-    assert r1.returncode == 0, r1.stderr
-    assert r2.returncode == 0, r2.stderr
-    assert (out1 / "evolved_discrete.csv").read_bytes() == (
-        out2 / "evolved_discrete.csv"
-    ).read_bytes()
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["evolve-discrete", "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")])
+    assert stop.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith("the following arguments are required: --start, --steps")
+    assert not (tmp_path / "cfg").exists()
 
 
-def test_config_keys_are_dests_and_flags_win(tmp_path, capsys):
-    # `--lambda` stores to lambda_grid; the file's typed n loses to the flag
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("lambda_grid = -2..2\nn = 32\nt-base = 6\n")
-    from_file = ["--config", str(cfg), "--n", "64", "--out-dir", str(tmp_path / "file")]
-    from_flags = ["--n", "64", "--lambda", "-2..2", "--t-base", "6"]
-    assert cli.main(["profile-discrete", *from_file]) == 0
-    assert cli.main(["profile-discrete", *from_flags, "--out-dir", str(tmp_path / "flag")]) == 0
-    csv_bytes = [(tmp_path / run / "profile_discrete.csv").read_bytes() for run in ("file", "flag")]
+def test_config_keys_are_dests_and_flags_win(tmp_path):
+    # the manifest keys each setting by its dest (`--lambda` stores to
+    # lambda_grid); a flag given twice keeps its last value, and neither the
+    # removed config nor t_base appears
+    twice = ["--n", "32", "--lambda", "-2..2", "--n", "64", "--out-dir", str(tmp_path / "twice")]
+    once = ["--n", "64", "--lambda", "-2..2", "--out-dir", str(tmp_path / "once")]
+    assert cli.main(["profile-discrete", *twice]) == 0
+    assert cli.main(["profile-discrete", *once]) == 0
+    csv_bytes = [(tmp_path / run / "profile_discrete.csv").read_bytes() for run in ("twice", "once")]
     assert csv_bytes[0] == csv_bytes[1]
     params = [
         json.loads((tmp_path / run / "profile_discrete_manifest.json").read_text())["parameters"]
-        for run in ("file", "flag")
+        for run in ("twice", "once")
     ]
     assert params[0]["n"] == 64
-    assert params[0]["t_base"] == 6
     assert params[0]["lambda_grid"] == [-2.0, -1.0, 0.0, 1.0, 2.0]
-    assert params[0]["config"] == str(cfg)
+    assert "config" not in params[0] and "t_base" not in params[0]
     for p in params:
-        del p["config"], p["out_dir"]
+        del p["out_dir"]
     assert params[0] == params[1]
 
 
-def test_unknown_config_key_is_rejected(tmp_path):
+def test_unknown_config_key_is_rejected(tmp_path, capsys):
+    # flags are the only keys: an unknown one, or the removed --config and
+    # --t-base, exits 2 through argparse and names itself before any run starts
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n = 4\nbogus = 1\n")
-    r = run_cli(["evolve-discrete", "--config", str(cfg)], tmp_path)
-    assert r.returncode == 2, r.stderr
-    assert "bogus" in r.stderr
+    base = ["evolve-discrete", "--n", "4", "--start", "mono", "--steps", "1"]
+    cases = [
+        (base, ["--bogus", "1"]),
+        (base, ["--config", str(cfg)]),
+        (["profile-discrete", "--n", "64", "--lambda", "0"], ["--t-base", "6"]),
+    ]
+    for args, extra in cases:
+        with pytest.raises(SystemExit) as stop:
+            cli.main([*args, *extra, "--out-dir", str(tmp_path / "run")])
+        assert stop.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(f"unrecognized arguments: {' '.join(extra)}")
+        assert not (tmp_path / "run").exists()
 
 
 def test_env_var_sets_output_dir(tmp_path):
@@ -588,7 +609,56 @@ def test_manifest_names_the_collision_kernel(tmp_path):
 def test_missing_required_flag_exits_2(tmp_path):
     r = run_cli(["martingale", "--t", "1.0", "--samples", "10"], tmp_path)
     assert r.returncode == 2, r.stderr
-    assert "--seed" in r.stderr
+    assert r.stderr.splitlines()[-1].endswith("the following arguments are required: --seed")
+
+
+# the flags each command cannot run without
+REQUIRED_FLAGS = {
+    "collide": ("--a", "--b"),
+    "evolve-discrete": ("--start", "--steps"),
+    "evolve-continuous": ("--start", "--t"),
+    "profile-discrete": ("--n", "--lambda"),
+    "profile-continuous": ("--lambda", "--seed"),
+    "fragmentation": ("--n", "--seed"),
+    "martingale": ("--t", "--seed"),
+    "w-tail": ("--eps", "--seed"),
+    "lowerbound-discrete": ("--n", "--t"),
+    "lowerbound-continuous": ("--n", "--t", "--seed"),
+    "spinal-check": ("--t", "--seed"),
+    "selftest": (),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REQUIRED_FLAGS))
+def test_every_missing_required_flag_exits_2_before_the_manifest(tmp_path, capsys, case):
+    # argparse names the missing flag, and no run directory is made
+    sub = _subparsers(cli.build_parser())[case]
+    required = [a.option_strings[0] for a in sub._actions if a.required]
+    assert sorted(required) == sorted(REQUIRED_FLAGS[case])
+    args = CLOCK_ARGS[case]
+    for flag in REQUIRED_FLAGS[case]:
+        at = args.index(flag)
+        with pytest.raises(SystemExit) as stop:
+            cli.main([case, *args[:at], *args[at + 2 :], "--out-dir", str(tmp_path / "run")])
+        assert stop.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(f"the following arguments are required: {flag}")
+        assert not (tmp_path / "run").exists()
+
+
+def test_readme_names_exactly_the_parser_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = cli.build_parser()
+    flags = {
+        option
+        for p in (parser, *_subparsers(parser).values())
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert named == flags
 
 
 def test_capacity_violation_exits_3_and_is_recorded(tmp_path):
@@ -655,10 +725,8 @@ def test_numerical_violation_exits_4(tmp_path, monkeypatch):
 
     def patched_build():
         parser = real_build()
-        for action in parser._actions:
-            if hasattr(action, "choices") and isinstance(action.choices, dict):
-                for sub in action.choices.values():
-                    sub.set_defaults(fn=boom)
+        for sub in _subparsers(parser).values():
+            sub.set_defaults(fn=boom)
         return parser
 
     monkeypatch.setattr(cli, "build_parser", patched_build)
@@ -737,31 +805,26 @@ BAD_COUNTS = [
 ]
 
 
-# config keys that are not their flag's name
-CONFIG_KEYS = {"lambda": "lambda_grid"}
-
-
-def _assert_bad_value_exits_2(tmp_path, capsys, source, args, key, value):
-    if source == "flag":
-        extra = [f"--{key}", value]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{CONFIG_KEYS.get(key, key)} = {value}\n")
-        extra = ["--config", str(cfg)]
+def _assert_bad_value_exits_2(tmp_path, capsys, args, key, value):
     try:
-        status = cli.main([*args, *extra, "--out-dir", str(tmp_path)])
+        status = cli.main([*args, f"--{key}", value, "--out-dir", str(tmp_path)])
     except SystemExit as stop:  # argparse rejects a bad flag value
         status = stop.code
     assert status == 2
-    assert key.replace("-", "_") in capsys.readouterr().err.replace("-", "_")
+    # the error line names the key as a whole word; argparse's usage line
+    # names every flag, and the temporary path names the test
+    last = capsys.readouterr().err.replace(str(tmp_path), "").splitlines()[-1]
+    assert re.search(rf"(?<![\w-])(--)?{re.escape(key)}(?![\w-])", last), last
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize(
-    "args,key,value", BAD_COUNTS, ids=[f"{a[0]}-{k}{v}" for a, k, v in BAD_COUNTS]
-)
-def test_bad_count_exits_2(tmp_path, capsys, source, args, key, value):
-    _assert_bad_value_exits_2(tmp_path, capsys, source, args, key, value)
+def _ids(rows):
+    # `-flag`: the bad value comes as a flag, the CLI's only input
+    return [f"{a[0]}-{k}{v}-flag" for a, k, v in rows]
+
+
+@pytest.mark.parametrize("args,key,value", BAD_COUNTS, ids=_ids(BAD_COUNTS))
+def test_bad_count_exits_2(tmp_path, capsys, args, key, value):
+    _assert_bad_value_exits_2(tmp_path, capsys, args, key, value)
 
 
 BAD_REALS = [
@@ -791,15 +854,15 @@ BAD_REALS = [
     # the exact block bound draws nothing
     (("lowerbound-discrete", "--n", "400", "--t", "1"), "mc-samples", "20"),
     (("lowerbound-discrete", "--n", "400", "--t", "1"), "seed", "1"),
+    # flags are the only input, and the base step count is round(log2 n)
+    (("evolve-discrete", "--n", "3", "--start", "mono", "--steps", "1"), "config", "run.cfg"),
+    (("profile-discrete", "--n", "64", "--lambda", "0"), "t-base", "6"),
 ]
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize(
-    "args,key,value", BAD_REALS, ids=[f"{a[0]}-{k}{v}" for a, k, v in BAD_REALS]
-)
-def test_bad_real_exits_2(tmp_path, capsys, source, args, key, value):
-    _assert_bad_value_exits_2(tmp_path, capsys, source, args, key, value)
+@pytest.mark.parametrize("args,key,value", BAD_REALS, ids=_ids(BAD_REALS))
+def test_bad_real_exits_2(tmp_path, capsys, args, key, value):
+    _assert_bad_value_exits_2(tmp_path, capsys, args, key, value)
 
 
 def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):

@@ -79,6 +79,13 @@ def test_gaussian_tv_complement_identity():
         )
 
 
+@pytest.mark.parametrize("s", [-1.0, math.nan, math.inf, -math.inf])
+def test_gaussian_tv_rejects_a_scale_that_is_not_finite_and_nonnegative(s):
+    for profile in (gaussian_tv, gaussian_tv_complement):
+        with pytest.raises(InvalidDistributionError, match="finite and >= 0"):
+            profile(s)
+
+
 def test_small_scale_asymptote():
     report = gaussian_tv_asymptotics()
     assert report.passed_small
@@ -386,6 +393,15 @@ def test_block_spec_partition():
         assert report.block_count >= 1
         assert 0 <= report.leftover < report.block_size
         assert report.block_size * report.block_count + report.leftover == report.n
+
+
+@pytest.mark.parametrize("trees,inner", [(1, 16), (5, 1), (0, 16)])
+def test_continuous_block_experiment_needs_two_trees_and_two_draws(trees, inner):
+    # both feed a sample standard deviation
+    with pytest.raises(ValueError, match="at least 2 trees and 2 sign draws"):
+        lowerbound_experiment_continuous(
+            400, 1.0, trees, rng_substream(23, 1), inner_samples=inner
+        )
 
 
 def test_discrete_block_moments_match_formulas():
