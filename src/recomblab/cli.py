@@ -13,9 +13,9 @@ formatted by one formatter, `_csv_text`, in the bytes csv.writer writes, and
 every file, manifests included, goes through one write path: a temporary file
 moved into place.  `_load_start` reads an `index,value` start file back.
 
-Exit codes: 2 for configuration errors (a missing or bad flag exits through
-argparse's message), 3 for capacity errors, 4 for numerical invariant
-violations.
+Exit codes: 2 for configuration errors (a missing, bad or abbreviated flag
+exits through argparse's message) and for outputs that cannot be written, 3
+for capacity errors, 4 for numerical invariant violations.
 """
 
 from __future__ import annotations
@@ -150,9 +150,6 @@ _NONNEGATIVE_COUNT = _count(0)
 _SPREAD_COUNT = _count(2)
 
 
-_MARTINGALE_METHODS = ("auto", "direct", "cascade")
-
-
 def _real(minimum: float, *, strict: bool = False):
     """argparse type for a real option: a finite float >= `minimum` (> with `strict`)."""
     relation = ">" if strict else ">="
@@ -194,10 +191,12 @@ class RunContext:
     # depend on the flags and the seed alone
     phases: Dict[str, float] = field(default_factory=dict)
     started_at: str = ""
+    manifest_name: str = field(init=False)
     _clock: float = 0.0
 
     def __post_init__(self):
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.manifest_name = f"{self.command.replace('-', '_')}_manifest.json"
         self.started_at = datetime.now(timezone.utc).isoformat()
         self._clock = time.perf_counter()
 
@@ -211,6 +210,9 @@ class RunContext:
 
     def write_rows(self, name: str, header: Sequence[str], rows) -> Path:
         """Write a csv output and record its checksum."""
+        manifest = (self.out_dir / self.manifest_name).resolve()
+        if (self.out_dir / name).resolve() in (manifest, Path(f"{manifest}.tmp")):
+            raise ConfigError(f"output {name} is where the run's manifest goes")
         text = _csv_text(header, rows)
         path = self._publish(name, text)
         blob = text.encode()
@@ -239,7 +241,7 @@ class RunContext:
             "exit_status": status,
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        return self._publish(f"{self.command.replace('-', '_')}_manifest.json", text)
+        return self._publish(self.manifest_name, text)
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -273,15 +275,6 @@ def _cell(value) -> str:
     if isinstance(value, np.integer):
         return str(int(value))
     return str(value)
-
-
-def _resolve_out_dir(flag_value: Optional[str]) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.cwd()
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +503,8 @@ def _cmd_lowerbound_discrete(ns, ctx: RunContext) -> int:
 
 
 def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
-    report = profiles.lowerbound_experiment_continuous(
-        ns.n, ns.t, ns.trees, rng_substream(ns.seed, 0), inner_samples=ns.inner
-    )
+    rng = rng_substream(ns.seed, 0)
+    report = profiles.lowerbound_experiment_continuous(ns.n, ns.t, ns.trees, rng)
     ctx.resolved["tree_sampler_version"] = yule.TREE_SAMPLER_VERSION
     ctx.write_rows(ns.out, ["key", "value"], vars(report).items())
     return EXIT_OK
@@ -545,18 +537,39 @@ def _cmd_selftest(ns, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common_flags(sub):
-    sub.add_argument("--out-dir", help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recomblab",
         description="Recombination dynamics on the Boolean cube: exact evolution, "
         "Monte Carlo tree representations, and mixing profiles.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"recomblab {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="command")
+
+    # flags that several commands share, each declared once on a parent parser
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", required=True, type=_NONNEGATIVE_COUNT, help="master seed")
+    sites = argparse.ArgumentParser(add_help=False)
+    sites.add_argument("--n", required=True, type=_COUNT, help="number of sites")
+    start = argparse.ArgumentParser(add_help=False)
+    start.add_argument("--n", type=_COUNT, help="number of sites")
+    start.add_argument(
+        "--start", required=True, help="start measure: mono | uniform | point:BITS | csv path"
+    )
+    windows = argparse.ArgumentParser(add_help=False)
+    windows.add_argument(
+        "--lambda", required=True, type=_parse_grid, dest="lambda_grid", help="windows, e.g. -4..4"
+    )
+    sampler = argparse.ArgumentParser(add_help=False)
+    sampler.add_argument(
+        "--method", choices=("auto", "direct", "cascade"), default="auto", help="martingale sampler"
+    )
+    sampler.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
+    limit = argparse.ArgumentParser(add_help=False, parents=[sampler])
+    limit.add_argument(
+        "--horizon", type=_NONNEGATIVE_REAL, help="finite horizon; default the exact t = inf limit"
+    )
 
     p = subs.add_parser("collide", help="one collision of two measures")
     p.add_argument("--n", type=_COUNT, help="number of sites (needed for named starts)")
@@ -565,139 +578,99 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--b", required=True, help="second measure")
     p.add_argument("--out", default="collide.csv", help="output pmf csv")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_collide)
 
-    p = subs.add_parser("evolve-discrete", help="iterate the self-collision map")
-    p.add_argument("--n", type=_COUNT, help="number of sites")
-    p.add_argument(
-        "--start", required=True, help="start measure: mono | uniform | point:BITS | csv path"
-    )
+    p = subs.add_parser("evolve-discrete", help="iterate the self-collision map", parents=[start])
     p.add_argument("--steps", required=True, type=_NONNEGATIVE_COUNT, help="number of steps")
     p.add_argument("--out", default="evolved_discrete.csv", help="output pmf csv")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_evolve_discrete)
 
-    p = subs.add_parser("evolve-continuous", help="integrate the continuous dynamics")
-    p.add_argument("--n", type=_COUNT, help="number of sites")
-    p.add_argument(
-        "--start", required=True, help="start measure: mono | uniform | point:BITS | csv path"
+    p = subs.add_parser(
+        "evolve-continuous", help="integrate the continuous dynamics", parents=[start]
     )
     p.add_argument("--t", required=True, type=_NONNEGATIVE_REAL, help="horizon")
     p.add_argument("--step", type=_POSITIVE_REAL, default=0.01, help="integrator step bound")
     p.add_argument("--out", default="evolved_continuous.csv", help="output pmf csv")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_evolve_continuous)
 
     p = subs.add_parser(
-        "profile-discrete", help="exact distance profile around the mixing window"
+        "profile-discrete", help="exact distance profile around the mixing window",
+        parents=[sites, windows],
     )
-    p.add_argument("--n", required=True, type=_COUNT, help="number of sites")
     p.add_argument(
-        "--lambda", required=True, type=_parse_grid, dest="lambda_grid", help="windows, e.g. -4..4"
+        "--seed", type=_NONNEGATIVE_COUNT, help="echoed to the manifest; unused (exact pipeline)"
     )
-    p.add_argument("--seed", type=int, help="echoed to the manifest; unused (exact pipeline)")
     p.add_argument("--out", default="profile_discrete.csv", help="output csv")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_profile_discrete)
 
     p = subs.add_parser(
-        "profile-continuous", help="sampled mixture profile of the continuous limit"
-    )
-    p.add_argument(
-        "--lambda", required=True, type=_parse_grid, dest="lambda_grid", help="windows, e.g. -4..4"
+        "profile-continuous", help="sampled mixture profile of the continuous limit",
+        parents=[windows, limit, seed],
     )
     p.add_argument("--samples", type=_COUNT, default=10_000, help="martingale sample count")
-    p.add_argument(
-        "--horizon", type=_NONNEGATIVE_REAL, help="finite horizon; default the exact t = inf limit"
-    )
-    p.add_argument(
-        "--method", choices=_MARTINGALE_METHODS, default="auto", help="martingale sampler"
-    )
-    p.add_argument("--seed", required=True, type=int, help="master seed")
-    p.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
     p.add_argument("--out", default="profile_continuous.csv", help="output csv")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_profile_continuous)
 
-    p = subs.add_parser("fragmentation", help="sample full-fragmentation times")
-    p.add_argument("--n", required=True, type=_COUNT, help="number of sites")
+    p = subs.add_parser(
+        "fragmentation", help="sample full-fragmentation times", parents=[sites, seed]
+    )
     p.add_argument("--trials", type=_COUNT, default=1000, help="number of runs")
-    p.add_argument("--seed", required=True, type=int, help="master seed")
     p.add_argument("--out", default="fragmentation.csv", help="output csv")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_fragmentation)
 
-    p = subs.add_parser("martingale", help="sample the additive leaf-weight martingale")
+    p = subs.add_parser(
+        "martingale", help="sample the additive leaf-weight martingale", parents=[sampler, seed]
+    )
     p.add_argument("--t", required=True, type=_NONNEGATIVE_REAL, help="horizon")
     p.add_argument("--samples", type=_COUNT, default=10_000, help="sample count")
-    p.add_argument("--method", choices=_MARTINGALE_METHODS, default="auto", help="sampler")
-    p.add_argument("--seed", required=True, type=int, help="master seed")
-    p.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
     p.add_argument("--out", default="martingale.csv", help="output csv (sample,t,W,leaves)")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_martingale)
 
-    p = subs.add_parser("w-tail", help="small-value tail of the martingale")
-    p.add_argument(
-        "--horizon", type=_NONNEGATIVE_REAL, help="finite horizon; default the exact t = inf limit"
-    )
+    p = subs.add_parser("w-tail", help="small-value tail of the martingale", parents=[limit, seed])
     p.add_argument(
         "--eps", required=True, type=_parse_grid, help="thresholds, e.g. 0.5,0.25,0.125"
     )
     p.add_argument("--samples", type=_COUNT, default=100_000, help="sample count")
-    p.add_argument("--method", choices=_MARTINGALE_METHODS, default="auto", help="sampler")
-    p.add_argument("--seed", required=True, type=int, help="master seed")
-    p.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
     p.add_argument("--out", default="w_tail.csv", help="output csv")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_w_tail)
 
     p = subs.add_parser(
-        "lowerbound-discrete", help="exact block-event distance lower bound"
+        "lowerbound-discrete", help="exact block-event distance lower bound", parents=[sites]
     )
-    p.add_argument("--n", required=True, type=_COUNT, help="number of sites")
     p.add_argument("--t", required=True, type=_NONNEGATIVE_COUNT, help="step count")
     p.add_argument("--out", default="lowerbound_discrete.csv", help="output csv")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_lowerbound_discrete)
 
     p = subs.add_parser(
-        "lowerbound-continuous", help="sampled block-event lower bound, continuous time"
+        "lowerbound-continuous", help="sampled block-event lower bound, continuous time",
+        parents=[sites, seed],
     )
-    p.add_argument("--n", required=True, type=_COUNT, help="number of sites")
     p.add_argument("--t", required=True, type=_POSITIVE_REAL, help="horizon")
     p.add_argument("--trees", type=_SPREAD_COUNT, default=400, help="sampled trees")
-    p.add_argument("--inner", type=_SPREAD_COUNT, default=2048, help="sign draws per tree")
-    p.add_argument("--seed", required=True, type=int, help="master seed")
     p.add_argument("--out", default="lowerbound_continuous.csv", help="output csv")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_lowerbound_continuous)
 
-    p = subs.add_parser("spinal-check", help="size-biased reweighting identity check")
+    p = subs.add_parser(
+        "spinal-check", help="size-biased reweighting identity check", parents=[seed]
+    )
     p.add_argument("--t", required=True, type=_POSITIVE_REAL, help="horizon")
     p.add_argument("--samples", type=_SPREAD_COUNT, default=200_000, help="paths per side")
-    p.add_argument("--seed", required=True, type=int, help="master seed")
     p.add_argument("--out", default="spinal_check.csv", help="output csv")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_spinal_check)
 
     p = subs.add_parser("selftest", help="run the acceptance registry")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="registry master seed")
+    p.add_argument(
+        "--seed", type=_NONNEGATIVE_COUNT, default=DEFAULT_SEED, help="registry master seed"
+    )
     p.add_argument("--out", default="selftest.csv", help="result table")
-    _common_flags(p)
     p.set_defaults(fn=_cmd_selftest)
 
+    # every command writes a run directory, and none takes an abbreviated
+    # option: argparse would read any unambiguous prefix as the full name
+    for sub in subs.choices.values():
+        sub.add_argument("--out-dir", help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
+        sub.allow_abbrev = False
     return parser
-
-
-def _echo_parameters(ns: argparse.Namespace) -> Dict[str, object]:
-    skip = {"fn", "command"}
-    return {
-        key: value
-        for key, value in sorted(vars(ns).items())
-        if key not in skip
-    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -709,28 +682,35 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CONFIG
     if ns.command in SCIPY_COMMANDS:
         import scipy.special  # noqa: F401
-    ctx = RunContext(
-        command=ns.command,
-        out_dir=_resolve_out_dir(ns.out_dir),
-        parameters=_echo_parameters(ns),
-    )
-    status = EXIT_OK
+    # an unwritable output exits 2, with a manifest wherever its directory exists
     try:
-        status = ns.fn(ns, ctx)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        status = EXIT_CONFIG
-    except CapacityError as err:
-        print(f"capacity error: {err}", file=sys.stderr)
-        ctx.record_capacity(err)
-        status = EXIT_CAPACITY
-    except NumericalInvariantError as err:
-        print(f"numerical invariant violated: {err}", file=sys.stderr)
-        status = EXIT_NUMERICAL
-    except RecombError as err:
-        print(f"error: {err}", file=sys.stderr)
-        status = EXIT_CONFIG
-    ctx.finish(status)
+        ctx = RunContext(
+            command=ns.command,
+            out_dir=Path(ns.out_dir or os.environ.get(OUT_DIR_ENV) or Path.cwd()),
+            parameters={k: v for k, v in sorted(vars(ns).items()) if k not in ("fn", "command")},
+        )
+        try:
+            status = ns.fn(ns, ctx)
+        except ConfigError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            status = EXIT_CONFIG
+        except CapacityError as err:
+            print(f"capacity error: {err}", file=sys.stderr)
+            ctx.record_capacity(err)
+            status = EXIT_CAPACITY
+        except NumericalInvariantError as err:
+            print(f"numerical invariant violated: {err}", file=sys.stderr)
+            status = EXIT_NUMERICAL
+        except RecombError as err:
+            print(f"error: {err}", file=sys.stderr)
+            status = EXIT_CONFIG
+        except OSError:
+            ctx.finish(EXIT_CONFIG)
+            raise
+        ctx.finish(status)
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     return status
 
 

@@ -40,6 +40,8 @@ _ASYMPTOTIC_SMALL_S = 1e-3
 _ASYMPTOTIC_LARGE_S = 1e6
 _ASYMPTOTIC_SMALL_TOL = 0.02
 _ASYMPTOTIC_LARGE_TOL = 0.05
+# lowerbound_experiment_continuous: sign draws per sampled tree
+_INNER_SAMPLES = 2048
 
 
 def _norm_cdf(x: float) -> float:
@@ -444,13 +446,10 @@ def lowerbound_experiment_continuous(
     t: float,
     m: int,
     rng: np.random.Generator,
-    inner_samples: int = 2048,
 ) -> ContinuousBlockReport:
     _check_horizon(t, positive=True)
-    if m < 2 or inner_samples < 2:
-        raise ValueError(
-            f"need at least 2 trees and 2 sign draws per tree, got {m} and {inner_samples}"
-        )
+    if m < 2:
+        raise ValueError(f"need at least 2 trees, got {m}")
     damp = max(1.0, math.log(1.0 / t))
     p = int(math.sqrt(80.0 * n) * math.exp(t / 4.0) / math.sqrt(damp))
     if p < 2:
@@ -477,7 +476,7 @@ def lowerbound_experiment_continuous(
         m2 = float((w * w).sum())
         m4 = float((w**4).sum())
         martingale = math.exp(t / 2.0) * m2
-        signs = rng.integers(0, 2, size=(inner_samples, w.size)) * 2 - 1
+        signs = rng.integers(0, 2, size=(_INNER_SAMPLES, w.size)) * 2 - 1
         q_draw = signs @ w
         # a tree has few leaves, so its 2^leaves sign patterns repeat: the
         # tail is evaluated once per distinct bias
@@ -489,7 +488,7 @@ def lowerbound_experiment_continuous(
         # first-moment check: formula vs the same trees' sign-mixture
         formula = p + p2 * m2
         per_draw = p + p2 * q_draw * q_draw
-        se = float(per_draw.std(ddof=1)) / math.sqrt(inner_samples)
+        se = float(per_draw.std(ddof=1)) / math.sqrt(_INNER_SAMPLES)
         moment_zs[i] = 0.0 if se == 0.0 else (float(per_draw.mean()) - formula) / se
         second_formula = (
             p4 * (3.0 * m2 * m2 - 2.0 * m4) + (6.0 * p3 + 4.0 * p2) * m2
@@ -513,7 +512,7 @@ def lowerbound_experiment_continuous(
         leftover=n - alpha * p,
         event_threshold=threshold,
         trees=m,
-        inner_samples=inner_samples,
+        inner_samples=_INNER_SAMPLES,
         stationary_event=pi_a,
         evolved_complement=mu_ac,
         evolved_complement_stderr=mu_se,

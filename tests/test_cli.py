@@ -115,9 +115,7 @@ CLOCK_ARGS = {
     "w-tail@limit": ["--samples", "50", "--eps", "0.5", "--seed", "1"],
     "profile-continuous@limit": ["--lambda", "0", "--samples", "50", "--seed", "1"],
     "lowerbound-discrete": ["--n", "400", "--t", "1"],
-    "lowerbound-continuous": [
-        "--n", "400", "--t", "0.5", "--trees", "5", "--inner", "16", "--seed", "1",
-    ],
+    "lowerbound-continuous": ["--n", "400", "--t", "0.5", "--trees", "5", "--seed", "1"],
     "spinal-check": ["--t", "0.5", "--samples", "100", "--seed", "1"],
     "selftest": [],
 }
@@ -331,8 +329,9 @@ def test_nodes_grown_counts_every_tree_node(tmp_path):
 # digest was recorded again when its binomial law moved to the public
 # scipy.special functions, and again when its binomial tails moved from
 # bdtr/bdtrc to betainc: both times the same draws, cells changed in the last
-# bits.  The limit `w-tail` pins the exact t = inf draw, 1 / chi-squared(3)
-# from substream 0.
+# bits, and again when the sign draws per tree became the fixed 2048, from
+# 512: the same trees, more draws.  The limit `w-tail` pins the exact t = inf
+# draw, 1 / chi-squared(3) from substream 0.
 SEEDED_OUTPUT_SHA256 = [
     (
         ("martingale", "--t", "2.5", "--samples", "400", "--seed", "77",
@@ -363,10 +362,9 @@ SEEDED_OUTPUT_SHA256 = [
         "c9846ceeda46efc21856ae472345e127ca9afe6bfd1b9294f2393637255e8abf",
     ),
     (
-        ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "120",
-         "--inner", "512", "--seed", "9"),
+        ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "120", "--seed", "9"),
         "lowerbound_continuous.csv",
-        "3cb97d1fcd466df03b591e9a05c0e8793fb7a55d26b2be6c001674bac89e7381",
+        "89b3c00dd443318ef6deec1e54e695b5d54e97ec911901b6c588fa284018efa6",
     ),
 ]
 
@@ -386,7 +384,7 @@ def test_seeded_output_bytes_are_pinned(tmp_path, capsys, args, name, digest):
 
 def test_lowerbound_manifest_names_the_tree_sampler(tmp_path, capsys):
     args = ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "5", "--seed", "1")
-    assert cli.main([*args, "--inner", "64", "--out-dir", str(tmp_path)]) == 0
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "lowerbound_continuous_manifest.json").read_text())
     assert manifest["resolved"] == {"tree_sampler_version": yule.TREE_SAMPLER_VERSION}
 
@@ -541,8 +539,9 @@ def test_config_keys_are_dests_and_flags_win(tmp_path):
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
-    # flags are the only keys: an unknown one, or the removed --config and
-    # --t-base, exits 2 through argparse and names itself before any run starts
+    # flags are the only keys: an unknown one, or the removed --config,
+    # --t-base and --inner, exits 2 through argparse and names itself before
+    # any run starts
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n = 4\nbogus = 1\n")
     base = ["evolve-discrete", "--n", "4", "--start", "mono", "--steps", "1"]
@@ -550,6 +549,7 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         (base, ["--bogus", "1"]),
         (base, ["--config", str(cfg)]),
         (["profile-discrete", "--n", "64", "--lambda", "0"], ["--t-base", "6"]),
+        (["lowerbound-continuous", *CLOCK_ARGS["lowerbound-continuous"]], ["--inner", "16"]),
     ]
     for args, extra in cases:
         with pytest.raises(SystemExit) as stop:
@@ -558,6 +558,35 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.endswith(f"unrecognized arguments: {' '.join(extra)}")
         assert not (tmp_path / "run").exists()
+
+
+# (command, an abbreviated long option and its value); every run directory
+# is `run` under the working directory
+ABBREVIATED_OPTIONS = [
+    (("martingale", "--t", "1", "--seed", "1", "--out-dir", "run"), ("--sa", "10")),
+    (("martingale", "--t", "1", "--seed", "1", "--out-dir", "run"), ("--se", "2")),
+    (("martingale", "--t", "1", "--seed", "1", "--out-dir", "run"), ("--meth", "direct")),
+    (("martingale", "--t", "1", "--seed", "1"), ("--out-d", "run")),
+    (("profile-discrete", "--n", "8", "--lambda", "0", "--out-dir", "run"), ("--lam", "1")),
+    ((), ("--vers",)),
+]
+
+
+@pytest.mark.parametrize(
+    "args,abbreviated", ABBREVIATED_OPTIONS, ids=[a[0][2:] for _, a in ABBREVIATED_OPTIONS]
+)
+def test_abbreviated_option_exits_2_before_the_manifest(
+    tmp_path, capsys, monkeypatch, args, abbreviated
+):
+    # a long option is taken only as spelled in full: a prefix would silently
+    # pick whichever flag it abbreviates
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        cli.main([*args, *abbreviated])
+    assert stop.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith(f"unrecognized arguments: {' '.join(abbreviated)}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_env_var_sets_output_dir(tmp_path):
@@ -646,6 +675,26 @@ def test_every_missing_required_flag_exits_2_before_the_manifest(tmp_path, capsy
         assert not (tmp_path / "run").exists()
 
 
+SEEDED_COMMANDS = sorted(
+    name
+    for name, sub in _subparsers(cli.build_parser()).items()
+    if "--seed" in sub._option_string_actions
+)
+
+
+@pytest.mark.parametrize("case", SEEDED_COMMANDS)
+def test_negative_seed_exits_2_before_the_manifest(tmp_path, capsys, case):
+    # a seed is an integer >= 0 on every command, the unused and the
+    # defaulted one included; a flag given twice keeps its last value
+    args = [case, *CLOCK_ARGS[case], "--seed", "-1", "--out-dir", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as stop:
+        cli.main(args)
+    assert stop.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith("argument --seed: expected an integer >= 0, got -1")
+    assert not (tmp_path / "run").exists()
+
+
 def test_readme_names_exactly_the_parser_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
@@ -671,6 +720,47 @@ def test_capacity_violation_exits_3_and_is_recorded(tmp_path):
     manifest = json.loads((out / "collide_manifest.json").read_text())
     assert manifest["exit_status"] == 3
     assert len(manifest["capacity_events"]) == 1
+
+
+# an output that cannot be written: the command's arguments, and what is in
+# the working directory before the run
+UNWRITABLE_OUTPUTS = {
+    "out-in-missing-directory": (["--out", "nodir/x.csv", "--out-dir", "run"], []),
+    "out-dir-is-a-file": (["--out-dir", "run"], ["run"]),
+    "manifest-is-a-directory": (["--out-dir", "run"], ["run/", "run/collide_manifest.json/"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, case):
+    # one line on stderr, and a manifest of the failed run where one fits
+    args, made = UNWRITABLE_OUTPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    for name in made:
+        if name.endswith("/"):
+            Path(name).mkdir()
+        else:
+            Path(name).touch()
+    assert cli.main(["collide", "--n", "3", "--a", "mono", "--b", "uniform", *args]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("output error: ")
+    manifest = tmp_path / "run" / "collide_manifest.json"
+    if case == "out-in-missing-directory":
+        assert json.loads(manifest.read_text())["exit_status"] == 2
+    else:
+        assert not manifest.is_file()
+
+
+@pytest.mark.parametrize("name", ["collide_manifest.json", "collide_manifest.json.tmp"])
+def test_output_named_like_the_manifest_exits_2(tmp_path, capsys, name):
+    # the manifest, or its temporary file, would overwrite the table, so the
+    # table is refused and the manifest records the failed run
+    args = ["collide", "--n", "3", "--a", "mono", "--b", "uniform", "--out-dir", str(tmp_path)]
+    assert cli.main([*args, "--out", name]) == 2
+    assert f"output {name} is where" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "collide_manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    assert manifest["outputs"] == []
 
 
 OUT_OF_RANGE_RUNS = [
@@ -790,10 +880,7 @@ BAD_COUNTS = [
     (("spinal-check", "--t", "1", "--seed", "1"), "samples", "-4"),
     # counts that feed a sample standard deviation take at least 2
     (("spinal-check", "--t", "1", "--seed", "1"), "samples", "1"),
-    (("lowerbound-continuous", "--n", "400", "--t", "0.5", "--inner", "16", "--seed", "1"),
-     "trees", "1"),
-    (("lowerbound-continuous", "--n", "400", "--t", "0.5", "--trees", "5", "--seed", "1"),
-     "inner", "1"),
+    (("lowerbound-continuous", "--n", "400", "--t", "0.5", "--seed", "1"), "trees", "1"),
     (("evolve-discrete", "--n", "3", "--start", "mono"), "steps", "-1"),
     (("lowerbound-continuous", "--n", "100", "--t", "1", "--seed", "1"), "trees", "-1"),
     (("fragmentation", "--n", "8", "--seed", "1"), "trials", "-2"),
@@ -802,6 +889,9 @@ BAD_COUNTS = [
     (("lowerbound-continuous", "--t", "1", "--trees", "2", "--seed", "1"), "n", "-1"),
     # a step count, not a horizon
     (("lowerbound-discrete", "--n", "400"), "t", "2.5"),
+    # removed options exit 2 whatever their value: each tree takes 2048 sign draws
+    (("lowerbound-continuous", "--n", "400", "--t", "0.5", "--trees", "5", "--seed", "1"),
+     "inner", "1"),
 ]
 
 

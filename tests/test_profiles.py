@@ -387,7 +387,7 @@ def test_block_spec_partition():
     # equal blocks plus a leftover smaller than one block cover the n sites
     reports = [
         lowerbound_experiment_discrete(5120 + 7, 3),
-        lowerbound_experiment_continuous(400, 1.0, 2, rng_substream(23, 1), inner_samples=16),
+        lowerbound_experiment_continuous(400, 1.0, 2, rng_substream(23, 1)),
     ]
     for report in reports:
         assert report.block_count >= 1
@@ -395,13 +395,11 @@ def test_block_spec_partition():
         assert report.block_size * report.block_count + report.leftover == report.n
 
 
-@pytest.mark.parametrize("trees,inner", [(1, 16), (5, 1), (0, 16)])
-def test_continuous_block_experiment_needs_two_trees_and_two_draws(trees, inner):
-    # both feed a sample standard deviation
-    with pytest.raises(ValueError, match="at least 2 trees and 2 sign draws"):
-        lowerbound_experiment_continuous(
-            400, 1.0, trees, rng_substream(23, 1), inner_samples=inner
-        )
+@pytest.mark.parametrize("trees", [1, 0])
+def test_continuous_block_experiment_needs_two_trees(trees):
+    # the tree count feeds a sample standard deviation
+    with pytest.raises(ValueError, match="at least 2 trees"):
+        lowerbound_experiment_continuous(400, 1.0, trees, rng_substream(23, 1))
 
 
 def test_discrete_block_moments_match_formulas():
@@ -420,7 +418,7 @@ def test_discrete_block_moments_match_formulas():
 
 def test_continuous_block_bound_is_dominated_by_z_law():
     rng = rng_substream(21, 3)
-    report = lowerbound_experiment_continuous(400, 1.0, 120, rng, inner_samples=512)
+    report = lowerbound_experiment_continuous(400, 1.0, 120, rng)
     assert 0.0 < report.tv_lower_bound <= report.block_count_tv + 1e-12
     assert report.second_moment_bound_ok
     assert abs(report.first_moment_max_abs_z) < 5.0
@@ -442,9 +440,7 @@ def test_continuous_block_report_equals_per_draw_evaluation(monkeypatch):
     # the tail is evaluated once per distinct bias; evaluating it once per
     # sign draw, as the oracle does, must give the same report exactly
     def run():
-        return lowerbound_experiment_continuous(
-            400, 1.0, 120, rng_substream(21, 3), inner_samples=512
-        )
+        return lowerbound_experiment_continuous(400, 1.0, 120, rng_substream(21, 3))
 
     evaluated = []
     tail = profiles._square_tail_given_bias
@@ -456,7 +452,7 @@ def test_continuous_block_report_equals_per_draw_evaluation(monkeypatch):
     monkeypatch.setattr(profiles, "_square_tail_given_bias", counting_tail)
     report = run()
     per_tree = evaluated[1:]
-    assert len(per_tree) == 120 and sum(per_tree) < 120 * 512
+    assert len(per_tree) == 120 and sum(per_tree) < 120 * 2048
     monkeypatch.setattr(profiles, "np", _NumpyWithoutDedup())
     assert report == run()
 

@@ -664,9 +664,7 @@ HORIZON_ENTRY_POINTS = {
     "evolve-continuous": lambda t, rng: evolve_continuous(monochromatic_pmf(2), t),
     "wild-mc": lambda t, rng: wild_mc_estimate(monochromatic_pmf(2), t, 4, rng),
     "spinal-check": lambda t, rng: spinal_identity_check(t, 10, rng),
-    "lowerbound-continuous": lambda t, rng: lowerbound_experiment_continuous(
-        400, t, 2, rng, inner_samples=16
-    ),
+    "lowerbound-continuous": lambda t, rng: lowerbound_experiment_continuous(400, t, 2, rng),
 }
 
 
