@@ -205,11 +205,15 @@ class RunContext:
         path = self.out_dir / name
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_bytes(text.encode())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink()
+            raise
         return path
 
     def write_rows(self, name: str, header: Sequence[str], rows) -> Path:
-        """Write a csv output and record its checksum."""
+        """Write a csv output and record it under `name`, relative to `out_dir`."""
         manifest = (self.out_dir / self.manifest_name).resolve()
         if (self.out_dir / name).resolve() in (manifest, Path(f"{manifest}.tmp")):
             raise ConfigError(f"output {name} is where the run's manifest goes")
@@ -217,7 +221,7 @@ class RunContext:
         path = self._publish(name, text)
         blob = text.encode()
         self.outputs.append(
-            {"file": path.name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+            {"file": name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
         )
         return path
 
@@ -512,15 +516,10 @@ def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
 
 def _cmd_spinal_check(ns, ctx: RunContext) -> int:
     report = yule.spinal_identity_check(ns.t, ns.samples, rng_substream(ns.seed, 0))
-    rows = [
-        (r.name, r.weighted_mean, r.plain_mean, r.z, r.analytic, r.z_analytic)
-        for r in report.results
-    ]
-    ctx.write_rows(
-        ns.out,
-        ["functional", "weighted_mean", "plain_mean", "z", "analytic", "z_analytic"],
-        rows,
-    )
+    ctx.resolved["tree_sampler_version"] = yule.TREE_SAMPLER_VERSION
+    ctx.counters["nodes_grown"] = report.nodes_grown
+    rows = [(r.name, r.weighted_mean, r.analytic, r.z) for r in report.results]
+    ctx.write_rows(ns.out, ["functional", "weighted_mean", "analytic", "z"], rows)
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
@@ -651,10 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lowerbound_continuous)
 
     p = subs.add_parser(
-        "spinal-check", help="size-biased reweighting identity check", parents=[seed]
+        "spinal-check", help="spinal identity check on grown trees", parents=[seed]
     )
     p.add_argument("--t", required=True, type=_POSITIVE_REAL, help="horizon")
-    p.add_argument("--samples", type=_SPREAD_COUNT, default=200_000, help="paths per side")
+    p.add_argument("--samples", type=_SPREAD_COUNT, default=200_000, help="sampled trees")
     p.add_argument("--out", default="spinal_check.csv", help="output csv")
     p.set_defaults(fn=_cmd_spinal_check)
 

@@ -8,17 +8,17 @@ averaging the root measure over trees gives mu_t exactly.
 
 Every tree here comes from one generator, the generation-wave kernel
 `_wave_batch`, which grows many trees at once and reports what each consumer
-needs: leaf counts per depth for the martingale samplers and the leaf-weight
-estimators, and each wave's death times and survival mask for the consumers
-that need parent links (`sample_yule` and the tree-average estimator).  The
-module also holds a fixed-step order-4 integrator for the character-space
-ODE, Monte Carlo drivers for both representations, the additive leaf-weight
-martingale
+needs: leaf counts per depth for the martingale samplers, the leaf-weight
+estimators and the spinal check, and each wave's death times and survival
+mask for the consumers that need parent links (`sample_yule` and the
+tree-average estimator).  The module also holds a fixed-step order-4
+integrator for the character-space ODE, Monte Carlo drivers for both
+representations, the additive leaf-weight martingale
 
     value = e^{t/2} * sum over leaves x of 4^{-depth(x)}
 
 with direct and time-chunked samplers, exact draws of its limit, tail
-estimation, and a reweighting check of the size-biased (spinal) identity.
+estimation, and a check of the size-biased (spinal) identity on grown trees.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ _BATCH_NODE_BUDGET = 250_000_000
 WAVE_WIDTH = 2e7
 # version of the draw order of every tree grown outside the martingale
 # samplers (sample_yule, the block lower bound, both representation
-# estimators); bumped whenever their seeded output changes bytes
+# estimators, the spinal check); bumped whenever their seeded output changes
+# bytes
 TREE_SAMPLER_VERSION = 2
 # cascade sampler: stage length, smallest bootstrap pool, and the version of
 # its draw order, bumped whenever seeded cascade output changes bytes
@@ -50,7 +51,7 @@ CASCADE_MIN_POOL = 1 << 20
 CASCADE_SAMPLER_VERSION = 3
 # dense cells (per-sample measure entries) one estimator batch may hold
 _ESTIMATOR_BATCH_CELLS = 1 << 20
-# spinal_identity_check passes while every two-sample |z| stays within this
+# spinal_identity_check passes while every one-sample |z| stays within this
 _SPINAL_Z_LIMIT = 4.0
 
 
@@ -598,6 +599,11 @@ def _cascade_martingale_batch(
     )
 
 
+def _direct_fits(t: float, m: int) -> bool:
+    """Whether m trees grown in full to horizon t, 2 m e^t nodes expected, fit the budget."""
+    return 2.0 * m * _exp(t) <= _BATCH_NODE_BUDGET
+
+
 def resolve_martingale_method(t: float, m: int, method: str = "auto") -> str:
     """The sampler that `method` names for m samples at horizon t.
 
@@ -606,7 +612,7 @@ def resolve_martingale_method(t: float, m: int, method: str = "auto") -> str:
     """
     if method != "auto":
         return method
-    return "direct" if 2.0 * m * _exp(t) <= _BATCH_NODE_BUDGET else "cascade"
+    return "direct" if _direct_fits(t, m) else "cascade"
 
 
 def martingale_samples(
@@ -681,10 +687,8 @@ def tail_probability_from_samples(values: np.ndarray, eps: float) -> TailEstimat
 class SpinalFunctionalResult:
     name: str
     weighted_mean: float
-    plain_mean: float
-    z: float
     analytic: float
-    z_analytic: float
+    z: float
 
 
 @dataclass(frozen=True)
@@ -693,65 +697,45 @@ class SpinalCheckReport:
     samples: int
     results: Tuple[SpinalFunctionalResult, ...]
     passed: bool
+    nodes_grown: int
 
 
 def spinal_identity_check(t: float, m: int, rng: np.random.Generator) -> SpinalCheckReport:
-    """Compare reweighted full-rate paths against half-rate paths.
+    """Check the many-to-one (spinal) identity on m trees grown to horizon t.
 
-    Size-biasing the tree law slows the splits along one distinguished
-    root-to-leaf path to rate 1/2.  Equivalently, for any functional G of a
-    unit-rate Poisson path X on [0, t],
+    A tree at horizon t has on average 2^d P(Poisson(t) = d) leaves at depth
+    d, so for any function G of the depth
 
-        E[e^{t/2} 2^{-X_t} G(X)] = E[G(Y)],   Y a rate-1/2 Poisson path.
+        E[e^{t/2} * sum over leaves x of 4^{-depth(x)} G(depth(x))] = E[G(Poisson(t/2))],
 
-    Both sides are estimated on a fixed library of path functionals (counts
-    at the half and full horizon, a void indicator, an exponential moment)
-    and compared by a two-sample z statistic, with the closed-form value of
-    the right-hand side reported alongside.
+    the depth of the size-biased tree's spine, which splits at rate 1/2.
+    Each tree gives one such sum for G = 1, d, d^2 and e^{-d}, and each mean
+    is compared with its closed form by a one-sample z statistic.  Trees
+    are grown in full, so more than the martingale samplers' expected node
+    budget 2 m e^t raises CapacityError before any is grown.
     """
     _check_horizon(t, positive=True)
     if m < 2:
         raise ValueError("need at least 2 samples")
-    x_half = rng.poisson(t / 2.0, m)
-    x_end = x_half + rng.poisson(t / 2.0, m)
-    weights = _exp(t / 2.0) * np.ldexp(1.0, -x_end.astype(np.int32))
-    y_half = rng.poisson(t / 4.0, m)
-    y_end = y_half + rng.poisson(t / 4.0, m)
+    if not _direct_fits(t, m):
+        raise CapacityError("spinal check trees exceed the node budget", horizon=t, samples=m)
+    h = t / 2.0
+    names = ("unit", "depth", "depth_squared", "exp_minus_depth")
+    analytic = np.array([1.0, h, h + h * h, math.exp(h * math.expm1(-1.0))])
+    sums = np.zeros((len(names), m))
 
-    library = [
-        ("unit", lambda h, e: np.ones_like(e, dtype=np.float64), 1.0),
-        ("count_at_horizon", lambda h, e: e.astype(np.float64), t / 2.0),
-        ("count_at_half_horizon", lambda h, e: h.astype(np.float64), t / 4.0),
-        (
-            "void_at_half_horizon",
-            lambda h, e: (h == 0).astype(np.float64),
-            math.exp(-t / 4.0),
-        ),
-        (
-            "exp_decay_at_horizon",
-            lambda h, e: np.exp(-e.astype(np.float64)),
-            math.exp((t / 2.0) * (math.exp(-1.0) - 1.0)),
-        ),
-    ]
-    results = []
-    for name, fn, analytic in library:
-        a = weights * fn(x_half, x_end)
-        b = fn(y_half, y_end)
-        mean_a, mean_b = float(a.mean()), float(b.mean())
-        se_a = float(a.std(ddof=1)) / math.sqrt(m)
-        se_b = float(b.std(ddof=1)) / math.sqrt(m)
-        denom = math.hypot(se_a, se_b)
-        z = 0.0 if denom == 0.0 else (mean_a - mean_b) / denom
-        z_ref = 0.0 if se_a == 0.0 else (mean_a - analytic) / se_a
-        results.append(
-            SpinalFunctionalResult(
-                name=name,
-                weighted_mean=mean_a,
-                plain_mean=mean_b,
-                z=z,
-                analytic=analytic,
-                z_analytic=z_ref,
-            )
-        )
+    def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
+        g = np.array([1.0, depth, depth * depth, math.exp(-depth)])
+        sums[:, trees] += np.outer(math.ldexp(1.0, -2 * depth) * g, frozen)
+
+    nodes = _wave_batch(t, m, rng, on_frozen)
+    values = math.exp(h) * sums
+    means = values.mean(axis=1)
+    # a sample without spread gets an infinite or undefined z, and fails
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (means - analytic) / (values.std(axis=1, ddof=1) / math.sqrt(m))
+    results = tuple(
+        map(SpinalFunctionalResult, names, means.tolist(), analytic.tolist(), z.tolist())
+    )
     passed = all(abs(r.z) <= _SPINAL_Z_LIMIT for r in results)
-    return SpinalCheckReport(t=t, samples=m, results=tuple(results), passed=passed)
+    return SpinalCheckReport(t=t, samples=m, results=results, passed=passed, nodes_grown=nodes)

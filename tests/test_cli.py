@@ -366,6 +366,11 @@ SEEDED_OUTPUT_SHA256 = [
         "lowerbound_continuous.csv",
         "89b3c00dd443318ef6deec1e54e695b5d54e97ec911901b6c588fa284018efa6",
     ),
+    (
+        ("spinal-check", "--t", "1.0", "--samples", "2000", "--seed", "5"),
+        "spinal_check.csv",
+        "d903d39f7218a1a9587a0f7330aae9adb74a78e629b796d269b552143c4a1e90",
+    ),
 ]
 
 
@@ -374,7 +379,7 @@ SEEDED_OUTPUT_SHA256 = [
     SEEDED_OUTPUT_SHA256,
     ids=[
         "martingale-direct", "martingale-cascade", "w-tail-cascade", "w-tail-limit",
-        "fragmentation", "lowerbound-continuous",
+        "fragmentation", "lowerbound-continuous", "spinal-check",
     ],
 )
 def test_seeded_output_bytes_are_pinned(tmp_path, capsys, args, name, digest):
@@ -387,6 +392,15 @@ def test_lowerbound_manifest_names_the_tree_sampler(tmp_path, capsys):
     assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "lowerbound_continuous_manifest.json").read_text())
     assert manifest["resolved"] == {"tree_sampler_version": yule.TREE_SAMPLER_VERSION}
+
+
+def test_spinal_manifest_counts_the_nodes_grown(tmp_path, capsys):
+    args = ("spinal-check", "--t", "1.0", "--samples", "500", "--seed", "3")
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "spinal_check_manifest.json").read_text())
+    assert manifest["resolved"] == {"tree_sampler_version": yule.TREE_SAMPLER_VERSION}
+    nodes = yule._wave_batch(1.0, 500, rng_substream(3, 0), lambda *wave: None)
+    assert manifest["counters"] == {"nodes_grown": nodes}
 
 
 def test_fragmentation_manifest_names_the_sampler(tmp_path, capsys):
@@ -728,6 +742,7 @@ UNWRITABLE_OUTPUTS = {
     "out-in-missing-directory": (["--out", "nodir/x.csv", "--out-dir", "run"], []),
     "out-dir-is-a-file": (["--out-dir", "run"], ["run"]),
     "manifest-is-a-directory": (["--out-dir", "run"], ["run/", "run/collide_manifest.json/"]),
+    "csv-is-a-directory": (["--out-dir", "run"], ["run/", "run/collide.csv/"]),
 }
 
 
@@ -745,10 +760,23 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, case):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("output error: ")
     manifest = tmp_path / "run" / "collide_manifest.json"
-    if case == "out-in-missing-directory":
+    if case in ("out-in-missing-directory", "csv-is-a-directory"):
         assert json.loads(manifest.read_text())["exit_status"] == 2
     else:
         assert not manifest.is_file()
+    # a file that could not be moved into place leaves no staging file
+    assert not list(tmp_path.glob("run/*.tmp"))
+
+
+def test_manifest_names_an_output_as_out_gives_it(tmp_path, capsys):
+    # joined with --out-dir, the recorded name finds the file it describes
+    (tmp_path / "sub").mkdir()
+    args = ["collide", "--n", "3", "--a", "mono", "--b", "uniform", "--out", "sub/x.csv"]
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+    (entry,) = json.loads((tmp_path / "collide_manifest.json").read_text())["outputs"]
+    assert entry["file"] == "sub/x.csv"
+    blob = (tmp_path / entry["file"]).read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
 
 
 @pytest.mark.parametrize("name", ["collide_manifest.json", "collide_manifest.json.tmp"])

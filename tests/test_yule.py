@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -740,3 +741,46 @@ def test_spinal_identity_holds():
     assert "unit" in names
     for r in report.results:
         assert abs(r.z) <= 4.0
+
+
+class _FastSplits:
+    """A generator whose exponential clocks run 1.1 times too fast."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def standard_exponential(self, size):
+        return self._rng.standard_exponential(size) / 1.1
+
+
+def test_spinal_identity_fails_on_a_wrong_split_rate():
+    # the check grows its trees, so a wave sampler splitting at rate 1.1
+    # moves every weighted mean off its closed form
+    report = spinal_identity_check(1.0, 20_000, _FastSplits(rng_substream(11, 60)))
+    assert not report.passed
+
+
+# the functionals of the depth d that the check sums over leaves
+SPINAL_FUNCTIONALS = {
+    "unit": lambda d: np.ones_like(d, dtype=float),
+    "depth": lambda d: d,
+    "depth_squared": lambda d: d * d,
+    "exp_minus_depth": lambda d: np.exp(-d),
+}
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
+def test_spinal_closed_forms_are_half_rate_poisson_means(t):
+    report = spinal_identity_check(t, 100, rng_substream(11, 61))
+    assert [r.name for r in report.results] == list(SPINAL_FUNCTIONALS)
+    for r in report.results:
+        expected = sps.poisson(t / 2.0).expect(SPINAL_FUNCTIONALS[r.name])
+        assert r.analytic == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_spinal_check_over_the_node_budget_raises_before_growing():
+    # 2 m e^t = 8.8e9 expected nodes against a budget of 2.5e8
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="node budget"):
+        spinal_identity_check(10.0, 200_000, rng_substream(11, 62))
+    assert time.perf_counter() - start < 1.0
