@@ -200,11 +200,11 @@ class RunContext:
         self.started_at = datetime.now(timezone.utc).isoformat()
         self._clock = time.perf_counter()
 
-    def _publish(self, name: str, text: str) -> Path:
-        """Write `text` to a temporary file, then move it into place as `name`."""
+    def _publish(self, name: str, blob: bytes) -> Path:
+        """Write `blob` to a temporary file, then move it into place as `name`."""
         path = self.out_dir / name
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(text.encode())
+        tmp.write_bytes(blob)
         try:
             os.replace(tmp, path)
         except OSError:
@@ -217,9 +217,8 @@ class RunContext:
         manifest = (self.out_dir / self.manifest_name).resolve()
         if (self.out_dir / name).resolve() in (manifest, Path(f"{manifest}.tmp")):
             raise ConfigError(f"output {name} is where the run's manifest goes")
-        text = _csv_text(header, rows)
-        path = self._publish(name, text)
-        blob = text.encode()
+        blob = _csv_text(header, rows).encode()
+        path = self._publish(name, blob)
         self.outputs.append(
             {"file": name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
         )
@@ -244,8 +243,8 @@ class RunContext:
             "phases": self.phases,
             "exit_status": status,
         }
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        return self._publish(self.manifest_name, text)
+        blob = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+        return self._publish(self.manifest_name, blob)
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -349,9 +348,10 @@ def _sample_martingale(
     The sampler choice and the chunk plan depend only on (t, total), never
     on the worker count, so the concatenated batch is reproducible for any
     parallelism degree.  Each cascade chunk grows its own pool; the manifest
-    gets the resolved sampler, the tree nodes grown summed over chunks and,
-    for the cascade, the pool size and the final-stage draws, last-pool
-    entries grown and expected repeat draws summed over chunks.
+    gets the resolved sampler, the tree sampler version, the tree nodes
+    grown summed over chunks, the widest wave grown in any chunk and, for
+    the cascade, its version, the pool size and the final-stage draws,
+    last-pool entries grown and expected repeat draws summed over chunks.
     """
     method = yule.resolve_martingale_method(t, total, method)
     sizes = _chunk_plan(total)
@@ -377,9 +377,12 @@ def _sample_martingale(
         pool_grown=sum(p.pool_grown for p in parts),
         expected_repeat_draws=sum(p.expected_repeat_draws for p in parts),
         nodes_grown=sum(p.nodes_grown for p in parts),
+        widest_wave=max(p.widest_wave for p in parts),
     )
-    ctx.resolved["martingale_method"] = method
-    ctx.counters["nodes_grown"] = batch.nodes_grown
+    ctx.resolved.update(
+        martingale_method=method, tree_sampler_version=yule.TREE_SAMPLER_VERSION
+    )
+    ctx.counters.update(nodes_grown=batch.nodes_grown, widest_wave=batch.widest_wave)
     if method == "cascade":
         ctx.resolved["cascade_sampler_version"] = yule.CASCADE_SAMPLER_VERSION
         ctx.counters.update(
@@ -517,7 +520,7 @@ def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
 def _cmd_spinal_check(ns, ctx: RunContext) -> int:
     report = yule.spinal_identity_check(ns.t, ns.samples, rng_substream(ns.seed, 0))
     ctx.resolved["tree_sampler_version"] = yule.TREE_SAMPLER_VERSION
-    ctx.counters["nodes_grown"] = report.nodes_grown
+    ctx.counters.update(nodes_grown=report.nodes_grown, widest_wave=report.widest_wave)
     rows = [(r.name, r.weighted_mean, r.analytic, r.z) for r in report.results]
     ctx.write_rows(ns.out, ["functional", "weighted_mean", "analytic", "z"], rows)
     return EXIT_OK if report.passed else EXIT_NUMERICAL

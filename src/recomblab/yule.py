@@ -37,18 +37,29 @@ from .discrete import _collision_kernel, _draw_spins, collide_coeffs
 MAX_LEAVES = 1 << 22
 _TREE_MEASURE_CELL_CAP = 1 << 26
 _BATCH_NODE_BUDGET = 250_000_000
-# lineages the widest generation wave of one tree chunk may reach
-WAVE_WIDTH = 2e7
-# version of the draw order of every tree grown outside the martingale
-# samplers (sample_yule, the block lower bound, both representation
-# estimators, the spinal check); bumped whenever their seeded output changes
-# bytes
-TREE_SAMPLER_VERSION = 2
+# lineages the widest generation wave of one tree chunk is sized to reach: a
+# 1 MiB array of death times, so a wave's arrays fit a 2 MiB L2 cache.  On a
+# 2-core Xeon (2 MiB L2 per core), 10 000 direct trees at t = 6, widths
+# alternated in one process over 11 rounds:
+#
+#     width   chunks  widest wave  traced peak  median s
+#     2^15        29       33 384      0.8 MiB     0.164
+#     2^16        15       68 412      1.5 MiB     0.154
+#     2^17         8      125 988      2.7 MiB     0.146
+#     2^18         4      255 220      5.3 MiB     0.149
+#     2^19         2      497 532     10.2 MiB     0.157
+#     2e7          1      881 302     17.9 MiB     0.158
+WAVE_WIDTH = 1 << 17
+# version of the wave kernel's draw order, for every tree it grows (the
+# martingale samplers, sample_yule, the block lower bound, both
+# representation estimators, the spinal check); bumped whenever a seeded
+# output of theirs changes bytes
+TREE_SAMPLER_VERSION = 3
 # cascade sampler: stage length, smallest bootstrap pool, and the version of
 # its draw order, bumped whenever seeded cascade output changes bytes
 CASCADE_STAGE = 2.0
 CASCADE_MIN_POOL = 1 << 20
-CASCADE_SAMPLER_VERSION = 3
+CASCADE_SAMPLER_VERSION = 4
 # dense cells (per-sample measure entries) one estimator batch may hold
 _ESTIMATOR_BATCH_CELLS = 1 << 20
 # spinal_identity_check passes while every one-sample |z| stays within this
@@ -75,6 +86,21 @@ def _exp(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _wave_peak(t: float) -> float:
+    """Expected lineages in the widest generation wave of one tree at horizon t.
+
+    Wave d holds every lineage born at depth d, 2^d P(Poisson(t) >= d) in
+    expectation, and the maximum over d is about 2 e^t / sqrt(4 pi t) =
+    e^t / sqrt(pi t); it is floored at the one root lineage.
+    """
+    return max(1.0, _exp(t) / math.sqrt(math.pi * max(t, 0.25)))
+
+
+def _wave_chunk(t: float, m: int) -> int:
+    """Trees per chunk, so that a chunk's widest wave expects `WAVE_WIDTH` lineages."""
+    return max(1, min(m, int(WAVE_WIDTH / _wave_peak(t))))
+
+
 def _wave_batch(
     t: float,
     m: int,
@@ -82,27 +108,29 @@ def _wave_batch(
     on_frozen: Callable[[np.ndarray, np.ndarray, int], None],
     node_budget: int = 4 * _BATCH_NODE_BUDGET,
     on_wave: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
-) -> int:
+) -> Tuple[int, int]:
     """Drive m independent trees to horizon t without materializing them.
 
     Lineages are processed in generation waves, so a wave's index is the
     depth of its lineages.  A wave holds only their death times, in tree
     order, and a lineage count for each tree still growing; the lineages
     that outlive t are reported per tree as `on_frozen(trees, counts,
-    depth)`.  Trees are chunked so the widest wave stays near `WAVE_WIDTH`
-    lineages.  A consumer that needs parent links passes `on_wave(depth,
-    death, alive)`, called once per wave with the wave's death times and
-    survival mask: the children of the k-th surviving lineage sit at
-    positions 2k and 2k+1 of the next wave, and depth 0 starts a new chunk
-    whose lineages are its trees in order.  Every lineage splits after an
-    independent mean-one exponential time, so each tree has the branching
-    law.  Returns the number of lineages (tree nodes) grown.  Every tree
-    sampler comes through here, so here a horizon outside [0, inf) raises.
+    depth)`.  Trees are grown in chunks of `_wave_chunk(t, m)`, so a chunk's
+    widest wave expects `WAVE_WIDTH` lineages (2^17, a 1 MiB array of death
+    times) and the kernel's working set stays in cache.  A consumer that
+    needs parent links passes `on_wave(depth, death, alive)`, called once
+    per wave with the wave's death times and survival mask: the children of
+    the k-th surviving lineage sit at positions 2k and 2k+1 of the next
+    wave, and depth 0 starts a new chunk whose lineages are its trees in
+    order.  Every lineage splits after an independent mean-one exponential
+    time, so each tree has the branching law.  Returns the number of
+    lineages (tree nodes) grown and the widest wave grown, in lineages.
+    Every tree sampler comes through here, so here a horizon outside
+    [0, inf) raises.
     """
     _check_horizon(t)
-    peak = max(1.0, _exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
-    chunk = max(1, min(m, int(WAVE_WIDTH / peak)))
-    processed = 0
+    chunk = _wave_chunk(t, m)
+    processed = widest = 0
     for start in range(0, m, chunk):
         width = min(chunk, m - start)
         trees = np.arange(start, start + width)
@@ -112,6 +140,7 @@ def _wave_batch(
         lineages, depth = width, 0
         while lineages:
             processed += lineages
+            widest = max(widest, lineages)
             if processed > node_budget:
                 raise CapacityError(
                     "node budget exhausted while growing batch",
@@ -144,7 +173,7 @@ def _wave_batch(
             counts = 2 * live[growing]
             lineages = int(counts.sum())
             depth += 1
-    return processed
+    return processed, widest
 
 
 def sample_leaf_weights(
@@ -434,9 +463,10 @@ class MartingaleBatch:
     """Batch of martingale values with the leaf count of each tree.
 
     `nodes_grown` counts the tree nodes the wave kernel simulated for the
-    batch.  A cascade batch also reports its bootstrap: the pool size, the
-    pool entries its final stage drew, the entries of the last pool it grew
-    (one per distinct draw), and the expected number of repeated draws
+    batch and `widest_wave` the lineages of the widest wave it grew.  A
+    cascade batch also reports its bootstrap: the pool size, the pool
+    entries its final stage drew, the entries of the last pool it grew (one
+    per distinct draw), and the expected number of repeated draws
     draws^2 / (2 pool_size).  A direct batch leaves them at zero.
     """
 
@@ -449,11 +479,12 @@ class MartingaleBatch:
     pool_grown: int = 0
     expected_repeat_draws: float = 0.0
     nodes_grown: int = 0
+    widest_wave: int = 0
 
 
 def _direct_martingale_batch(
     t: float, m: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
     raw = np.zeros(m)
     counts = np.zeros(m, dtype=np.int64)
 
@@ -462,8 +493,8 @@ def _direct_martingale_batch(
         raw[trees] += frozen * math.ldexp(1.0, -2 * depth)
         counts[trees] += frozen
 
-    nodes = _wave_batch(t, m, rng, on_frozen)
-    return math.exp(t / 2.0) * raw, counts, nodes
+    work = _wave_batch(t, m, rng, on_frozen)
+    return math.exp(t / 2.0) * raw, counts, work
 
 
 def _add_leaves(
@@ -498,12 +529,13 @@ def _cascade_pool(
     pool: Optional[Tuple[np.ndarray, np.ndarray]],
     width: int,
     rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
     """`width` i.i.d. (value, leaf count) entries of the next cascade pool.
 
     With no previous pool an entry is a direct tree of horizon `first`;
     otherwise it is a stage tree whose leaves draw their subtrees from
-    `pool` uniformly with replacement.  Also returns the nodes grown.
+    `pool` uniformly with replacement.  Also returns the nodes grown and
+    the widest wave, as `_wave_batch` does.
     """
     if pool is None:
         return _direct_martingale_batch(first, width, rng)
@@ -515,8 +547,8 @@ def _cascade_pool(
         pick = rng.integers(0, pool_w.size, size=int(frozen.sum()))
         _add_leaves(new_w, new_l, trees, frozen, depth, pool_w, pool_l, pick)
 
-    nodes = _wave_batch(CASCADE_STAGE, width, rng, on_frozen)
-    return math.exp(CASCADE_STAGE / 2.0) * new_w, new_l, nodes
+    work = _wave_batch(CASCADE_STAGE, width, rng, on_frozen)
+    return math.exp(CASCADE_STAGE / 2.0) * new_w, new_l, work
 
 
 def _cascade_martingale_batch(
@@ -549,18 +581,22 @@ def _cascade_martingale_batch(
     pool entry twice is O(leaves^2 / P), and sample means stay exactly
     unbiased.  The batch reports P, the final stage's draws D, the entries
     of pool K-1 it grew (the distinct draws) and the expected number of
-    repeated draws D^2 / (2P).
+    repeated draws D^2 / (2P), and the nodes and widest wave of every
+    `_wave_batch` call it made.
     """
     nstages = max(1, math.ceil(t / CASCADE_STAGE))
     first = t - (nstages - 1) * CASCADE_STAGE
     if nstages == 1:
-        values, counts, nodes = _direct_martingale_batch(first, m, rng)
-        return MartingaleBatch(float(t), values, counts, "cascade", nodes_grown=nodes)
+        values, counts, (nodes, widest) = _direct_martingale_batch(first, m, rng)
+        return MartingaleBatch(
+            float(t), values, counts, "cascade", nodes_grown=nodes, widest_wave=widest
+        )
     pool_size = max(m, CASCADE_MIN_POOL)
-    pool, nodes = None, 0
+    pool, works = None, []
     for _ in range(nstages - 2):
-        pool_w, pool_l, grown = _cascade_pool(first, pool, pool_size, rng)
-        pool, nodes = (pool_w, pool_l), nodes + grown
+        pool_w, pool_l, work = _cascade_pool(first, pool, pool_size, rng)
+        pool = (pool_w, pool_l)
+        works.append(work)
     # the final stage keeps each wave's frozen trees and their leaves' picks,
     # as int32 since m <= P < 2^31
     waves = []
@@ -569,12 +605,14 @@ def _cascade_martingale_batch(
         pick = rng.integers(0, pool_size, size=int(frozen.sum()), dtype=np.int32)
         waves.append((trees.astype(np.int32), frozen, depth, pick))
 
-    nodes += _wave_batch(CASCADE_STAGE, m, rng, on_frozen)
+    works.append(_wave_batch(CASCADE_STAGE, m, rng, on_frozen))
     drawn = np.zeros(pool_size, dtype=bool)
     for wave in waves:
         drawn[wave[3]] = True
     grown = int(np.count_nonzero(drawn))
-    entry_w, entry_l, more = _cascade_pool(first, pool, grown, rng)
+    entry_w, entry_l, work = _cascade_pool(first, pool, grown, rng)
+    works.append(work)
+    nodes, widest = zip(*works)
     # the k-th grown entry sits at the k-th drawn index; no other is read
     last_w = np.zeros(pool_size)
     last_l = np.zeros(pool_size, dtype=np.int64)
@@ -595,7 +633,8 @@ def _cascade_martingale_batch(
         pool_draws=draws,
         pool_grown=grown,
         expected_repeat_draws=draws * draws / (2.0 * pool_size),
-        nodes_grown=nodes + more,
+        nodes_grown=sum(nodes),
+        widest_wave=max(widest),
     )
 
 
@@ -631,8 +670,10 @@ def martingale_samples(
         raise ValueError("need at least one sample")
     method = resolve_martingale_method(t, m, method)
     if method == "direct":
-        values, counts, nodes = _direct_martingale_batch(t, m, rng)
-        return MartingaleBatch(float(t), values, counts, method, nodes_grown=nodes)
+        values, counts, (nodes, widest) = _direct_martingale_batch(t, m, rng)
+        return MartingaleBatch(
+            float(t), values, counts, method, nodes_grown=nodes, widest_wave=widest
+        )
     if method == "cascade":
         return _cascade_martingale_batch(t, m, rng)
     raise ValueError(f"unknown sampling method {method!r}")
@@ -698,6 +739,7 @@ class SpinalCheckReport:
     results: Tuple[SpinalFunctionalResult, ...]
     passed: bool
     nodes_grown: int
+    widest_wave: int
 
 
 def spinal_identity_check(t: float, m: int, rng: np.random.Generator) -> SpinalCheckReport:
@@ -728,7 +770,7 @@ def spinal_identity_check(t: float, m: int, rng: np.random.Generator) -> SpinalC
         g = np.array([1.0, depth, depth * depth, math.exp(-depth)])
         sums[:, trees] += np.outer(math.ldexp(1.0, -2 * depth) * g, frozen)
 
-    nodes = _wave_batch(t, m, rng, on_frozen)
+    nodes, widest = _wave_batch(t, m, rng, on_frozen)
     values = math.exp(h) * sums
     means = values.mean(axis=1)
     # a sample without spread gets an infinite or undefined z, and fails
@@ -738,4 +780,6 @@ def spinal_identity_check(t: float, m: int, rng: np.random.Generator) -> SpinalC
         map(SpinalFunctionalResult, names, means.tolist(), analytic.tolist(), z.tolist())
     )
     passed = all(abs(r.z) <= _SPINAL_Z_LIMIT for r in results)
-    return SpinalCheckReport(t=t, samples=m, results=results, passed=passed, nodes_grown=nodes)
+    return SpinalCheckReport(
+        t=t, samples=m, results=results, passed=passed, nodes_grown=nodes, widest_wave=widest
+    )

@@ -270,7 +270,8 @@ def test_manifest_names_the_sampler_and_its_pool(tmp_path):
     manifest = json.loads((out / "w_tail_manifest.json").read_text())
     assert manifest["resolved"] == {
         "martingale_method": "cascade",
-        "cascade_sampler_version": 3,
+        "tree_sampler_version": 3,
+        "cascade_sampler_version": 4,
     }
     chunks = [
         yule.martingale_samples(
@@ -281,6 +282,7 @@ def test_manifest_names_the_sampler_and_its_pool(tmp_path):
     assert [c.values.size for c in chunks] == [10000, 50]
     assert manifest["counters"] == {
         "nodes_grown": sum(c.nodes_grown for c in chunks),
+        "widest_wave": max(c.widest_wave for c in chunks),
         "cascade_pool_size": 1048576,
         "cascade_pool_draws": sum(c.pool_draws for c in chunks),
         "cascade_pool_grown": sum(c.pool_grown for c in chunks),
@@ -295,11 +297,26 @@ def test_manifest_names_the_sampler_and_its_pool(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     manifest = json.loads((out / "martingale_manifest.json").read_text())
-    assert manifest["resolved"] == {"martingale_method": "direct"}
-    direct = yule.martingale_samples(
-        1.0, 20, rng_substream(3, cli.CHUNK_TASK_BASE), "direct"
+    assert manifest["resolved"] == {"martingale_method": "direct", "tree_sampler_version": 3}
+    # the direct sampler draws nothing but its trees, so the kernel alone
+    # on the chunk's substream grows the same ones
+    nodes, widest = yule._wave_batch(
+        1.0, 20, rng_substream(3, cli.CHUNK_TASK_BASE), lambda *wave: None
     )
-    assert manifest["counters"] == {"nodes_grown": direct.nodes_grown}
+    assert manifest["counters"] == {"nodes_grown": nodes, "widest_wave": widest}
+
+
+def test_finite_horizon_profile_names_the_tree_sampler(tmp_path, capsys):
+    args = [
+        "profile-continuous", "--lambda", "0", "--horizon", "1", "--samples", "50", "--seed", "2",
+    ]
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "profile_continuous_manifest.json").read_text())
+    assert manifest["resolved"] == {"martingale_method": "direct", "tree_sampler_version": 3}
+    batch = yule.martingale_samples(1.0, 50, rng_substream(2, cli.CHUNK_TASK_BASE), "direct")
+    assert manifest["counters"] == {
+        "nodes_grown": batch.nodes_grown, "widest_wave": batch.widest_wave
+    }
 
 
 def test_nodes_grown_counts_every_tree_node(tmp_path):
@@ -321,11 +338,15 @@ def test_nodes_grown_counts_every_tree_node(tmp_path):
 
 # sha256 of small seeded outputs, recorded before the wave kernel and the
 # lower-bound tail evaluation were rewritten.  A change of draw order must
-# fail here and announce a sampler version bump: `lowerbound-continuous` is
-# pinned at tree sampler version 2, `fragmentation` at fragmentation sampler
-# version 2 (one word of all rounds per site, drawn for every trial at once),
-# and both cascade outputs at cascade sampler version 3 (the last pool grown
-# only at the entries the final stage draws).  The `lowerbound-continuous`
+# fail here and announce a sampler version bump: every tree output is pinned
+# at tree sampler version 3 (tree chunks sized so the widest wave expects
+# 2^17 lineages), `fragmentation` at fragmentation sampler version 2 (one
+# word of all rounds per site, drawn for every trial at once), and both
+# cascade outputs at cascade sampler version 4 (the last pool grown only at
+# the entries the final stage draws, and its first pool of 2^20 trees grown
+# in 2^17-lineage chunks; recorded again for that).  The horizon-6 direct
+# row spans three tree chunks (1410, 1410 and 180 trees), so it pins the
+# chunk boundary.  The `lowerbound-continuous`
 # digest was recorded again when its binomial law moved to the public
 # scipy.special functions, and again when its binomial tails moved from
 # bdtr/bdtrc to betainc: both times the same draws, cells changed in the last
@@ -340,16 +361,22 @@ SEEDED_OUTPUT_SHA256 = [
         "a3a5811a8de06617fd60e3ed37923f962fdeda9796cf1572687e92b9c0db661a",
     ),
     (
+        ("martingale", "--t", "6.0", "--samples", "3000", "--seed", "3",
+         "--method", "direct"),
+        "martingale.csv",
+        "af21914defd6fa0ee7d2e5c27aefb3604df454c3557dfbece5c3776534e6994f",
+    ),
+    (
         ("martingale", "--t", "5.0", "--samples", "300", "--seed", "8",
          "--method", "cascade"),
         "martingale.csv",
-        "44fc60a1d4ff8d280bff00cf78fb56c65d3251be65aee5fda78de0ecede24936",
+        "914509dc0735efea41f1c560c61cd310875dc174c106f26d4b728f85f2c92131",
     ),
     (
         ("w-tail", "--horizon", "5", "--samples", "300", "--eps", "0.5,0.25",
          "--seed", "5", "--method", "cascade"),
         "w_tail.csv",
-        "6d1c8a93235dcfa63eec2f155bc1736b6009623febf85ab773a94bb857cfc97e",
+        "690c4aa7025b46b36e99b86b1d81875ddec83680804d6ca12b917fa838a91096",
     ),
     (
         ("w-tail", "--samples", "300", "--eps", "0.5,0.25", "--seed", "5"),
@@ -378,7 +405,8 @@ SEEDED_OUTPUT_SHA256 = [
     "args,name,digest",
     SEEDED_OUTPUT_SHA256,
     ids=[
-        "martingale-direct", "martingale-cascade", "w-tail-cascade", "w-tail-limit",
+        "martingale-direct", "martingale-direct-chunks", "martingale-cascade",
+        "w-tail-cascade", "w-tail-limit",
         "fragmentation", "lowerbound-continuous", "spinal-check",
     ],
 )
@@ -399,8 +427,8 @@ def test_spinal_manifest_counts_the_nodes_grown(tmp_path, capsys):
     assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "spinal_check_manifest.json").read_text())
     assert manifest["resolved"] == {"tree_sampler_version": yule.TREE_SAMPLER_VERSION}
-    nodes = yule._wave_batch(1.0, 500, rng_substream(3, 0), lambda *wave: None)
-    assert manifest["counters"] == {"nodes_grown": nodes}
+    nodes, widest = yule._wave_batch(1.0, 500, rng_substream(3, 0), lambda *wave: None)
+    assert manifest["counters"] == {"nodes_grown": nodes, "widest_wave": widest}
 
 
 def test_fragmentation_manifest_names_the_sampler(tmp_path, capsys):
@@ -777,6 +805,19 @@ def test_manifest_names_an_output_as_out_gives_it(tmp_path, capsys):
     assert entry["file"] == "sub/x.csv"
     blob = (tmp_path / entry["file"]).read_bytes()
     assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
+
+
+def test_recorded_checksum_and_size_are_the_written_bytes(tmp_path):
+    # a non-ASCII cell takes more bytes than characters: the manifest
+    # records the bytes on disk, as encoded once for both
+    ctx = cli.RunContext(command="collide", out_dir=tmp_path, parameters={})
+    ctx.write_rows("t.csv", ["name", "value"], [("\u00b5\u2218\u00b5", 1.0), ("plain", 2)])
+    ctx.finish(0)
+    (entry,) = json.loads((tmp_path / "collide_manifest.json").read_text())["outputs"]
+    blob = (tmp_path / "t.csv").read_bytes()
+    assert len(blob) > len(blob.decode())
+    digest = hashlib.sha256(blob).hexdigest()
+    assert entry == {"file": "t.csv", "sha256": digest, "bytes": len(blob)}
 
 
 @pytest.mark.parametrize("name", ["collide_manifest.json", "collide_manifest.json.tmp"])

@@ -313,13 +313,13 @@ def test_cascade_batch_reports_its_pool():
 #
 # The oracle is the earlier kernel: every lineage carries its tree id, depth
 # and birth time, and each wave reports its frozen lineages one by one.  The
-# lineage-count kernel must reproduce its draws and float sums exactly.
+# lineage-count kernel must reproduce its draws, float sums, nodes grown and
+# widest wave exactly.
 
 
 def _oracle_wave_batch(t, m, rng, on_frozen, node_budget=4 * yule._BATCH_NODE_BUDGET):
-    peak = max(1.0, math.exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
-    chunk = max(1, min(m, int(yule.WAVE_WIDTH / peak)))
-    processed = 0
+    chunk = yule._wave_chunk(t, m)
+    processed = widest = 0
     for start in range(0, m, chunk):
         width = min(chunk, m - start)
         tree_id = np.arange(start, start + width, dtype=np.int64)
@@ -327,6 +327,7 @@ def _oracle_wave_batch(t, m, rng, on_frozen, node_budget=4 * yule._BATCH_NODE_BU
         birth = np.zeros(width)
         while tree_id.size:
             processed += tree_id.size
+            widest = max(widest, tree_id.size)
             if processed > node_budget:
                 raise CapacityError(
                     "node budget exhausted while growing batch",
@@ -341,7 +342,7 @@ def _oracle_wave_batch(t, m, rng, on_frozen, node_budget=4 * yule._BATCH_NODE_BU
             tree_id = np.repeat(tree_id[alive], 2)
             depth = np.repeat(depth[alive] + 1, 2)
             birth = np.repeat(death[alive], 2)
-    return processed
+    return processed, widest
 
 
 def _oracle_direct(t, m, rng):
@@ -353,8 +354,8 @@ def _oracle_direct(t, m, rng):
         raw[:] += np.bincount(ids, weights=w, minlength=m)
         counts[:] += np.bincount(ids, minlength=m)
 
-    nodes = _oracle_wave_batch(t, m, rng, on_frozen)
-    return math.exp(t / 2.0) * raw, counts, nodes
+    work = _oracle_wave_batch(t, m, rng, on_frozen)
+    return math.exp(t / 2.0) * raw, counts, work
 
 
 def _oracle_stage(width, pool_size, rng, dtype=np.int64):
@@ -364,7 +365,7 @@ def _oracle_stage(width, pool_size, rng, dtype=np.int64):
     def on_frozen(ids, depths):
         leaves.append((ids, depths, rng.integers(0, pool_size, size=ids.size, dtype=dtype)))
 
-    nodes = _oracle_wave_batch(yule.CASCADE_STAGE, width, rng, on_frozen)
+    nodes, _ = _oracle_wave_batch(yule.CASCADE_STAGE, width, rng, on_frozen)
     return leaves, nodes
 
 
@@ -386,7 +387,7 @@ def _oracle_cascade(t, m, rng):
     nstages = max(1, math.ceil(t / yule.CASCADE_STAGE))
     first = t - (nstages - 1) * yule.CASCADE_STAGE
     pool_size = max(m, yule.CASCADE_MIN_POOL)
-    pool_w, pool_l, nodes = _oracle_direct(first, pool_size, rng)
+    pool_w, pool_l, (nodes, _) = _oracle_direct(first, pool_size, rng)
     for stage in range(1, nstages):
         width = m if stage == nstages - 1 else pool_size
         leaves, grown = _oracle_stage(width, pool_size, rng)
@@ -412,7 +413,7 @@ def _oracle_picked_cascade(t, m, rng):
     def entries(width):
         nonlocal nodes
         if pool is None:
-            w, l, grown = _oracle_direct(first, width, rng)
+            w, l, (grown, _) = _oracle_direct(first, width, rng)
         else:
             leaves, grown = _oracle_stage(width, pool_size, rng)
             w, l = _oracle_sums(width, leaves, *pool)
@@ -438,25 +439,47 @@ def _oracle_picked_cascade(t, m, rng):
 )
 def test_direct_sampler_matches_per_lineage_oracle(t, m):
     batch = martingale_samples(t, m, rng_substream(11, 30), method="direct")
-    values, counts, nodes = _oracle_direct(t, m, rng_substream(11, 30))
+    values, counts, (nodes, widest) = _oracle_direct(t, m, rng_substream(11, 30))
     assert np.array_equal(batch.values, values)
     assert np.array_equal(batch.leaf_counts, counts)
     assert batch.nodes_grown == nodes == int((2 * counts - 1).sum())
+    assert batch.widest_wave == widest
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0, 6.0])
 def test_direct_sampler_matches_oracle_across_chunks(monkeypatch, t):
     # a narrow wave forces many tree chunks, the last one short
-    monkeypatch.setattr(yule, "WAVE_WIDTH", 300.0)
-    peak = max(1.0, math.exp(t) / math.sqrt(4.0 * math.pi * max(t, 0.25)))
-    chunk = int(yule.WAVE_WIDTH / peak)
+    monkeypatch.setattr(yule, "WAVE_WIDTH", 300)
+    chunk = yule._wave_chunk(t, 1 << 30)
     m = 5 * chunk + 3
     assert chunk >= 2
     batch = martingale_samples(t, m, rng_substream(11, 31), method="direct")
-    values, counts, nodes = _oracle_direct(t, m, rng_substream(11, 31))
+    values, counts, (nodes, widest) = _oracle_direct(t, m, rng_substream(11, 31))
     assert np.array_equal(batch.values, values)
     assert np.array_equal(batch.leaf_counts, counts)
-    assert batch.nodes_grown == nodes
+    assert (batch.nodes_grown, batch.widest_wave) == (nodes, widest)
+
+
+@pytest.mark.parametrize("t", [1.0, 3.0, 6.0])
+def test_widest_wave_of_a_full_chunk_fits_the_wave_width(t):
+    # one tree's widest wave expects max over d of 2^d P(Poisson(t) >= d)
+    # lineages, about e^t / sqrt(pi t); a full chunk's widest wave measured
+    # 0.82-0.97 of chunk x that estimate at this seed, within WAVE_WIDTH
+    chunk = yule._wave_chunk(t, 1 << 30)
+    widest = []
+
+    def on_wave(depth, death, alive):
+        if depth == 0:
+            widest.append(0)
+        widest[-1] = max(widest[-1], death.size)
+
+    _, reported = yule._wave_batch(
+        t, 2 * chunk + 1, rng_substream(11, 38), lambda *wave: None, on_wave=on_wave
+    )
+    assert len(widest) == 3 and reported == max(widest)
+    for lineages in widest[:2]:
+        assert lineages <= yule.WAVE_WIDTH
+        assert 0.75 <= lineages / (chunk * yule._wave_peak(t)) <= 1.0
 
 
 def test_wave_kernel_reports_the_oracle_leaves_in_order():
@@ -470,8 +493,8 @@ def test_wave_kernel_reports_the_oracle_leaves_in_order():
     def on_leaves(ids, depths):
         want.append((ids, depths))
 
-    nodes = yule._wave_batch(3.0, 400, rng_substream(11, 32), on_counts)
-    assert nodes == _oracle_wave_batch(3.0, 400, rng_substream(11, 32), on_leaves)
+    work = yule._wave_batch(3.0, 400, rng_substream(11, 32), on_counts)
+    assert work == _oracle_wave_batch(3.0, 400, rng_substream(11, 32), on_leaves)
     assert len(got) == len(want)
     for (ids, depths), (oracle_ids, oracle_depths) in zip(got, want):
         assert np.array_equal(ids, oracle_ids)
