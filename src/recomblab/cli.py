@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -342,15 +342,15 @@ def _chunk_plan(total: int) -> List[int]:
 
 def _sample_martingale(
     ctx: RunContext, t: float, total: int, seed: int, workers: int, method: str
-) -> yule.MartingaleBatch:
-    """Chunked martingale sampling with order fixed by task id.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Chunked martingale values and leaf counts, in an order fixed by task id.
 
     The sampler choice and the chunk plan depend only on (t, total), never
-    on the worker count, so the concatenated batch is reproducible for any
-    parallelism degree.  Each cascade chunk grows its own pool; the manifest
-    gets the resolved sampler, the tree sampler version, the tree nodes
-    grown summed over chunks, the widest wave grown in any chunk and, for
-    the cascade, its version, the pool size and the final-stage draws,
+    on the worker count, so the concatenated samples are reproducible for
+    any parallelism degree.  Each cascade chunk grows its own pool; the
+    manifest gets the resolved sampler, the tree sampler version, the tree
+    nodes grown summed over chunks, the widest wave grown in any chunk and,
+    for the cascade, its version, the pool size and the final-stage draws,
     last-pool entries grown and expected repeat draws summed over chunks.
     """
     method = yule.resolve_martingale_method(t, total, method)
@@ -367,31 +367,23 @@ def _sample_martingale(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, tasks))
-    batch = yule.MartingaleBatch(
-        horizon=float(t),
-        values=np.concatenate([p.values for p in parts]),
-        leaf_counts=np.concatenate([p.leaf_counts for p in parts]),
-        method=method,
-        pool_size=max(p.pool_size for p in parts),
-        pool_draws=sum(p.pool_draws for p in parts),
-        pool_grown=sum(p.pool_grown for p in parts),
-        expected_repeat_draws=sum(p.expected_repeat_draws for p in parts),
-        nodes_grown=sum(p.nodes_grown for p in parts),
-        widest_wave=max(p.widest_wave for p in parts),
-    )
     ctx.resolved.update(
         martingale_method=method, tree_sampler_version=yule.TREE_SAMPLER_VERSION
     )
-    ctx.counters.update(nodes_grown=batch.nodes_grown, widest_wave=batch.widest_wave)
+    ctx.counters.update(
+        nodes_grown=sum(p.nodes_grown for p in parts),
+        widest_wave=max(p.widest_wave for p in parts),
+    )
     if method == "cascade":
         ctx.resolved["cascade_sampler_version"] = yule.CASCADE_SAMPLER_VERSION
         ctx.counters.update(
-            cascade_pool_size=batch.pool_size,
-            cascade_pool_draws=batch.pool_draws,
-            cascade_pool_grown=batch.pool_grown,
-            cascade_expected_repeat_draws=batch.expected_repeat_draws,
+            cascade_pool_size=max(p.pool_size for p in parts),
+            cascade_pool_draws=sum(p.pool_draws for p in parts),
+            cascade_pool_grown=sum(p.pool_grown for p in parts),
+            cascade_expected_repeat_draws=sum(p.expected_repeat_draws for p in parts),
         )
-    return batch
+    values = np.concatenate([p.values for p in parts])
+    return values, np.concatenate([p.leaf_counts for p in parts])
 
 
 def _martingale_values(ns, ctx: RunContext) -> np.ndarray:
@@ -402,7 +394,7 @@ def _martingale_values(ns, ctx: RunContext) -> np.ndarray:
     `--workers` is; the limit has one sampler, so `--method` must be `auto`.
     """
     if ns.horizon is not None:
-        return _sample_martingale(ctx, ns.horizon, ns.samples, ns.seed, ns.workers, ns.method).values
+        return _sample_martingale(ctx, ns.horizon, ns.samples, ns.seed, ns.workers, ns.method)[0]
     if ns.method != "auto":
         raise ConfigError(f"--method {ns.method} needs --horizon: the limit has one sampler")
     ctx.resolved["martingale_method"] = "limit"
@@ -481,8 +473,8 @@ def _cmd_fragmentation(ns, ctx: RunContext) -> int:
 
 
 def _cmd_martingale(ns, ctx: RunContext) -> int:
-    batch = _sample_martingale(ctx, ns.t, ns.samples, ns.seed, ns.workers, ns.method)
-    rows = zip(count(), repeat(batch.horizon), batch.values.tolist(), batch.leaf_counts.tolist())
+    values, leaves = _sample_martingale(ctx, ns.t, ns.samples, ns.seed, ns.workers, ns.method)
+    rows = zip(count(), repeat(ns.t), values.tolist(), leaves.tolist())
     ctx.write_rows(ns.out, ["sample", "t", "W", "leaves"], rows)
     return EXIT_OK
 

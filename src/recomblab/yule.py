@@ -460,31 +460,28 @@ def double_quenched_estimate(
 
 @dataclass(frozen=True)
 class MartingaleBatch:
-    """Batch of martingale values with the leaf count of each tree.
+    """One sampler call's martingale values with the leaf count of each tree.
 
     `nodes_grown` counts the tree nodes the wave kernel simulated for the
     batch and `widest_wave` the lineages of the widest wave it grew.  A
     cascade batch also reports its bootstrap: the pool size, the pool
     entries its final stage drew, the entries of the last pool it grew (one
     per distinct draw), and the expected number of repeated draws
-    draws^2 / (2 pool_size).  A direct batch leaves them at zero.
+    draws^2 / (2 pool_size).  A direct batch, and a cascade pool, leave them
+    at zero.
     """
 
-    horizon: float
     values: np.ndarray
     leaf_counts: np.ndarray
-    method: str
+    nodes_grown: int
+    widest_wave: int
     pool_size: int = 0
     pool_draws: int = 0
     pool_grown: int = 0
     expected_repeat_draws: float = 0.0
-    nodes_grown: int = 0
-    widest_wave: int = 0
 
 
-def _direct_martingale_batch(
-    t: float, m: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
+def _direct_martingale_batch(t: float, m: int, rng: np.random.Generator) -> MartingaleBatch:
     raw = np.zeros(m)
     counts = np.zeros(m, dtype=np.int64)
 
@@ -493,8 +490,8 @@ def _direct_martingale_batch(
         raw[trees] += frozen * math.ldexp(1.0, -2 * depth)
         counts[trees] += frozen
 
-    work = _wave_batch(t, m, rng, on_frozen)
-    return math.exp(t / 2.0) * raw, counts, work
+    nodes, widest = _wave_batch(t, m, rng, on_frozen)
+    return MartingaleBatch(math.exp(t / 2.0) * raw, counts, nodes, widest)
 
 
 def _add_leaves(
@@ -503,8 +500,7 @@ def _add_leaves(
     trees: np.ndarray,
     frozen: np.ndarray,
     depth: int,
-    pool_w: np.ndarray,
-    pool_l: np.ndarray,
+    pool: MartingaleBatch,
     pick: np.ndarray,
 ) -> None:
     """Add one wave's leaves to their trees, leaf i rooting pool entry pick[i].
@@ -514,10 +510,10 @@ def _add_leaves(
     where float sums stop being exact, raises CapacityError.
     """
     owner = np.repeat(np.arange(trees.size), frozen)
-    w = math.ldexp(1.0, -2 * depth) * pool_w[pick]
+    w = math.ldexp(1.0, -2 * depth) * pool.values[pick]
     new_w[trees] += np.bincount(owner, weights=w, minlength=trees.size)
     counts = new_l[trees] + np.bincount(
-        owner, weights=pool_l[pick].astype(np.float64), minlength=trees.size
+        owner, weights=pool.leaf_counts[pick].astype(np.float64), minlength=trees.size
     )
     if counts.max() >= 2.0**53:
         raise CapacityError("a leaf count reached 2^53, past exact float sums", leaves=counts.max())
@@ -526,29 +522,27 @@ def _add_leaves(
 
 def _cascade_pool(
     first: float,
-    pool: Optional[Tuple[np.ndarray, np.ndarray]],
+    pool: Optional[MartingaleBatch],
     width: int,
     rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
+) -> MartingaleBatch:
     """`width` i.i.d. (value, leaf count) entries of the next cascade pool.
 
     With no previous pool an entry is a direct tree of horizon `first`;
     otherwise it is a stage tree whose leaves draw their subtrees from
-    `pool` uniformly with replacement.  Also returns the nodes grown and
-    the widest wave, as `_wave_batch` does.
+    `pool` uniformly with replacement.
     """
     if pool is None:
         return _direct_martingale_batch(first, width, rng)
-    pool_w, pool_l = pool
     new_w = np.zeros(width)
     new_l = np.zeros(width, dtype=np.int64)
 
     def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
-        pick = rng.integers(0, pool_w.size, size=int(frozen.sum()))
-        _add_leaves(new_w, new_l, trees, frozen, depth, pool_w, pool_l, pick)
+        pick = rng.integers(0, pool.values.size, size=int(frozen.sum()))
+        _add_leaves(new_w, new_l, trees, frozen, depth, pool, pick)
 
-    work = _wave_batch(CASCADE_STAGE, width, rng, on_frozen)
-    return math.exp(CASCADE_STAGE / 2.0) * new_w, new_l, work
+    nodes, widest = _wave_batch(CASCADE_STAGE, width, rng, on_frozen)
+    return MartingaleBatch(math.exp(CASCADE_STAGE / 2.0) * new_w, new_l, nodes, widest)
 
 
 def _cascade_martingale_batch(
@@ -568,9 +562,9 @@ def _cascade_martingale_batch(
     whose leaves draw their subtrees from pool k with replacement.  The
     final stage grows only the m trees that are kept, and its leaves pick
     indices into pool K-1 uniformly from [0, P).  Pool K-1 is then grown
-    only at the distinct picked indices, in index order; the grown entries
-    are scattered into a P-sized array at those indices, and each pick
-    gathers its entry from it.  Pool
+    only at the distinct picked indices, in index order, and each pick
+    reads the entry at its rank among the distinct picks; no P-sized array
+    is allocated for it.  Pool
     entries are i.i.d. and independent of the picks, so this has exactly
     the law of growing all P entries and P final-stage trees and keeping m;
     only the order of the random draws differs.  With a single stage there
@@ -587,16 +581,12 @@ def _cascade_martingale_batch(
     nstages = max(1, math.ceil(t / CASCADE_STAGE))
     first = t - (nstages - 1) * CASCADE_STAGE
     if nstages == 1:
-        values, counts, (nodes, widest) = _direct_martingale_batch(first, m, rng)
-        return MartingaleBatch(
-            float(t), values, counts, "cascade", nodes_grown=nodes, widest_wave=widest
-        )
+        return _direct_martingale_batch(first, m, rng)
     pool_size = max(m, CASCADE_MIN_POOL)
-    pool, works = None, []
+    pool, nodes, widest = None, 0, 0
     for _ in range(nstages - 2):
-        pool_w, pool_l, work = _cascade_pool(first, pool, pool_size, rng)
-        pool = (pool_w, pool_l)
-        works.append(work)
+        pool = _cascade_pool(first, pool, pool_size, rng)
+        nodes, widest = nodes + pool.nodes_grown, max(widest, pool.widest_wave)
     # the final stage keeps each wave's frozen trees and their leaves' picks,
     # as int32 since m <= P < 2^31
     waves = []
@@ -605,36 +595,25 @@ def _cascade_martingale_batch(
         pick = rng.integers(0, pool_size, size=int(frozen.sum()), dtype=np.int32)
         waves.append((trees.astype(np.int32), frozen, depth, pick))
 
-    works.append(_wave_batch(CASCADE_STAGE, m, rng, on_frozen))
-    drawn = np.zeros(pool_size, dtype=bool)
-    for wave in waves:
-        drawn[wave[3]] = True
-    grown = int(np.count_nonzero(drawn))
-    entry_w, entry_l, work = _cascade_pool(first, pool, grown, rng)
-    works.append(work)
-    nodes, widest = zip(*works)
-    # the k-th grown entry sits at the k-th drawn index; no other is read
-    last_w = np.zeros(pool_size)
-    last_l = np.zeros(pool_size, dtype=np.int64)
-    last_w[drawn] = entry_w
-    last_l[drawn] = entry_l
+    stage_nodes, stage_widest = _wave_batch(CASCADE_STAGE, m, rng, on_frozen)
+    # the k-th grown entry is the k-th smallest drawn index
+    drawn, entry = np.unique(np.concatenate([wave[3] for wave in waves]), return_inverse=True)
+    last = _cascade_pool(first, pool, drawn.size, rng)
     values = np.zeros(m)
     counts = np.zeros(m, dtype=np.int64)
     draws = 0
     for trees, frozen, depth, pick in waves:
+        _add_leaves(values, counts, trees, frozen, depth, last, entry[draws : draws + pick.size])
         draws += pick.size
-        _add_leaves(values, counts, trees, frozen, depth, last_w, last_l, pick)
     return MartingaleBatch(
-        float(t),
         math.exp(CASCADE_STAGE / 2.0) * values,
         counts,
-        "cascade",
+        nodes + stage_nodes + last.nodes_grown,
+        max(widest, stage_widest, last.widest_wave),
         pool_size=pool_size,
         pool_draws=draws,
-        pool_grown=grown,
+        pool_grown=drawn.size,
         expected_repeat_draws=draws * draws / (2.0 * pool_size),
-        nodes_grown=sum(nodes),
-        widest_wave=max(widest),
     )
 
 
@@ -670,10 +649,7 @@ def martingale_samples(
         raise ValueError("need at least one sample")
     method = resolve_martingale_method(t, m, method)
     if method == "direct":
-        values, counts, (nodes, widest) = _direct_martingale_batch(t, m, rng)
-        return MartingaleBatch(
-            float(t), values, counts, method, nodes_grown=nodes, widest_wave=widest
-        )
+        return _direct_martingale_batch(t, m, rng)
     if method == "cascade":
         return _cascade_martingale_batch(t, m, rng)
     raise ValueError(f"unknown sampling method {method!r}")

@@ -850,6 +850,10 @@ OUT_OF_RANGE_RUNS = [
         ("evolve-continuous", "--n", "3", "--start", "mono", "--t", "10", "--step", "1e-300"),
         "integrator steps",
     ),
+    (("collide", "--n", "19", "--a", "mono", "--b", "mono"), "capped at n=18"),
+    # zero steps or t = 0 return before the collision kernel checks its cap
+    (("evolve-discrete", "--n", "19", "--start", "mono", "--steps", "1"), "capped at n=18"),
+    (("evolve-continuous", "--n", "19", "--start", "mono", "--t", "1"), "capped at n=18"),
 ]
 
 
@@ -859,7 +863,8 @@ OUT_OF_RANGE_RUNS = [
     ids=[
         "martingale-t60", "martingale-t800", "martingale-t800-direct", "w-tail-t800",
         "profile-continuous-t800", "spinal-check-t2000", "evolve-continuous-t1e300",
-        "evolve-continuous-step1e-300",
+        "evolve-continuous-step1e-300", "collide-n19", "evolve-discrete-n19",
+        "evolve-continuous-n19",
     ],
 )
 def test_out_of_range_run_exits_3_and_is_recorded(tmp_path, capsys, monkeypatch, args, reason):

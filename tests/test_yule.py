@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,7 +231,6 @@ def test_martingale_batch_mean_and_bound():
     t, m = 4.0, 20_000
     rng = rng_substream(11, 13)
     batch = martingale_samples(t, m, rng)
-    assert batch.method == "direct"
     assert (batch.values > 0).all()
     assert batch.values.max() <= math.exp(t / 2.0) + 1e-12
     z = (batch.values.mean() - 1.0) / (batch.values.std(ddof=1) / math.sqrt(m))
@@ -400,10 +400,12 @@ def _oracle_picked_cascade(t, m, rng):
     """The sampler's draw order, per lineage, for two or more stages.
 
     Pools 1 .. K-2 in full, then the m final-stage trees with int32 picks,
-    then pool K-1 only at the distinct picks in index order.  np.unique (a
-    sort) maps each pick to its entry, independently of the sampler's
-    drawn-index mask.  Returns values, leaf counts, draws, distinct picks
-    and nodes grown.
+    then pool K-1 only at the distinct picks in index order.  A drawn-index
+    mask finds them, the grown entries are scattered into a pool-sized
+    array at those indices, and each pick gathers its entry from it: a
+    second route to the sampler's rank of each pick among the distinct
+    picks.  Returns values, leaf counts, draws, distinct picks and nodes
+    grown.
     """
     nstages = math.ceil(t / yule.CASCADE_STAGE)
     first = t - (nstages - 1) * yule.CASCADE_STAGE
@@ -424,13 +426,15 @@ def _oracle_picked_cascade(t, m, rng):
         pool = entries(pool_size)
     leaves, grown = _oracle_stage(m, pool_size, rng, dtype=np.int32)
     nodes += grown
-    picks = [pick for *_, pick in leaves]
-    picked, inverse = np.unique(np.concatenate(picks), return_inverse=True)
-    last_w, last_l = entries(picked.size)
-    split = np.split(inverse, np.cumsum([p.size for p in picks])[:-1])
-    relabeled = [(ids, depths, e) for (ids, depths, _), e in zip(leaves, split)]
-    values, counts = _oracle_sums(m, relabeled, last_w, last_l)
-    return values, counts, inverse.size, picked.size, nodes
+    drawn = np.zeros(pool_size, dtype=bool)
+    for *_, pick in leaves:
+        drawn[pick] = True
+    distinct = int(np.count_nonzero(drawn))
+    last_w = np.zeros(pool_size)
+    last_l = np.zeros(pool_size, dtype=np.int64)
+    last_w[drawn], last_l[drawn] = entries(distinct)
+    values, counts = _oracle_sums(m, leaves, last_w, last_l)
+    return values, counts, sum(pick.size for *_, pick in leaves), distinct, nodes
 
 
 @pytest.mark.parametrize(
@@ -518,6 +522,19 @@ def test_cascade_matches_per_lineage_oracle(monkeypatch, t, pool):
     # one last-pool entry per distinct pick, and no more than either bound
     assert batch.pool_grown == distinct <= min(draws, pool)
     assert batch.nodes_grown == nodes
+
+
+def test_two_stage_cascade_chunk_allocates_no_pool_sized_array():
+    # one 2^20 float64 array is 8 MiB; the final stage reads each pick's
+    # entry by its rank among the distinct picks, about 70 000 of them here
+    rng = rng_substream(11, 39)
+    tracemalloc.start()
+    try:
+        martingale_samples(3.0, 10_000, rng, method="cascade")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _batch_stats(t, values, leaves, draws):
@@ -747,7 +764,7 @@ def test_batch_csv_bytes_match_csv_writer(tmp_path):
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["sample", "t", "W", "leaves"])
     for i, (v, c) in enumerate(zip(batch.values, batch.leaf_counts)):
-        writer.writerow([i, repr(float(batch.horizon)), repr(float(v)), int(c)])
+        writer.writerow([i, repr(2.0), repr(float(v)), int(c)])
     assert (tmp_path / "martingale.csv").read_bytes() == expected.getvalue().encode()
 
 
