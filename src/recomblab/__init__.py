@@ -7,10 +7,7 @@ how fast the dynamics reach the stationary product measure.
 """
 
 from .cube import (
-    FourierTable,
     Pmf,
-    all_biases,
-    marginal_bias,
     monochromatic_pmf,
     point_mass,
     product_fourier,
@@ -21,10 +18,8 @@ from .cube import (
     tv_distance,
     uniform_pmf,
     wht_forward,
-    wht_inverse,
 )
 from .discrete import (
-    DiscreteUpperBounds,
     collide_coeffs,
     collide_direct,
     collide_pmf,
@@ -33,25 +28,18 @@ from .discrete import (
     fragmentation_time,
     fragmentation_times,
     mono_mixture_tv,
-    pair_separation_bound,
 )
 from .errors import (
     CapacityError,
     ConfigError,
-    DimensionMismatchError,
     InvalidDistributionError,
     NumericalInvariantError,
     RecombError,
 )
 from .profiles import (
-    AsymptoticsReport,
-    ContinuousBlockReport,
-    DensityBoundCheck,
-    DiscreteBlockReport,
     check_l1_l2_bound,
     gaussian_tv,
     gaussian_tv_asymptotics,
-    gaussian_tv_complement,
     l1_from_l2_bound,
     lowerbound_experiment_continuous,
     lowerbound_experiment_discrete,
@@ -63,9 +51,6 @@ from .streams import STREAM_ALGORITHM, rng_substream
 from .yule import (
     MartingaleBatch,
     MonteCarloMeasure,
-    SpinalCheckReport,
-    TailEstimate,
-    YuleTree,
     double_quenched_estimate,
     evolve_continuous,
     martingale_limit_samples,

@@ -47,8 +47,12 @@ class Criterion:
     fn: Callable[[int], tuple]
 
     def run(self, seed: int = DEFAULT_SEED) -> CriterionResult:
+        """Run the check; one that raises fails with the exception as its summary."""
         start = time.perf_counter()
-        passed, summary = self.fn(seed)
+        try:
+            passed, summary = self.fn(seed)
+        except Exception as err:
+            passed, summary = False, f"raised {type(err).__name__}: {err}"
         return CriterionResult(
             number=self.number,
             slug=self.slug,

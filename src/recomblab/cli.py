@@ -252,7 +252,7 @@ def _csv_text(header: Sequence[str], rows) -> str:
 
     Every row holds one cell per header name.  A table of plain floats and
     ints, whose reprs never need quoting, is formatted by one printf template
-    over all its cells; any other table goes through csv.writer cell by cell.
+    over all its cells; any other table goes through csv.writer row by row.
     The rows are flattened straight from their iterator, so a `zip` or
     `enumerate` of them allocates no tuple per row.
     """
@@ -265,19 +265,8 @@ def _csv_text(header: Sequence[str], rows) -> str:
     writer.writerow(header)
     if {float, int}.issuperset(map(type, cells)):
         return buf.getvalue() + ("%r," * (width - 1) + "%r\n") * (len(cells) // width) % cells
-    texts = list(map(_cell, cells))
-    writer.writerows(texts[i : i + width] for i in range(0, len(texts), width))
+    writer.writerows(cells[i : i + width] for i in range(0, len(cells), width))
     return buf.getvalue()
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +321,8 @@ def _chunk_plan(total: int) -> List[int]:
     left = total
     while left > 0:
         take = min(CHUNK_SIZE, left)
-        # Welford/std needs at least 2 per chunk; merge a trailing 1
+        # a trailing single sample joins the chunk before it: no statistic
+        # needs it, but the plan, and so every seeded output, stays as it was
         if left - take == 1:
             take += 1
         sizes.append(take)
@@ -445,10 +435,11 @@ def _cmd_profile_discrete(ns, ctx: RunContext) -> int:
         t = t_base + w
         if t < 0:
             raise ConfigError(f"window {w} puts the step count below zero")
-        scale = ns.n * 2.0 ** (-t)
+        bounds = discrete.discrete_upper_bounds(ns.n, t)
         tv = discrete.mono_mixture_tv(ns.n, t)
         ctx.counters["mixture_cells"] += discrete.mixture_window(ns.n, t).cells
-        rows.append((float(w), scale, tv, profiles.gaussian_tv(scale), min(1.0, scale)))
+        scale = bounds.scale
+        rows.append((float(w), scale, tv, profiles.gaussian_tv(scale), bounds.site_union_bound))
     ctx.write_rows(ns.out, ["lambda", "s", "tv_exact", "phi_s", "upper_bound"], rows)
     return EXIT_OK
 

@@ -177,17 +177,10 @@ def tv_distance(a: Pmf, b: Pmf) -> float:
     return 0.5 * float(np.abs(a.weights - b.weights).sum())
 
 
-def marginal_bias(pmf: Pmf, site: int) -> float:
-    """Expected spin at a 1-based site."""
-    if not 1 <= site <= pmf.n:
-        raise DimensionMismatchError(f"site {site} out of range 1..{pmf.n}")
-    h = 1 << (site - 1)
-    blk = pmf.weights.reshape(-1, 2, h)
-    return float(blk[:, 1, :].sum() - blk[:, 0, :].sum())
-
-
-def all_biases(pmf: Pmf) -> np.ndarray:
-    return np.array([marginal_bias(pmf, i) for i in range(1, pmf.n + 1)])
+def _biases(pmf: Pmf) -> np.ndarray:
+    """Expected spin at each site, site i+1 at entry i."""
+    blocks = (pmf.weights.reshape(-1, 2, 1 << i) for i in range(pmf.n))
+    return np.array([blk[:, 1, :].sum() - blk[:, 0, :].sum() for blk in blocks])
 
 
 def product_pmf(biases) -> Pmf:
@@ -232,7 +225,7 @@ def _product_coeff_rows(biases: np.ndarray) -> np.ndarray:
 
 def stationary_product(pmf: Pmf) -> Pmf:
     """Product measure sharing the pmf's site biases (its dynamics fixed point)."""
-    return product_pmf(all_biases(pmf))
+    return product_pmf(_biases(pmf))
 
 
 def uniform_pmf(n: int) -> Pmf:

@@ -384,11 +384,6 @@ def fragmentation_time(n: int, rng: np.random.Generator) -> int:
     return int(fragmentation_times(n, 1, rng)[0])
 
 
-def pair_separation_bound(n: int, t: int) -> float:
-    """Union bound on P(some pair still shares a block after t rounds)."""
-    return 0.5 * n * (n - 1) * 2.0 ** (-t)
-
-
 # ---------------------------------------------------------------------------
 # exact distance from the two-point start
 # ---------------------------------------------------------------------------
@@ -555,15 +550,14 @@ PLATEAU_SCALE_MIN = math.log(2.0) / 2.0
 class DiscreteUpperBounds:
     """Upper bounds on the distance to stationarity after t steps.
 
-    `scale` is the cutoff-window coordinate s = n * 2^-t.  The two union
-    bounds hold for every balanced initial state.  `plateau_bound` is the
-    near-saturation bound 1 - exp(-2s)/2, which is only valid for
+    `scale` is the cutoff-window coordinate s = n * 2^-t.  The site union
+    bound min(1, s) holds for every balanced initial state.  `plateau_bound`
+    is the near-saturation bound 1 - exp(-2s)/2, which is only valid for
     s >= ln(2)/2 and is None below that threshold.
     """
 
     scale: float
     site_union_bound: float
-    pair_union_bound: float
     plateau_bound: Optional[float]
 
 
@@ -575,8 +569,5 @@ def discrete_upper_bounds(n: int, t: int) -> DiscreteUpperBounds:
     scale = n * 2.0 ** (-t)
     plateau = 1.0 - math.exp(-2.0 * scale) / 2.0 if scale >= PLATEAU_SCALE_MIN else None
     return DiscreteUpperBounds(
-        scale=scale,
-        site_union_bound=scale,
-        pair_union_bound=pair_separation_bound(n, t),
-        plateau_bound=plateau,
+        scale=scale, site_union_bound=min(1.0, scale), plateau_bound=plateau
     )

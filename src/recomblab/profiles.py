@@ -62,7 +62,7 @@ def gaussian_tv(s: float) -> float:
     return 2.0 * (_norm_cdf(z_star) - _norm_cdf(z_star / math.sqrt(1.0 + s)))
 
 
-def gaussian_tv_complement(s: float) -> float:
+def _gaussian_tv_complement(s: float) -> float:
     """1 - gaussian_tv(s), in a form free of large-s cancellation."""
     if not 0 <= s < math.inf:
         raise InvalidDistributionError(f"variance excess must be finite and >= 0, got {s}")
@@ -97,7 +97,7 @@ class AsymptoticsReport:
 def gaussian_tv_asymptotics() -> AsymptoticsReport:
     small_s, large_s = _ASYMPTOTIC_SMALL_S, _ASYMPTOTIC_LARGE_S
     ratio_small = gaussian_tv(small_s) / (small_s / math.sqrt(2.0 * math.e * math.pi))
-    complement = gaussian_tv_complement(large_s)
+    complement = _gaussian_tv_complement(large_s)
     ratio_large = complement * math.sqrt(2.0 * math.pi * large_s / math.log(large_s))
     return AsymptoticsReport(
         small_scale_ratio=ratio_small,
@@ -207,16 +207,15 @@ def l1_from_l2_bound(x):
 @dataclass(frozen=True)
 class DensityBoundCheck:
     l1_half: float
-    l2: float
     bound: float
-    holds: bool
 
 
 def check_l1_l2_bound(probs: Sequence[float], density: Sequence[float]) -> DensityBoundCheck:
-    """Verify half the L1 deviation of a density against the L2 bound.
+    """Half the L1 deviation of a density and its bound from the L2 deviation.
 
     `probs` are the weights of a finite probability space and `density` a
-    non-negative function with unit mean under them.
+    non-negative function with unit mean under them; the bound holds when
+    `l1_half <= bound` up to round-off.
     """
     p = np.asarray(probs, dtype=np.float64)
     f = np.asarray(density, dtype=np.float64)
@@ -229,10 +228,7 @@ def check_l1_l2_bound(probs: Sequence[float], density: Sequence[float]) -> Densi
     dev = f - 1.0
     l1_half = 0.5 * float(p @ np.abs(dev))
     l2 = math.sqrt(float(p @ (dev * dev)))
-    bound = l1_from_l2_bound(l2)
-    return DensityBoundCheck(
-        l1_half=l1_half, l2=l2, bound=bound, holds=l1_half <= bound + 1e-12
-    )
+    return DensityBoundCheck(l1_half=l1_half, bound=l1_from_l2_bound(l2))
 
 
 def two_valued_extremal_density(weight_a: float, deviation_a: float):

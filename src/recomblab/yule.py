@@ -333,11 +333,9 @@ class MonteCarloMeasure:
 
     coeff_mean: np.ndarray
     coeff_stderr: np.ndarray
-    samples: int
-    horizon: float
 
 
-def _accumulate_measures(batches: Iterable[np.ndarray], m: int, t: float) -> MonteCarloMeasure:
+def _accumulate_measures(batches: Iterable[np.ndarray], m: int) -> MonteCarloMeasure:
     """Mean and spread of batches of per-sample coefficient rows.
 
     Sums are taken of each entry's offset from the first sample, so an entry
@@ -358,8 +356,6 @@ def _accumulate_measures(batches: Iterable[np.ndarray], m: int, t: float) -> Mon
     return MonteCarloMeasure(
         coeff_mean=shift + total / m,
         coeff_stderr=np.sqrt(np.maximum(squares - total * total / m, 0.0) / ((m - 1.0) * m)),
-        samples=m,
-        horizon=t,
     )
 
 
@@ -425,7 +421,7 @@ def wild_mc_estimate(
                 )
             yield np.concatenate([_collide_waves(c, base, mu.n) for c in chunks])
 
-    return _accumulate_measures(batches(), m, t)
+    return _accumulate_measures(batches(), m)
 
 
 def double_quenched_estimate(
@@ -450,7 +446,7 @@ def double_quenched_estimate(
             )
             yield _product_coeff_rows(biases)
 
-    return _accumulate_measures(batches(), m, t)
+    return _accumulate_measures(batches(), m)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +666,6 @@ def martingale_limit_samples(m: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    threshold: float
     probability: float
     stderr: float
     ci_low: float
@@ -686,7 +681,6 @@ def tail_probability_from_samples(values: np.ndarray, eps: float) -> TailEstimat
     p = float(np.count_nonzero(values <= eps)) / m
     se = math.sqrt(max(p * (1.0 - p), 0.0) / m)
     return TailEstimate(
-        threshold=eps,
         probability=p,
         stderr=se,
         ci_low=max(0.0, p - 1.96 * se),
@@ -710,8 +704,6 @@ class SpinalFunctionalResult:
 
 @dataclass(frozen=True)
 class SpinalCheckReport:
-    t: float
-    samples: int
     results: Tuple[SpinalFunctionalResult, ...]
     passed: bool
     nodes_grown: int
@@ -756,6 +748,4 @@ def spinal_identity_check(t: float, m: int, rng: np.random.Generator) -> SpinalC
         map(SpinalFunctionalResult, names, means.tolist(), analytic.tolist(), z.tolist())
     )
     passed = all(abs(r.z) <= _SPINAL_Z_LIMIT for r in results)
-    return SpinalCheckReport(
-        t=t, samples=m, results=results, passed=passed, nodes_grown=nodes, widest_wave=widest
-    )
+    return SpinalCheckReport(results, passed, nodes, widest)

@@ -1,6 +1,7 @@
 """Command-line driver: reproducibility, manifests, flags, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -177,7 +178,8 @@ def test_chunk_plan_is_worker_free_and_covers_total():
         plan = cli._chunk_plan(total)
         assert sum(plan) == total
         assert all(size >= 1 for size in plan)
-        # never a trailing singleton chunk (keeps per-chunk stats sane)
+        # never a trailing singleton chunk: no statistic needs this, but the
+        # merge keeps the plan, and so the seeded outputs, as they were
         if total >= 2:
             assert all(size >= 2 for size in plan[1:] or plan)
 
@@ -1059,6 +1061,38 @@ def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):
         lambda seed, printer=print: [CriterionResult(1, "alpha", True, "ok", 0.0)],
     )
     assert cli.main(["selftest", "--out-dir", str(tmp_path)]) == 0
+
+
+def test_a_raising_criterion_fails_and_the_registry_goes_on(tmp_path, monkeypatch, capsys):
+    # criterion 10 raises ValueError, as it does when every limit draw is 1
+    # (the log of an empty tail); the other criteria are stubbed to pass, so
+    # only the registry's wiring runs
+    from recomblab import acceptance
+
+    ran = []
+
+    def stub(number):
+        def fn(seed):
+            ran.append(number)
+            if number == 10:
+                raise ValueError("math domain error")
+            return True, "ok"
+
+        return fn
+
+    criteria = [dataclasses.replace(c, fn=stub(c.number)) for c in acceptance.CRITERIA]
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    results = acceptance.run_all()
+    assert [r.number for r in results] == list(range(1, 15))
+    assert ran[-4:] == [11, 12, 13, 14]
+    assert [r.number for r in results if not r.passed] == [10]
+    assert results[9].summary == "raised ValueError: math domain error"
+
+    assert cli.main(["selftest", "--out-dir", str(tmp_path)]) == 1
+    rows = list(csv.reader(io.StringIO((tmp_path / "selftest.csv").read_text())))
+    assert len(rows) == 15
+    assert rows[10] == ["10", "limit-tail", "0", "raised ValueError: math domain error"]
+    assert "[FAIL] criterion 10 limit-tail: raised ValueError" in capsys.readouterr().out
 
 
 def test_selftest_csv_does_not_depend_on_timing(tmp_path, monkeypatch):

@@ -9,8 +9,6 @@ from scipy.special import gammaln, logsumexp
 
 from recomblab import (
     CapacityError,
-    DimensionMismatchError,
-    FourierTable,
     collide_coeffs,
     collide_direct,
     collide_pmf,
@@ -18,10 +16,8 @@ from recomblab import (
     evolve_discrete,
     fragmentation_time,
     fragmentation_times,
-    marginal_bias,
     mono_mixture_tv,
     monochromatic_pmf,
-    pair_separation_bound,
     point_mass,
     product_pmf,
     random_pmf,
@@ -29,10 +25,11 @@ from recomblab import (
     tv_distance,
     uniform_pmf,
     wht_forward,
-    wht_inverse,
 )
 from recomblab import discrete
+from recomblab.cube import FourierTable, _biases, wht_inverse
 from recomblab.discrete import PAIRS_AUTO_SITE_MAX, _disjoint_pair_tables
+from recomblab.errors import DimensionMismatchError
 from recomblab.streams import rng_substream
 
 
@@ -129,10 +126,7 @@ def test_collide_halves_singletons_against_uniform():
     rng = np.random.default_rng(6)
     pmf = random_pmf(4, rng)
     out = collide_pmf(pmf, uniform_pmf(4))
-    for site in range(1, 5):
-        assert marginal_bias(out, site) == pytest.approx(
-            marginal_bias(pmf, site) / 2.0, abs=1e-12
-        )
+    np.testing.assert_allclose(_biases(out), _biases(pmf) / 2.0, rtol=0, atol=1e-12)
 
 
 def test_product_measures_are_fixed_points():
@@ -336,12 +330,6 @@ def test_pair_separation_probability():
     assert hits / trials == pytest.approx(p, abs=4 * sigma)
 
 
-def test_pair_separation_bound_formula():
-    assert pair_separation_bound(8, 12) == pytest.approx(
-        8 * 7 / 2 * 2.0 ** (-12)
-    )
-
-
 def test_mono_mixture_tv_matches_dense_evolution():
     for n, t in [(3, 0), (3, 2), (6, 3), (8, 5)]:
         mono = monochromatic_pmf(n)
@@ -502,6 +490,8 @@ def test_discrete_upper_bounds_scaling():
     b = discrete_upper_bounds(1024, 10)
     assert b.scale == pytest.approx(1.0)
     assert b.site_union_bound == pytest.approx(1.0)
+    # above scale 1 the site bound is capped at the largest distance
+    assert discrete_upper_bounds(1024, 8).site_union_bound == 1.0
     assert b.plateau_bound == pytest.approx(1.0 - math.exp(-2.0) / 2.0)
     # below the plateau validity threshold the bound is withheld
     small = discrete_upper_bounds(1024, 12)
@@ -514,5 +504,5 @@ def test_point_mass_start_is_monochromatic_shift():
     start = point_mass(3, 0b101)
     out = evolve_discrete(start, 6)
     np.testing.assert_allclose(
-        [marginal_bias(out, s) for s in (1, 2, 3)], [1.0, -1.0, 1.0], atol=1e-12
+        _biases(out), [1.0, -1.0, 1.0], atol=1e-12
     )
