@@ -250,9 +250,10 @@ class RunContext:
 def _csv_text(header: Sequence[str], rows) -> str:
     """The bytes csv.writer writes for `header` and `rows`, one line per row.
 
-    Every row holds one cell per header name.  A table of plain floats and
-    ints, whose reprs never need quoting, is formatted by one printf template
-    over all its cells; any other table goes through csv.writer row by row.
+    Every row holds one cell per header name.  A table of plain floats, ints
+    and strs that csv.writer would not quote is formatted by one printf
+    template over all its cells (`%s` of a float is its repr, which is what
+    csv.writer writes); any other table goes through csv.writer row by row.
     The rows are flattened straight from their iterator, so a `zip` or
     `enumerate` of them allocates no tuple per row.
     """
@@ -263,10 +264,43 @@ def _csv_text(header: Sequence[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    if {float, int}.issuperset(map(type, cells)):
-        return buf.getvalue() + ("%r," * (width - 1) + "%r\n") * (len(cells) // width) % cells
+    if _printf_safe(cells):
+        return buf.getvalue() + ("%s," * (width - 1) + "%s\n") * (len(cells) // width) % cells
     writer.writerows(cells[i : i + width] for i in range(0, len(cells), width))
     return buf.getvalue()
+
+
+def _printf_safe(cells: tuple) -> bool:
+    """Whether `%s` gives every cell the bytes csv.writer gives it.
+
+    Plain floats and ints always pass.  Str cells pass when csv.writer writes
+    each distinct one, alone on a row, unquoted: a lone cell is quoted where
+    it would be in any row, and the empty str besides.
+    """
+    if {float, int}.issuperset(map(type, cells)):
+        return True
+    if not {float, int, str}.issuperset(map(type, cells)):
+        return False
+    strs = {cell for cell in cells if type(cell) is str}
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([s] for s in strs)
+    return buf.getvalue() == "".join(s + "\n" for s in strs)
+
+
+def _pmf_rows(pmf: cube.Pmf):
+    """The `index,value` rows of a pmf for `_csv_text`.
+
+    Exact evolutions repeat few weights across the cube (the n = 16 mono
+    start after 8 discrete steps holds 31 distinct ones in 65 536), so each
+    distinct weight is formatted once and its text shared.  Weights count as
+    distinct by their bits, which keeps -0.0 apart from 0.0.  When more than
+    half are distinct, as a random start's are, the floats go as they are.
+    """
+    bits, inverse = np.unique(pmf.weights.view(np.int64), return_inverse=True)
+    if 2 * bits.size > inverse.size:
+        return enumerate(pmf.weights.tolist())
+    text = np.array([repr(w) for w in bits.view(np.float64).tolist()], dtype=object)
+    return enumerate(text[inverse].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +436,21 @@ def _cmd_collide(ns, ctx: RunContext) -> int:
     b = _load_start(ns.b, ns.n)
     out = discrete.collide_pmf(a, b)
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(a.n)
-    ctx.write_rows(ns.out, ["index", "value"], enumerate(out.weights.tolist()))
+    ctx.write_rows(ns.out, ["index", "value"], _pmf_rows(out))
     return EXIT_OK
 
 
 def _cmd_evolve_discrete(ns, ctx: RunContext) -> int:
     state = discrete.evolve_discrete(_load_start(ns.start, ns.n), ns.steps)
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(state.n)
-    ctx.write_rows(ns.out, ["index", "value"], enumerate(state.weights.tolist()))
+    ctx.write_rows(ns.out, ["index", "value"], _pmf_rows(state))
     return EXIT_OK
 
 
 def _cmd_evolve_continuous(ns, ctx: RunContext) -> int:
     state = yule.evolve_continuous(_load_start(ns.start, ns.n), ns.t, step=ns.step)
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(state.n)
-    ctx.write_rows(ns.out, ["index", "value"], enumerate(state.weights.tolist()))
+    ctx.write_rows(ns.out, ["index", "value"], _pmf_rows(state))
     return EXIT_OK
 
 

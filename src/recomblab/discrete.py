@@ -17,10 +17,11 @@ multiplies the rank polynomials of each mask, and reads out by Moebius
 transform; both transforms run on the butterfly that `cube` shares with
 the Walsh transform.  The readout maps ring products to collisions, so
 `evolve_discrete` lifts once, squares in the ring and reads out once, and
-the integrator in `yule` lifts and reads out once per step.  The module also
-carries the fragmentation process that tracks which sites still share
-ancestry, the exact mixture formula for the distance to stationarity from
-the two-point (monochromatic) start, and the closed-form upper bounds.
+the integrator in `yule` lifts once per run and takes every stage in the
+ring.  The module also carries the fragmentation process that tracks which
+sites still share ancestry, the exact mixture formula for the distance to
+stationarity from the two-point (monochromatic) start, and the closed-form
+upper bounds.
 """
 
 from __future__ import annotations
@@ -75,11 +76,13 @@ _MIXTURE_CHUNK_CELLS = 1 << 17
 def _disjoint_pair_tables(n: int):
     """All unordered pairs {A,B} of disjoint submasks, grouped by union.
 
-    Returns (starts, a, b, scale): the pairs of union S are a[k], b[k] for k
-    from starts[S] up to starts[S+1], with a|b = S, a&b = 0 and a < b, apart
-    from the one pair A = B = 0 of S = 0.  Each pair's term f[a]g[b] +
-    f[b]g[a] counts both ordered pairs, so scale is 2^-|S|, except scale[0]
-    = 1/2: the single term of S = 0 is f0 g0 + f0 g0, exactly 2 f0 g0.
+    Returns (starts, pairs, scale, doubled): the pairs of union S are
+    pairs[0, k], pairs[1, k] for k from starts[S] up to starts[S+1], with
+    a|b = S, a&b = 0 and a < b, apart from the one pair A = B = 0 of S = 0.
+    Each pair's term f[a]g[b] + f[b]g[a] counts both ordered pairs, so scale
+    is 2^-|S|, except scale[0] = 1/2: the single term of S = 0 is f0 g0 +
+    f0 g0, exactly 2 f0 g0.  `doubled` is 2 * scale, which scales the
+    undoubled terms of a square.
     """
     m = 3**n
     codes = np.arange(m, dtype=np.int32)
@@ -94,9 +97,10 @@ def _disjoint_pair_tables(n: int):
     a, b = a[keep], b[keep]
     union = a | b
     order = np.argsort(union, kind="stable")
+    pairs = np.stack((a[order], b[order]))
     scale = _subset_scale(n).copy()
     scale[0] = 0.5
-    return np.searchsorted(union[order], np.arange(1 << n)), a[order], b[order], scale
+    return np.searchsorted(union[order], np.arange(1 << n)), pairs, scale, 2.0 * scale
 
 
 @lru_cache(maxsize=32)
@@ -117,15 +121,18 @@ def _rank_positions(n: int) -> np.ndarray:
 
 
 def _collide_pairs(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    starts, a, b, scale = _disjoint_pair_tables(n)
+    starts, pairs, scale, doubled = _disjoint_pair_tables(n)
     # f[a]*g[b] + f[b]*g[a] is symmetric under swapping f and g term by term,
     # so the whole path is exactly commutative in floating point.  In a
-    # self-collision both products are the same number and x + x = 2x exactly.
-    terms = f.take(a, axis=-1)
+    # self-collision both products are the same number x, and since doubling
+    # is exact, (sum of x) * 2 scale is (sum of 2x) * scale bit for bit.
     if g is f:
-        terms *= f.take(b, axis=-1)
-        terms += terms
+        both = f.take(pairs, axis=-1)
+        terms = np.multiply(both[..., 0, :], both[..., 1, :])
+        scale = doubled
     else:
+        a, b = pairs
+        terms = f.take(a, axis=-1)
         terms *= g.take(b, axis=-1)
         terms += f.take(b, axis=-1) * g.take(a, axis=-1)
     out = np.add.reduceat(terms, starts, axis=-1)

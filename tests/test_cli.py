@@ -12,9 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from recomblab import cli, discrete, yule
+from recomblab import cli, cube, discrete, yule
 from recomblab.errors import NumericalInvariantError
 from recomblab.streams import rng_substream
 
@@ -822,6 +823,48 @@ def test_recorded_checksum_and_size_are_the_written_bytes(tmp_path):
     assert entry == {"file": "t.csv", "sha256": digest, "bytes": len(blob)}
 
 
+def _csv_writer_text(header, rows):
+    expect = io.StringIO(newline="")
+    writer = csv.writer(expect, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return expect.getvalue()
+
+
+@pytest.mark.parametrize("case", ["signed-zeros", "all-distinct"])
+def test_pmf_rows_are_the_csv_writer_bytes(case):
+    if case == "signed-zeros":
+        # three distinct weights in eight: each is formatted once, and -0.0
+        # keeps its sign
+        pmf = cube.Pmf(3, np.array([0.25, 0.0, -0.0, 0.25, 0.0, -0.0, 0.25, 0.25]))
+        shared = True
+    else:
+        pmf = cube.random_pmf(12, rng_substream(11, 61))
+        shared = False
+    rows = list(cli._pmf_rows(pmf))
+    assert all(isinstance(value, str) == shared for _, value in rows)
+    header = ["index", "value"]
+    expect = _csv_writer_text(header, enumerate(pmf.weights.tolist()))
+    assert cli._csv_text(header, rows) == expect
+    if shared:
+        assert "\n2,-0.0\n" in expect
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        (["name", "value"], [("plain", 1.0), ("a,b", 2), ("plain", -0.0)]),
+        (["name", "value"], [("say \"hi\"", 1), ("line\nbreak", 2)]),
+        # a lone empty cell is quoted, though it is not in a wider row
+        (["name"], [("x",), ("",)]),
+    ],
+)
+def test_str_cells_that_need_quoting_go_through_csv_writer(header, rows):
+    cells = tuple(cell for row in rows for cell in row)
+    assert not cli._printf_safe(cells)
+    assert cli._csv_text(header, rows) == _csv_writer_text(header, rows)
+
+
 @pytest.mark.parametrize("name", ["collide_manifest.json", "collide_manifest.json.tmp"])
 def test_output_named_like_the_manifest_exits_2(tmp_path, capsys, name):
     # the manifest, or its temporary file, would overwrite the table, so the
@@ -881,9 +924,18 @@ def test_out_of_range_run_exits_3_and_is_recorded(tmp_path, capsys, monkeypatch,
     assert reason in event["message"]
 
 
+def test_nan_integrator_state_exits_4(tmp_path, capsys):
+    args = ["evolve-continuous", "--n", "4", "--start", "mono", "--t", "1e100", "--step", "1e100"]
+    with np.errstate(all="ignore"):
+        assert cli.main([*args, "--out-dir", str(tmp_path)]) == 4
+    assert "coefficient magnitude nan left the unit box" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "evolve_continuous_manifest.json").read_text())
+    assert manifest["exit_status"] == 4
+
+
 def test_numerical_violation_exits_4(tmp_path, monkeypatch):
-    # no stock input trips the integrator box check, so inject a command
-    # body that raises and confirm the dispatcher's mapping and manifest
+    # inject a command body that raises and confirm the dispatcher's mapping
+    # and manifest for a command whose stock inputs never trip a check
     def boom(ns, ctx):
         raise NumericalInvariantError("synthetic breach")
 

@@ -165,6 +165,36 @@ def test_continuous_steps_match_the_per_collision_integrator(n):
             np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-14)
 
 
+def test_in_ring_steps_stay_near_the_oracle_over_500_steps():
+    # the ranked state never leaves the ring, so its rounding could drift
+    # from the per-collision oracle's as steps accumulate
+    n = 11
+    for mu in (monochromatic_pmf(n), random_pmf(n, rng_substream(11, 60))):
+        out = evolve_continuous(mu, 5.0, step=0.01).weights
+        np.testing.assert_allclose(out, _rk4_by_collisions(mu, 5.0, 0.01), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_unnormalised_start_keeps_the_oracle_bytes(n):
+    # weights that sum to 1 - 2^-52, within Pmf's tolerance; wht_forward pins
+    # the empty-set coefficient to 1, and nothing else of the start is reset
+    # before the first step
+    weights = monochromatic_pmf(n).weights.copy()
+    weights[-1] -= 2.0**-52
+    mu = Pmf(n, weights)
+    assert mu.weights.sum() == 1.0 - 2.0**-52
+    out = evolve_continuous(mu, 0.5, step=0.01).weights
+    assert out.tobytes() == _rk4_by_collisions(mu, 0.5, 0.01).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_nan_coefficients_leave_the_unit_box(n):
+    # one step of 1e100 overflows into NaN, which no bound compares above
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalInvariantError, match="magnitude nan"):
+            evolve_continuous(monochromatic_pmf(n), 1e100, step=1e100)
+
+
 @pytest.mark.parametrize(
     "n, step, magnitude", [(11, 3.0, "1.23"), (4, 4.0, "2.06")]
 )
