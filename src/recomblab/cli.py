@@ -66,14 +66,7 @@ CHUNK_TASK_BASE = 100
 # the commands that evaluate a scipy special function.  `main` imports
 # scipy.special for them before the manifest clock starts, so wall_seconds
 # excludes imports, and every other command starts without scipy.
-SCIPY_COMMANDS = frozenset(
-    {
-        "profile-discrete",
-        "lowerbound-discrete",
-        "lowerbound-continuous",
-        "selftest",
-    }
-)
+SCIPY_COMMANDS = frozenset({"profile-discrete", "selftest"})
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-# scipy.special is imported inside the functions that call it, so commands
+# scipy.special is imported inside the function that calls it, so commands
 # that never evaluate a special function start without it
 
+from . import binomial
 from .errors import (
     CapacityError,
     ConfigError,
@@ -40,8 +41,10 @@ _ASYMPTOTIC_SMALL_S = 1e-3
 _ASYMPTOTIC_LARGE_S = 1e6
 _ASYMPTOTIC_SMALL_TOL = 0.02
 _ASYMPTOTIC_LARGE_TOL = 0.05
-# lowerbound_experiment_continuous: sign draws per sampled tree
+# lowerbound_experiment_continuous: sign draws per sampled tree, and the
+# trees whose biases (2^16 of them, 512 KiB) share one tail evaluation
 _INNER_SAMPLES = 2048
+_GROUP_TREES = (1 << 16) // _INNER_SAMPLES
 
 
 def _norm_cdf(x: float) -> float:
@@ -253,42 +256,26 @@ def two_valued_extremal_density(weight_a: float, deviation_a: float):
 # ---------------------------------------------------------------------------
 
 
-def _binom_pmf(k, n: int, p):
-    """Binomial(n, p) pmf at k, in log space: no difference of cdf values."""
-    from scipy.special import gammaln, xlog1py, xlogy
-
-    return np.exp(
-        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) + xlogy(k, p) + xlog1py(n - k, -p)
-    )
-
-
 def _square_tail_given_bias(block_size: int, up_prob, threshold: int):
     """P(squared block magnetization >= threshold) for i.i.d. +-1 sites.
 
-    `up_prob` is the per-site probability of +1 (scalar or vector); the
+    `up_prob` is the per-site probability of +1 (scalar or array); the
     magnetization of B up-sites out of p is 2B - p.  The threshold is
-    resolved exactly in integers, respecting the parity of p.
+    resolved exactly in integers, respecting the parity of p.  A scalar in
+    gives a float out.
     """
     p = block_size
+    up = np.asarray(up_prob, dtype=np.float64)
     if threshold <= 0:
-        return np.ones_like(np.asarray(up_prob, dtype=np.float64))
+        out = np.ones_like(up)
+        return out if out.ndim else 1.0
     s = math.isqrt(threshold)
     if s * s < threshold:
         s += 1
     if (s - p) % 2 != 0:
         s += 1
-    up = np.asarray(up_prob, dtype=np.float64)
-    if s > p:
-        out = np.zeros_like(up)
-        return float(out) if out.ndim == 0 else out
-    from scipy.special import betainc
-
-    b_hi = (p + s) // 2
-    b_lo = (p - s) // 2
-    # P(B >= b_hi) + P(B <= b_lo), where for 0 <= k < n a Bin(n, q) count has
-    # P(B > k) = I_q(k+1, n-k) and P(B <= k) = I_(1-q)(n-k, k+1)
-    out = betainc(b_hi, p - b_hi + 1, up) + betainc(p - b_lo, b_lo + 1, 1.0 - up)
-    return float(out) if out.ndim == 0 else out
+    # P(B >= (p+s)/2) + P(B <= (p-s)/2); both are 0 when s > p
+    return binomial.upper_tail((p + s) // 2, p, up) + binomial.lower_tail((p - s) // 2, p, up)
 
 
 def _second_moment_coeffs(p: int):
@@ -318,13 +305,11 @@ def _block_event(n: int, p: int):
     """
     if p > n:
         raise ConfigError(f"block size {p} exceeds n={n}; no block fits")
-    from scipy.special import betainc
-
     alpha = n // p
     threshold = 20 * p
     k_min = -(-alpha // 15)
-    q_pi = float(_square_tail_given_bias(p, 0.5, threshold))
-    return alpha, threshold, k_min, q_pi, float(betainc(k_min, alpha - k_min + 1, q_pi))
+    q_pi = _square_tail_given_bias(p, 0.5, threshold)
+    return alpha, threshold, k_min, q_pi, binomial.upper_tail(k_min, alpha, q_pi)
 
 
 @dataclass(frozen=True)
@@ -365,15 +350,13 @@ def lowerbound_experiment_discrete(n: int, t: int) -> DiscreteBlockReport:
         raise ValueError("t must be >= 0")
     p = 80 << t
     alpha, threshold, k_min, q_pi, pi_a = _block_event(n, p)
-    from scipy.special import betainc
-
     leaves = 1 << t
     counts = np.arange(leaves + 1)
-    leaf_weights = _binom_pmf(counts, leaves, 0.5)
+    leaf_weights = binomial.pmf(counts, leaves, 0.5)
     up = counts / leaves
     bias = 2.0 * up - 1.0
     q_mu = float(leaf_weights @ _square_tail_given_bias(p, up, threshold))
-    mu_ac = float(betainc(alpha - k_min + 1, k_min, 1.0 - q_mu))
+    mu_ac = binomial.lower_tail(k_min - 1, alpha, q_mu)
 
     # moments of the squared magnetization under the evolved block law,
     # both from the closed-form leaf-bias moments and from the mixture
@@ -451,16 +434,8 @@ def lowerbound_experiment_continuous(
     if p < 2:
         raise ConfigError(f"block size {p} too small at n={n}, t={t}")
     alpha, threshold, k_min, q_pi, pi_a = _block_event(n, p)
-    from scipy.special import betainc
-
     p2, p3, p4 = _second_moment_coeffs(p)
-    decay = math.exp(-t / 2.0)
-    r_scale = n * decay
-    block_tails = np.empty(m)
-    moment_zs = np.empty(m)
-    second_ok = True
-    counts_grid = np.arange(alpha + 1)
-    mix_pmf = np.zeros(alpha + 1)
+    r_scale = n * math.exp(-t / 2.0)
     # every tree's leaf weights 2^-depth, grown in one batch; the sign draws
     # below come after all of them
     owner, leaf_weights = sample_leaf_weights(t, m, rng)
@@ -468,36 +443,46 @@ def lowerbound_experiment_continuous(
         leaf_weights[np.argsort(owner, kind="stable")],
         np.cumsum(np.bincount(owner, minlength=m))[:-1],
     )
-    for i, w in enumerate(per_tree):
-        m2 = float((w * w).sum())
-        m4 = float((w**4).sum())
-        martingale = math.exp(t / 2.0) * m2
-        signs = rng.integers(0, 2, size=(_INNER_SAMPLES, w.size)) * 2 - 1
-        q_draw = signs @ w
-        # a tree has few leaves, so its 2^leaves sign patterns repeat: the
-        # tail is evaluated once per distinct bias
-        q_seen, q_index = np.unique(q_draw, return_inverse=True)
-        tails = _square_tail_given_bias(p, (1.0 + q_seen) / 2.0, threshold)[q_index]
-        block_tails[i] = tails.mean()
-        mix_pmf += _binom_pmf(counts_grid, alpha, block_tails[i])
+    # per-tree leaf moments; m2, a sum of 4^-depth, is exact in any order
+    m2 = np.bincount(owner, weights=leaf_weights**2, minlength=m)
+    m4 = np.bincount(owner, weights=leaf_weights**4, minlength=m)
+    second_formula = (
+        p4 * (3.0 * m2 * m2 - 2.0 * m4) + (6.0 * p3 + 4.0 * p2) * m2 + 3.0 * p2 + p
+    )
+    second_cap = 3.0 * ((p - 1) * (r_scale / alpha) * (math.exp(t / 2.0) * m2) + p) ** 2
+
+    block_tails = np.empty(m)
+    moment_zs = np.zeros(m)
+    counts_grid = np.arange(alpha + 1)
+    mix_pmf = np.zeros(alpha + 1)
+    for start in range(0, m, _GROUP_TREES):
+        group = slice(start, min(start + _GROUP_TREES, m))
+        # each tree's (2048, leaves) signs, drawn in tree order, one call per
+        # tree so the int64 draws of a whole group (about 10 MB at t = 3)
+        # never coexist; the bias of a row of up-draws d is 2 (d @ w) - sum(w),
+        # a sum of +-2^-depth and so exact in any order
+        q = np.empty((len(per_tree[group]), _INNER_SAMPLES))
+        for row, w in zip(q, per_tree[group]):
+            np.dot(rng.integers(0, 2, size=(_INNER_SAMPLES, w.size)), w, out=row)
+            row *= 2.0
+            row -= w.sum()
+        # trees have few leaves, so biases repeat within a tree and across
+        # trees: the tail is evaluated once per distinct bias of the group
+        distinct, index = np.unique(q, return_inverse=True)
+        tails = _square_tail_given_bias(p, (1.0 + distinct) / 2.0, threshold)
+        block_tails[group] = tails[index].reshape(q.shape).mean(axis=1)
+        mix_pmf += binomial.pmf(counts_grid[:, None], alpha, block_tails[group]).sum(axis=1)
 
         # first-moment check: formula vs the same trees' sign-mixture
-        formula = p + p2 * m2
-        per_draw = p + p2 * q_draw * q_draw
-        se = float(per_draw.std(ddof=1)) / math.sqrt(_INNER_SAMPLES)
-        moment_zs[i] = 0.0 if se == 0.0 else (float(per_draw.mean()) - formula) / se
-        second_formula = (
-            p4 * (3.0 * m2 * m2 - 2.0 * m4) + (6.0 * p3 + 4.0 * p2) * m2
-            + 3.0 * p2 + p
-        )
-        second_cap = 3.0 * ((p - 1) * (r_scale / alpha) * martingale + p) ** 2
-        if second_formula > second_cap * (1.0 + 1e-12):
-            second_ok = False
+        per_draw = p + p2 * q * q
+        se = per_draw.std(axis=1, ddof=1) / math.sqrt(_INNER_SAMPLES)
+        gap = per_draw.mean(axis=1) - (p + p2 * m2[group])
+        np.divide(gap, se, out=moment_zs[group], where=se != 0.0)
     mix_pmf /= m
-    pi_pmf = _binom_pmf(counts_grid, alpha, q_pi)
+    pi_pmf = binomial.pmf(counts_grid, alpha, q_pi)
     block_count_tv = 0.5 * float(np.abs(mix_pmf - pi_pmf).sum())
 
-    below = betainc(alpha - k_min + 1, k_min, 1.0 - block_tails)
+    below = binomial.lower_tail(k_min - 1, alpha, block_tails)
     mu_ac = float(below.mean())
     mu_se = float(below.std(ddof=1)) / math.sqrt(m)
     return ContinuousBlockReport(
@@ -515,5 +500,5 @@ def lowerbound_experiment_continuous(
         tv_lower_bound=1.0 - pi_a - mu_ac,
         block_count_tv=block_count_tv,
         first_moment_max_abs_z=float(np.abs(moment_zs).max()),
-        second_moment_bound_ok=second_ok,
+        second_moment_bound_ok=not (second_formula > second_cap * (1.0 + 1e-12)).any(),
     )

@@ -307,32 +307,34 @@ def evolve_continuous(mu: Pmf, t: float, step: float = 0.01) -> Pmf:
         out[...] = x
         return np.subtract(product(out, out, n), x, out=out)
 
-    # y + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order; doubling is exact
-    for _ in range(nsteps):
-        field(y, total)
-        np.multiply(total, half, out=stage)
-        stage += y
-        field(stage, k)
-        np.multiply(k, half, out=stage)
-        stage += y
-        k += k
-        total += k
-        field(stage, k)
-        np.multiply(k, full, out=stage)
-        stage += y
-        k += k
-        total += k
-        total += field(stage, k)
-        total *= sixth
-        y += total
-        y[0] = 1.0
-        c = readout(y.copy(), n)
-        worst = float(np.abs(c).max())
-        if not worst <= 1.0 + COEFF_BOX_TOL:
-            raise NumericalInvariantError(
-                f"coefficient magnitude {worst} left the unit box; "
-                f"reduce the step (h={h})"
-            )
+    # y + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order; doubling is exact.
+    # A state that overflows turns inf or NaN, and the box check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(nsteps):
+            field(y, total)
+            np.multiply(total, half, out=stage)
+            stage += y
+            field(stage, k)
+            np.multiply(k, half, out=stage)
+            stage += y
+            k += k
+            total += k
+            field(stage, k)
+            np.multiply(k, full, out=stage)
+            stage += y
+            k += k
+            total += k
+            total += field(stage, k)
+            total *= sixth
+            y += total
+            y[0] = 1.0
+            c = readout(y.copy(), n)
+            worst = float(np.abs(c).max())
+            if not worst <= 1.0 + COEFF_BOX_TOL:
+                raise NumericalInvariantError(
+                    f"coefficient magnitude {worst} left the unit box; "
+                    f"reduce the step (h={h})"
+                )
     return wht_inverse(FourierTable(n, c))
 
 

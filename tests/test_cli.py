@@ -67,8 +67,8 @@ def test_package_import_loads_no_scipy(tmp_path, module):
 
 # Runs one command in a fresh interpreter and prints the modules imported
 # between the start of the manifest clock and the end of the manifest, and
-# every scipy module loaded by then.  selftest runs four quick criteria that
-# between them call gammaln, logsumexp, xlogy and betainc.
+# every scipy module loaded by then.  selftest runs four quick criteria;
+# criteria 2 and 5 call gammaln.
 CLOCK_PROBE = """
 import json, sys
 from recomblab import acceptance, cli
@@ -354,8 +354,12 @@ def test_nodes_grown_counts_every_tree_node(tmp_path):
 # scipy.special functions, and again when its binomial tails moved from
 # bdtr/bdtrc to betainc: both times the same draws, cells changed in the last
 # bits, and again when the sign draws per tree became the fixed 2048, from
-# 512: the same trees, more draws.  The limit `w-tail` pins the exact t = inf
-# draw, 1 / chi-squared(3) from substream 0.
+# 512: the same trees, more draws; and again when the block tails moved from
+# scipy.special to the numpy binomial law and the trees' biases were
+# evaluated in groups: the same draws and biases, and three cells changed in
+# the last bits (the stationary event is now correctly rounded, where betainc
+# was 1.6e-15 off).  The limit `w-tail` pins the exact t = inf draw,
+# 1 / chi-squared(3) from substream 0.
 SEEDED_OUTPUT_SHA256 = [
     (
         ("martingale", "--t", "2.5", "--samples", "400", "--seed", "77",
@@ -394,7 +398,7 @@ SEEDED_OUTPUT_SHA256 = [
     (
         ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "120", "--seed", "9"),
         "lowerbound_continuous.csv",
-        "89b3c00dd443318ef6deec1e54e695b5d54e97ec911901b6c588fa284018efa6",
+        "27499da057ac25ddc182f07760762cfef944149cc8ab8b0b6984214418f10f59",
     ),
     (
         ("spinal-check", "--t", "1.0", "--samples", "2000", "--seed", "5"),
@@ -931,6 +935,19 @@ def test_nan_integrator_state_exits_4(tmp_path, capsys):
     assert "coefficient magnitude nan left the unit box" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "evolve_continuous_manifest.json").read_text())
     assert manifest["exit_status"] == 4
+
+
+@pytest.mark.parametrize("n", ["4", "12"])
+def test_overflowing_integrator_prints_only_the_violation(tmp_path, n):
+    # the unit-box check reports an overflowed state; numpy's overflow and
+    # invalid-value warnings from the kernel and the integrator stay silent
+    args = ["evolve-continuous", "--n", n, "--start", "mono", "--t", "1e100", "--step", "1e100"]
+    r = run_cli([*args, "--out-dir", str(tmp_path)], tmp_path)
+    assert r.returncode == 4
+    assert r.stderr.splitlines() == [
+        "numerical invariant violated: coefficient magnitude nan left the unit box; "
+        "reduce the step (h=1e+100)"
+    ]
 
 
 def test_numerical_violation_exits_4(tmp_path, monkeypatch):

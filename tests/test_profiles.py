@@ -23,9 +23,10 @@ from recomblab import (
     mono_tv_large_n_limit,
     two_valued_extremal_density,
 )
-from recomblab import profiles
+from recomblab import binomial, profiles
 from recomblab.errors import ConfigError, InvalidDistributionError
 from recomblab.streams import rng_substream
+from recomblab.yule import sample_leaf_weights
 
 
 # -----------------------------------------------------------------------
@@ -317,12 +318,12 @@ def _assert_close(value, oracle, rel, floor=0.0):
 
 @pytest.mark.parametrize("p", _BINOM_SIZES)
 def test_binomial_law_matches_scipy_stats(p):
-    # the public scipy.special law against scipy.stats.binom; the gates were
-    # fixed before the first run
+    # the numpy binomial law against scipy.stats.binom; the gates were fixed
+    # before the first run
     probs = _binom_probs()
     support = np.arange(p + 1)[:, None]
     _assert_close(
-        profiles._binom_pmf(support, p, probs), binom.pmf(support, p, probs), 1e-10, 1e-100
+        binomial.pmf(support, p, probs), binom.pmf(support, p, probs), 1e-10, 1e-100
     )
     for threshold in (0, 1, p, 20 * p, p * p):
         oracle = _event_tail(p, probs, threshold)
@@ -429,12 +430,13 @@ class _NumpyWithoutDedup:
     @staticmethod
     def unique(values, return_inverse=False):
         assert return_inverse
-        return values, np.arange(values.size)
+        return values.reshape(-1), np.arange(values.size)
 
 
 def test_continuous_block_report_equals_per_draw_evaluation(monkeypatch):
-    # the tail is evaluated once per distinct bias; evaluating it once per
-    # sign draw, as the oracle does, must give the same report exactly
+    # the tail is evaluated once per distinct bias of a group of trees;
+    # evaluating it once per sign draw, as the oracle does, must give the
+    # same report exactly
     def run():
         return lowerbound_experiment_continuous(400, 1.0, 120, rng_substream(21, 3))
 
@@ -447,10 +449,82 @@ def test_continuous_block_report_equals_per_draw_evaluation(monkeypatch):
 
     monkeypatch.setattr(profiles, "_square_tail_given_bias", counting_tail)
     report = run()
-    per_tree = evaluated[1:]
-    assert len(per_tree) == 120 and sum(per_tree) < 120 * 2048
+    # the stationary tail, then one call per group of trees
+    groups = evaluated[1:]
+    assert len(groups) == -(-120 // profiles._GROUP_TREES)
+    assert sum(groups) < 120 * profiles._INNER_SAMPLES
     monkeypatch.setattr(profiles, "np", _NumpyWithoutDedup())
     assert report == run()
+
+
+def _per_tree_report(n, t, m, rng, p):
+    """The continuous experiment as one loop over trees, each tree's sign
+    draws and distinct biases on their own; returns the report's fields and
+    each group's distinct up-probabilities."""
+    alpha, threshold, k_min, q_pi, pi_a = profiles._block_event(n, p)
+    p2, p3, p4 = profiles._second_moment_coeffs(p)
+    owner, weights = sample_leaf_weights(t, m, rng)
+    per_tree = [weights[owner == i] for i in range(m)]
+    block_tails, moment_zs, second_ok, q_draws = [], [], True, []
+    for w in per_tree:
+        m2, m4 = float((w * w).sum()), float((w**4).sum())
+        q_draw = (rng.integers(0, 2, size=(profiles._INNER_SAMPLES, w.size)) * 2 - 1) @ w
+        q_draws.append(q_draw)
+        q_seen, q_index = np.unique(q_draw, return_inverse=True)
+        tails = profiles._square_tail_given_bias(p, (1.0 + q_seen) / 2.0, threshold)
+        block_tails.append(tails[q_index].mean())
+        per_draw = p + p2 * q_draw * q_draw
+        se = float(per_draw.std(ddof=1)) / math.sqrt(profiles._INNER_SAMPLES)
+        moment_zs.append(0.0 if se == 0.0 else (float(per_draw.mean()) - (p + p2 * m2)) / se)
+        second = p4 * (3.0 * m2 * m2 - 2.0 * m4) + (6.0 * p3 + 4.0 * p2) * m2 + 3.0 * p2 + p
+        martingale = math.exp(t / 2.0) * m2
+        cap = 3.0 * ((p - 1) * (n * math.exp(-t / 2.0) / alpha) * martingale + p) ** 2
+        second_ok = second_ok and not second > cap * (1.0 + 1e-12)
+    block_tails = np.array(block_tails)
+    # the mixture pmf is summed group by group, as the experiment sums it
+    grid = np.arange(alpha + 1)
+    starts = range(0, m, profiles._GROUP_TREES)
+    mix_pmf = np.zeros(alpha + 1)
+    for start in starts:
+        group = block_tails[start : start + profiles._GROUP_TREES]
+        mix_pmf += binomial.pmf(grid[:, None], alpha, group).sum(axis=1)
+    mix_pmf /= m
+    below = binomial.lower_tail(k_min - 1, alpha, block_tails)
+    fields = dict(
+        stationary_event=pi_a,
+        evolved_complement=float(below.mean()),
+        evolved_complement_stderr=float(below.std(ddof=1)) / math.sqrt(m),
+        tv_lower_bound=1.0 - pi_a - float(below.mean()),
+        block_count_tv=0.5 * float(np.abs(mix_pmf - binomial.pmf(grid, alpha, q_pi)).sum()),
+        first_moment_max_abs_z=float(np.abs(moment_zs).max()),
+        second_moment_bound_ok=second_ok,
+    )
+    group_biases = [
+        (1.0 + np.unique(q_draws[start : start + profiles._GROUP_TREES])) / 2.0
+        for start in starts
+    ]
+    return fields, group_biases
+
+
+def test_grouped_continuous_experiment_equals_the_per_tree_loop(monkeypatch):
+    # three groups, the last one partial: the same biases reach the tails,
+    # and every field of the report is equal
+    n, t, m = 400, 1.0, 2 * profiles._GROUP_TREES + 6
+    seen = []
+    tail = profiles._square_tail_given_bias
+
+    def recording_tail(p, up, threshold):
+        seen.append(np.array(up, dtype=np.float64))
+        return tail(p, up, threshold)
+
+    monkeypatch.setattr(profiles, "_square_tail_given_bias", recording_tail)
+    report = lowerbound_experiment_continuous(n, t, m, rng_substream(21, 5))
+    monkeypatch.undo()
+    fields, group_biases = _per_tree_report(n, t, m, rng_substream(21, 5), report.block_size)
+    assert len(seen) == 1 + len(group_biases)
+    for recorded, oracle in zip(seen[1:], group_biases):
+        assert np.array_equal(recorded, oracle)
+    assert {key: getattr(report, key) for key in fields} == fields
 
 
 # -----------------------------------------------------------------------
