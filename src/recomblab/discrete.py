@@ -468,9 +468,10 @@ def mono_mixture_tv(n: int, t: int) -> float:
     more than _MIXTURE_CELL_BUDGET cells in all raise CapacityError.  Its
     rows go through two float64 blocks of about _MIXTURE_CHUNK_CELLS cells,
     allocated once per call, so the working set stays in cache: each block
-    of rows is built in place and reduced in place with the arithmetic of
-    `scipy.special.logsumexp` (the cells at the row max taken out of the sum,
-    then log1p), so every row has the bits that logsumexp gives it.
+    of rows is built in place and reduced in place, shifted by its row max,
+    exponentiated and summed.  Each term is then C(n, m) times
+    |mean - 2^-n| = hi (1 - exp(-|log mean + n ln 2|)), hi the larger of the
+    two, formed in log space and summed by math.fsum.
     """
     window = mixture_window(n, t)
     # imported here, not with the package: commands that never evaluate a
@@ -504,27 +505,18 @@ def mono_mixture_tv(n: int, t: int) -> float:
         chunk = max(1, _MIXTURE_CHUNK_CELLS // kept)
         block = np.empty((min(chunk, m.size), kept))
         spare = np.empty_like(block)
-        is_top = np.empty(block.shape, dtype=bool)
         for start in range(0, m.size, chunk):
             rows = m[start : start + chunk]
-            a, b, ties = block[: rows.size], spare[: rows.size], is_top[: rows.size]
+            a, b = block[: rows.size], spare[: rows.size]
             # log_weight + m log_up + (n - m) log_down, added in that order
             np.multiply(rows[:, None], log_up, out=a)
             a += log_weight
             np.multiply((n - rows)[:, None], log_down, out=b)
             a += b
-            # logsumexp: shift by the row max, drop the cells at the max
-            # (exactly 0 after the shift) from the sum, count them, and take
-            # log1p(sum / count) + log(count) + max
             top = a.max(axis=1)
             a -= top[:, None]
-            np.equal(a, 0.0, out=ties)
-            count = np.count_nonzero(ties, axis=1)
-            np.copyto(a, -np.inf, where=ties)
             np.exp(a, out=a)
-            log_mean[start : start + rows.size] = (
-                np.log1p(a.sum(axis=1) / count) + np.log(count) + top
-            )
+            log_mean[start : start + rows.size] = np.log(a.sum(axis=1)) + top
 
     # the all-minus (k=0) and all-plus (k=N) leaves contribute only to the
     # extreme occupation counts m=0 and m=n
@@ -532,18 +524,11 @@ def mono_mixture_tv(n: int, t: int) -> float:
     log_mean[-1] = np.logaddexp(log_mean[-1], -leaves * log_half)
 
     log_choose = gammaln(n + 1) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
-    terms = []
-    for lc, la in zip(log_choose.tolist(), log_mean.tolist()):
-        if la == target:
-            continue
-        hi, lo = (la, target) if la > target else (target, la)
-        gap = lo - hi
-        if gap > -log_half:
-            log_abs = hi + math.log(-math.expm1(gap))
-        else:
-            log_abs = hi + math.log1p(-math.exp(gap))
-        terms.append(math.exp(lc + log_abs))
-    return 0.5 * math.fsum(terms)
+    hi = np.maximum(log_mean, target)
+    # a mean equal to 2^-n gives log(0) = -inf, a zero term
+    with np.errstate(divide="ignore"):
+        terms = np.exp(log_choose + hi + np.log(-np.expm1(-np.abs(log_mean - target))))
+    return 0.5 * math.fsum(terms.tolist())
 
 
 # ---------------------------------------------------------------------------

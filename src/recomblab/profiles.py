@@ -22,9 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-# scipy.special is imported inside the function that calls it, so commands
-# that never evaluate a special function start without it
-
 from . import binomial
 from .errors import (
     CapacityError,
@@ -45,6 +42,10 @@ _ASYMPTOTIC_LARGE_TOL = 0.05
 # trees whose biases (2^16 of them, 512 KiB) share one tail evaluation
 _INNER_SAMPLES = 2048
 _GROUP_TREES = (1 << 16) // _INNER_SAMPLES
+# the largest block either block experiment takes, t = 16 for the discrete
+# one: the binomial law allocates a sieve of p + 1 bytes and makes O(sqrt p)
+# passes per tail
+_BLOCK_SIZE_CAP = 80 << 16
 
 
 def _norm_cdf(x: float) -> float:
@@ -114,23 +115,17 @@ def gaussian_tv_asymptotics() -> AsymptoticsReport:
 def mono_tv_large_n_limit(t: int) -> float:
     """Large-n limit of the distance after t steps from the two-point start.
 
-    Equals 1 - C(2^t, 2^{t-1}) 2^{-2^t}; the t=0 limit is 1.
+    Equals 1 - C(2^t, 2^{t-1}) 2^{-2^t}, one minus the central term of
+    Binomial(2^t, 1/2) from `binomial.pmf`; the t=0 limit is 1.  The central
+    term's cost grows with 2^t, so t is capped at 20.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t > 30:
-        raise CapacityError(f"limit evaluation is capped at t <= 30, got {t}")
+    if t > 20:
+        raise CapacityError(f"limit evaluation is capped at t <= 20, got {t}")
     if t == 0:
         return 1.0
-    from scipy.special import gammaln
-
-    leaves = 1 << t
-    log_central = (
-        gammaln(leaves + 1)
-        - 2.0 * gammaln(leaves // 2 + 1)
-        - leaves * math.log(2.0)
-    )
-    return -math.expm1(log_central)
+    return 1.0 - binomial.pmf(1 << (t - 1), 1 << t, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +296,16 @@ def _block_event(n: int, p: int):
     The n sites hold alpha = n // p blocks; the event is that at least
     k_min = ceil(alpha / 15) of them have squared magnetization >= 20 p.
     Returns alpha, that threshold, k_min, the per-block tail q_pi under the
-    uniform stationary law, and the event's stationary mass pi_a.
+    uniform stationary law, and the event's stationary mass pi_a.  A block
+    over _BLOCK_SIZE_CAP sites raises CapacityError before either experiment
+    grows or allocates anything.
     """
     if p > n:
         raise ConfigError(f"block size {p} exceeds n={n}; no block fits")
+    if p > _BLOCK_SIZE_CAP:
+        raise CapacityError(
+            f"block size {p} is over the cap of {_BLOCK_SIZE_CAP} sites", block_size=p
+        )
     alpha = n // p
     threshold = 20 * p
     k_min = -(-alpha // 15)

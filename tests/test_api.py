@@ -10,16 +10,14 @@ import recomblab
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _reads(tree: ast.AST) -> list:
-    """(top-level definition, name read inside it) for every name a module reads."""
-    reads = []
-    for top in tree.body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.append((owner, node.id))
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                reads.append((owner, node.attr))
+def _reads(tree: ast.AST) -> set:
+    """Every name a module reads, bare or as an attribute."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
     return reads
 
 
@@ -34,22 +32,15 @@ def _reader_sources() -> list:
 
 
 def test_every_export_has_a_non_test_user():
-    # A read counts only in a reader source, and there unless it sits in the
-    # name's own definition or in the definition of an export that is itself
-    # unused, so a dataclass returned only by a dead function is dead too.
-    reads = [pair for src in _reader_sources() for pair in _reads(ast.parse(src))]
+    # no reader source defines an exported name, so a read there is a use
+    reads = set().union(*(_reads(ast.parse(src)) for src in _reader_sources()))
     exports = {
         name
         for name in recomblab.__all__
         if name != "__version__"
         and not isinstance(getattr(recomblab, name), types.ModuleType)
     }
-    unused = set()
-    while True:
-        used = {name for owner, name in reads if name != owner and owner not in unused}
-        if exports - used == unused:
-            break
-        unused = exports - used
+    unused = exports - reads
     assert not unused, f"exported but read only by the package or the tests: {sorted(unused)}"
 
 

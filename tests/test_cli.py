@@ -65,6 +65,22 @@ def test_package_import_loads_no_scipy(tmp_path, module):
     assert r.stdout.strip() == "[]"
 
 
+def test_limit_and_block_experiments_load_no_scipy(tmp_path):
+    # the binomial law they share is numpy and math alone
+    probe = (
+        "import sys\n"
+        "from recomblab import profiles\n"
+        "from recomblab.streams import rng_substream\n"
+        "profiles.mono_tv_large_n_limit(16)\n"
+        "profiles.lowerbound_experiment_discrete(5120, 3)\n"
+        "profiles.lowerbound_experiment_continuous(400, 1.0, 2, rng_substream(23, 1))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    r = run_python(["-c", probe], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 # Runs one command in a fresh interpreter and prints the modules imported
 # between the start of the manifest clock and the end of the manifest, and
 # every scipy module loaded by then.  selftest runs four quick criteria;
@@ -903,6 +919,13 @@ OUT_OF_RANGE_RUNS = [
     # zero steps or t = 0 return before the collision kernel checks its cap
     (("evolve-discrete", "--n", "19", "--start", "mono", "--steps", "1"), "capped at n=18"),
     (("evolve-continuous", "--n", "19", "--start", "mono", "--t", "1"), "capped at n=18"),
+    # blocks of 80 x 2^30 and about 6e8 sites; the cap stops both before the
+    # binomial law allocates a sieve of that many bytes
+    (("lowerbound-discrete", "--n", "1000000000000", "--t", "30"), "block size"),
+    (
+        ("lowerbound-continuous", "--n", "1000000000000000", "--t", "3", "--seed", "1"),
+        "block size",
+    ),
 ]
 
 
@@ -913,7 +936,7 @@ OUT_OF_RANGE_RUNS = [
         "martingale-t60", "martingale-t800", "martingale-t800-direct", "w-tail-t800",
         "profile-continuous-t800", "spinal-check-t2000", "evolve-continuous-t1e300",
         "evolve-continuous-step1e-300", "collide-n19", "evolve-discrete-n19",
-        "evolve-continuous-n19",
+        "evolve-continuous-n19", "lowerbound-discrete-t30", "lowerbound-continuous-n1e15",
     ],
 )
 def test_out_of_range_run_exits_3_and_is_recorded(tmp_path, capsys, monkeypatch, args, reason):

@@ -24,7 +24,7 @@ from recomblab import (
     two_valued_extremal_density,
 )
 from recomblab import binomial, profiles
-from recomblab.errors import ConfigError, InvalidDistributionError
+from recomblab.errors import CapacityError, ConfigError, InvalidDistributionError
 from recomblab.streams import rng_substream
 from recomblab.yule import sample_leaf_weights
 
@@ -115,10 +115,17 @@ def test_large_scale_asymptote_gate():
 
 
 def test_mono_tv_large_n_limit_fixed_values():
-    assert mono_tv_large_n_limit(0) == pytest.approx(1.0)
-    assert mono_tv_large_n_limit(1) == pytest.approx(0.5)
-    assert mono_tv_large_n_limit(2) == pytest.approx(0.625)
-    assert mono_tv_large_n_limit(3) == pytest.approx(0.7265625)
+    assert mono_tv_large_n_limit(0) == 1.0
+    # 1/2, 5/8 and 93/128 at t = 1, 2 and 3
+    for t in range(1, 17):
+        exact = 1 - Fraction(math.comb(2**t, 2 ** (t - 1)), 2 ** (2**t))
+        assert abs(Fraction(mono_tv_large_n_limit(t)) / exact - 1) <= 1e-15, t
+
+
+def test_mono_tv_large_n_limit_is_capped_at_t_20():
+    assert 0.999 < mono_tv_large_n_limit(20) < 1.0
+    with pytest.raises(CapacityError):
+        mono_tv_large_n_limit(21)
 
 
 def test_mono_tv_approaches_its_large_n_limit():
