@@ -521,8 +521,13 @@ def _cmd_lowerbound_discrete(ns, ctx: RunContext) -> int:
 
 def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
     rng = rng_substream(ns.seed, 0)
-    report = profiles.lowerbound_experiment_continuous(ns.n, ns.t, ns.trees, rng)
-    ctx.resolved["tree_sampler_version"] = yule.TREE_SAMPLER_VERSION
+    report = profiles.lowerbound_experiment_continuous(
+        ns.n, ns.t, ns.trees, rng, counters=ctx.counters
+    )
+    ctx.resolved.update(
+        tree_sampler_version=yule.TREE_SAMPLER_VERSION,
+        sign_sampler_version=profiles.SIGN_SAMPLER_VERSION,
+    )
     ctx.write_rows(ns.out, ["key", "value"], vars(report).items())
     return EXIT_OK
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -38,14 +38,34 @@ _ASYMPTOTIC_SMALL_S = 1e-3
 _ASYMPTOTIC_LARGE_S = 1e6
 _ASYMPTOTIC_SMALL_TOL = 0.02
 _ASYMPTOTIC_LARGE_TOL = 0.05
-# lowerbound_experiment_continuous: sign draws per sampled tree, and the
-# trees whose biases (2^16 of them, 512 KiB) share one tail evaluation
+# lowerbound_experiment_continuous: sign rows per sampled tree, and the
+# trees whose integer bias keys (2^16 of them, 512 KiB) are drawn as one
+# block of packed sign bits and deduplicated in one pass
 _INNER_SAMPLES = 2048
 _GROUP_TREES = (1 << 16) // _INNER_SAMPLES
+# the version of its sign draws: 2 since each sign is one bit of a packed
+# random byte, 1 when each was an int64 draw
+SIGN_SAMPLER_VERSION = 2
+# the deepest leaf an int64 bias key holds: |K| <= 2^D
+_KEY_DEPTH_CAP = 62
+# the deepest lattice whose keys are deduplicated by a presence table over
+# [-2^D, 2^D] (2 MiB of flags and an 8 MiB int32 rank table at the cap),
+# not by a sort
+_KEY_TABLE_DEPTH = 20
+# int64 cells one gather of lattice weights makes (8 MiB)
+_KEY_CELLS = 1 << 20
+# (256, 8): the sign 2b - 1 of each bit b of each byte value, least
+# significant bit first
+_BYTE_SIGNS = 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1
 # the largest block either block experiment takes, t = 16 for the discrete
 # one: the binomial law allocates a sieve of p + 1 bytes and makes O(sqrt p)
 # passes per tail
 _BLOCK_SIZE_CAP = 80 << 16
+# the most blocks either takes: the law of the block count allocates an
+# alpha + 1 byte sieve, and the continuous one evaluates it on a grid of
+# (alpha + 1) x 32 cells at about 190 bytes of temporaries a cell (a 64-tree
+# run peaks at 63 MB resident at the cap, 392 MB at 2^16 blocks)
+_BLOCK_COUNT_CAP = 1 << 12
 
 
 def _norm_cdf(x: float) -> float:
@@ -298,7 +318,8 @@ def _block_event(n: int, p: int):
     Returns alpha, that threshold, k_min, the per-block tail q_pi under the
     uniform stationary law, and the event's stationary mass pi_a.  A block
     over _BLOCK_SIZE_CAP sites raises CapacityError before either experiment
-    grows or allocates anything.
+    grows or allocates anything, and so does a count of over
+    _BLOCK_COUNT_CAP blocks.
     """
     if p > n:
         raise ConfigError(f"block size {p} exceeds n={n}; no block fits")
@@ -307,6 +328,11 @@ def _block_event(n: int, p: int):
             f"block size {p} is over the cap of {_BLOCK_SIZE_CAP} sites", block_size=p
         )
     alpha = n // p
+    if alpha > _BLOCK_COUNT_CAP:
+        raise CapacityError(
+            f"block count {alpha} is over the cap of {_BLOCK_COUNT_CAP} blocks",
+            block_count=alpha,
+        )
     threshold = 20 * p
     k_min = -(-alpha // 15)
     q_pi = _square_tail_given_bias(p, 0.5, threshold)
@@ -421,12 +447,100 @@ class ContinuousBlockReport:
     second_moment_bound_ok: bool
 
 
+def _sign_keys(rng: np.random.Generator, lattice: np.ndarray, leaves: np.ndarray, rows: int):
+    """Draw `rows` rows of signs for a run of trees; each row's bias key per tree.
+
+    `leaves` counts each tree's leaves, and `lattice` holds 2^(D - d) for a
+    leaf of depth d, tree by tree.  A row gives each tree whole random
+    bytes, one bit b per leaf in the tree's leaf order (least significant
+    bit first, padded to a byte), and b is the sign 2b - 1.  The key
+    K = sum of sign * 2^(D - d) of a row and a tree is an exact integer, and
+    its bias is K 2^-D.  One integer product gives each byte value's part of
+    a key at each byte column, so a row's bytes become parts in one gather
+    and `reduceat` sums the parts of each tree.  Returns (trees, rows) keys.
+    """
+    nbytes = (leaves + 7) // 8
+    starts = np.cumsum(nbytes) - nbytes
+    width = int(nbytes.sum())
+    # leaf i of a tree sits at bit i % 8 of the tree's byte i // 8
+    leaf = np.arange(lattice.size) - np.repeat(np.cumsum(leaves) - leaves, leaves)
+    weight = np.zeros(8 * width, dtype=np.int64)
+    weight[8 * np.repeat(starts, leaves) + leaf] = lattice
+    table = weight.reshape(width, 8) @ _BYTE_SIGNS.T
+    packed = rng.integers(0, 256, size=(rows, width), dtype=np.uint8)
+    keys = np.empty((leaves.size, rows), dtype=np.int64)
+    columns = np.arange(width)[:, None]
+    # in row blocks of at most _KEY_CELLS gathered parts
+    step = max(1, _KEY_CELLS // width)
+    for row in range(0, rows, step):
+        block = slice(row, row + step)
+        np.add.reduceat(table[columns, packed[block].T], starts, out=keys[:, block])
+    return keys
+
+
+def _distinct_keys(keys: np.ndarray, depth: int):
+    """The sorted distinct keys in [-2^depth, 2^depth], and each key's index among them.
+
+    Up to depth _KEY_TABLE_DEPTH a presence table over that range finds
+    them in linear time; deeper lattices are sorted by `np.unique`.
+    """
+    if depth > _KEY_TABLE_DEPTH:
+        distinct, index = np.unique(keys, return_inverse=True)
+        return distinct, index.reshape(keys.shape)
+    offset = keys + (1 << depth)
+    present = np.zeros((2 << depth) + 1, dtype=bool)
+    present[offset] = True
+    distinct = np.flatnonzero(present)
+    rank = np.empty(present.size, dtype=np.int32)
+    rank[distinct] = np.arange(distinct.size, dtype=np.int32)
+    return distinct - (1 << depth), rank[offset]
+
+
+class _LatticeTails:
+    """The block tail at each bias key K, at bias K 2^-D, once per distinct key per run.
+
+    Each call takes a group's keys and returns the tail at every one.  The
+    tails evaluated so far are kept sorted by key, so a key that recurs in a
+    later group is looked up, not evaluated again; a tail depends on its own
+    bias alone, so no value moves.  `distinct` sums each call's distinct
+    keys, and `keys.size` counts the tails evaluated.
+    """
+
+    def __init__(self, block_size: int, threshold: int, depth: int):
+        self.block_size, self.threshold, self.depth = block_size, threshold, depth
+        self.scale = math.ldexp(1.0, -depth)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.tails = np.empty(0)
+        self.distinct = 0
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        distinct, index = _distinct_keys(keys, self.depth)
+        self.distinct += distinct.size
+        fresh = np.setdiff1d(distinct, self.keys, assume_unique=True)
+        if fresh.size:
+            up = (1.0 + fresh * self.scale) / 2.0
+            tails = _square_tail_given_bias(self.block_size, up, self.threshold)
+            at = np.searchsorted(self.keys, fresh)
+            self.keys = np.insert(self.keys, at, fresh)
+            self.tails = np.insert(self.tails, at, tails)
+        return self.tails[np.searchsorted(self.keys, distinct)][index]
+
+
 def lowerbound_experiment_continuous(
     n: int,
     t: float,
     m: int,
     rng: np.random.Generator,
+    counters: Optional[Dict[str, int]] = None,
 ) -> ContinuousBlockReport:
+    """Continuous-time block experiment over m sampled trees.
+
+    Each tree's block tail is averaged over `_INNER_SAMPLES` rows of leaf
+    signs, drawn as packed bits after all the trees are grown.  A given
+    `counters` receives the tree nodes grown, the widest wave, the distinct
+    biases of each group of trees summed over groups, and the tails
+    evaluated, one per distinct bias of the run.
+    """
     _check_horizon(t, positive=True)
     if m < 2:
         raise ValueError(f"need at least 2 trees, got {m}")
@@ -439,11 +553,17 @@ def lowerbound_experiment_continuous(
     r_scale = n * math.exp(-t / 2.0)
     # every tree's leaf weights 2^-depth, grown in one batch; the sign draws
     # below come after all of them
-    owner, leaf_weights = sample_leaf_weights(t, m, rng)
-    per_tree = np.split(
-        leaf_weights[np.argsort(owner, kind="stable")],
-        np.cumsum(np.bincount(owner, minlength=m))[:-1],
-    )
+    owner, leaf_weights, nodes, widest = sample_leaf_weights(t, m, rng)
+    # every bias is a multiple of 2^-depth for the run's deepest leaf
+    depth = 1 - math.frexp(float(leaf_weights.min()))[1]
+    if depth > _KEY_DEPTH_CAP:
+        raise CapacityError(
+            f"a leaf at depth {depth} is over the bias key cap of depth {_KEY_DEPTH_CAP}",
+            depth=depth,
+        )
+    lattice = np.ldexp(leaf_weights[np.argsort(owner, kind="stable")], depth).astype(np.int64)
+    leaves = np.bincount(owner, minlength=m)
+    edges = np.concatenate(([0], np.cumsum(leaves)))
     # per-tree leaf moments; m2, a sum of 4^-depth, is exact in any order
     m2 = np.bincount(owner, weights=leaf_weights**2, minlength=m)
     m4 = np.bincount(owner, weights=leaf_weights**4, minlength=m)
@@ -456,25 +576,16 @@ def lowerbound_experiment_continuous(
     moment_zs = np.zeros(m)
     counts_grid = np.arange(alpha + 1)
     mix_pmf = np.zeros(alpha + 1)
+    tails_at = _LatticeTails(p, threshold, depth)
     for start in range(0, m, _GROUP_TREES):
         group = slice(start, min(start + _GROUP_TREES, m))
-        # each tree's (2048, leaves) signs, drawn in tree order, one call per
-        # tree so the int64 draws of a whole group (about 10 MB at t = 3)
-        # never coexist; the bias of a row of up-draws d is 2 (d @ w) - sum(w),
-        # a sum of +-2^-depth and so exact in any order
-        q = np.empty((len(per_tree[group]), _INNER_SAMPLES))
-        for row, w in zip(q, per_tree[group]):
-            np.dot(rng.integers(0, 2, size=(_INNER_SAMPLES, w.size)), w, out=row)
-            row *= 2.0
-            row -= w.sum()
-        # trees have few leaves, so biases repeat within a tree and across
-        # trees: the tail is evaluated once per distinct bias of the group
-        distinct, index = np.unique(q, return_inverse=True)
-        tails = _square_tail_given_bias(p, (1.0 + distinct) / 2.0, threshold)
-        block_tails[group] = tails[index].reshape(q.shape).mean(axis=1)
+        span = lattice[edges[group.start] : edges[group.stop]]
+        keys = _sign_keys(rng, span, leaves[group], _INNER_SAMPLES)
+        block_tails[group] = tails_at(keys).mean(axis=1)
         mix_pmf += binomial.pmf(counts_grid[:, None], alpha, block_tails[group]).sum(axis=1)
 
         # first-moment check: formula vs the same trees' sign-mixture
+        q = keys * tails_at.scale
         per_draw = p + p2 * q * q
         se = per_draw.std(axis=1, ddof=1) / math.sqrt(_INNER_SAMPLES)
         gap = per_draw.mean(axis=1) - (p + p2 * m2[group])
@@ -482,6 +593,13 @@ def lowerbound_experiment_continuous(
     mix_pmf /= m
     pi_pmf = binomial.pmf(counts_grid, alpha, q_pi)
     block_count_tv = 0.5 * float(np.abs(mix_pmf - pi_pmf).sum())
+    if counters is not None:
+        counters.update(
+            nodes_grown=nodes,
+            widest_wave=widest,
+            distinct_biases=tails_at.distinct,
+            tail_evaluations=tails_at.keys.size,
+        )
 
     below = binomial.lower_tail(k_min - 1, alpha, block_tails)
     mu_ac = float(below.mean())

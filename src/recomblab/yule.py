@@ -178,11 +178,13 @@ def _wave_batch(
 
 def sample_leaf_weights(
     t: float, m: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """Owner tree and weight 2^-depth of every leaf of m trees at horizon t.
 
     Leaves come in wave order (by depth, then by tree), so the leaves of one
-    tree are in depth order and a stable sort by owner keeps it.
+    tree are in depth order and a stable sort by owner keeps it.  The tree
+    nodes grown and the widest wave grown, as `_wave_batch` counts them,
+    come after the two arrays.
     """
     owners: List[np.ndarray] = []
     weights: List[np.ndarray] = []
@@ -191,8 +193,8 @@ def sample_leaf_weights(
         owners.append(np.repeat(trees, frozen))
         weights.append(np.full(owners[-1].size, math.ldexp(1.0, -depth)))
 
-    _wave_batch(t, m, rng, on_frozen)
-    return np.concatenate(owners), np.concatenate(weights)
+    nodes, widest = _wave_batch(t, m, rng, on_frozen)
+    return np.concatenate(owners), np.concatenate(weights), nodes, widest
 
 
 @dataclass(frozen=True)
@@ -455,7 +457,7 @@ def double_quenched_estimate(
 
     def batches():
         for size in _batch_sizes(m, 2.0 * (1 << mu.n)):
-            owner, weight = sample_leaf_weights(t, size, rng)
+            owner, weight, _, _ = sample_leaf_weights(t, size, rng)
             spins = _draw_spins(mu, owner.size, rng)
             biases = np.stack(
                 [

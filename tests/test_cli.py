@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recomblab import cli, cube, discrete, yule
+from recomblab import cli, cube, discrete, profiles, yule
 from recomblab.errors import NumericalInvariantError
 from recomblab.streams import rng_substream
 
@@ -374,7 +374,9 @@ def test_nodes_grown_counts_every_tree_node(tmp_path):
 # scipy.special to the numpy binomial law and the trees' biases were
 # evaluated in groups: the same draws and biases, and three cells changed in
 # the last bits (the stationary event is now correctly rounded, where betainc
-# was 1.6e-15 off).  The limit `w-tail` pins the exact t = inf draw,
+# was 1.6e-15 off); and again at sign sampler version 2, when each sign
+# became one bit of a packed random byte: the same trees, new sign draws,
+# the same law.  The limit `w-tail` pins the exact t = inf draw,
 # 1 / chi-squared(3) from substream 0.
 SEEDED_OUTPUT_SHA256 = [
     (
@@ -414,7 +416,7 @@ SEEDED_OUTPUT_SHA256 = [
     (
         ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "120", "--seed", "9"),
         "lowerbound_continuous.csv",
-        "27499da057ac25ddc182f07760762cfef944149cc8ab8b0b6984214418f10f59",
+        "f79093d7628a66781768839b901af199b8b33cd1e7d195cb72f1244d8da73fe9",
     ),
     (
         ("spinal-check", "--t", "1.0", "--samples", "2000", "--seed", "5"),
@@ -442,7 +444,21 @@ def test_lowerbound_manifest_names_the_tree_sampler(tmp_path, capsys):
     args = ("lowerbound-continuous", "--n", "400", "--t", "1.0", "--trees", "5", "--seed", "1")
     assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "lowerbound_continuous_manifest.json").read_text())
-    assert manifest["resolved"] == {"tree_sampler_version": yule.TREE_SAMPLER_VERSION}
+    assert manifest["resolved"] == {
+        "tree_sampler_version": yule.TREE_SAMPLER_VERSION,
+        "sign_sampler_version": profiles.SIGN_SAMPLER_VERSION,
+    }
+    assert (yule.TREE_SAMPLER_VERSION, profiles.SIGN_SAMPLER_VERSION) == (3, 2)
+    # five trees at t = 1 fit in one group: 17 distinct biases, each
+    # evaluated once; the nodes and the widest wave are the wave sampler's
+    nodes, widest = yule._wave_batch(1.0, 5, rng_substream(1, 0), lambda *wave: None)
+    assert (nodes, widest) == (35, 10)
+    assert manifest["counters"] == {
+        "nodes_grown": nodes,
+        "widest_wave": widest,
+        "distinct_biases": 17,
+        "tail_evaluations": 17,
+    }
 
 
 def test_spinal_manifest_counts_the_nodes_grown(tmp_path, capsys):
@@ -926,6 +942,13 @@ OUT_OF_RANGE_RUNS = [
         ("lowerbound-continuous", "--n", "1000000000000000", "--t", "3", "--seed", "1"),
         "block size",
     ),
+    # about 1.6e9 and 4e7 blocks: the count cap stops both before a sieve of
+    # that many bytes, or a mixture grid of 32 floats per block
+    (("lowerbound-discrete", "--n", "1000000000000", "--t", "3"), "block count"),
+    (
+        ("lowerbound-continuous", "--n", "200000000000000", "--t", "1e-300", "--seed", "1"),
+        "block count",
+    ),
 ]
 
 
@@ -937,6 +960,7 @@ OUT_OF_RANGE_RUNS = [
         "profile-continuous-t800", "spinal-check-t2000", "evolve-continuous-t1e300",
         "evolve-continuous-step1e-300", "collide-n19", "evolve-discrete-n19",
         "evolve-continuous-n19", "lowerbound-discrete-t30", "lowerbound-continuous-n1e15",
+        "lowerbound-discrete-n1e12", "lowerbound-continuous-n2e14",
     ],
 )
 def test_out_of_range_run_exits_3_and_is_recorded(tmp_path, capsys, monkeypatch, args, reason):

@@ -428,24 +428,19 @@ def test_continuous_block_bound_is_dominated_by_z_law():
     assert abs(report.first_moment_max_abs_z) < 5.0
 
 
-class _NumpyWithoutDedup:
-    """numpy, except that `unique` keeps every draw in place."""
+class _EveryDrawTails(profiles._LatticeTails):
+    """The block tails evaluated at every key of every group: no dedup, no cache."""
 
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def unique(values, return_inverse=False):
-        assert return_inverse
-        return values.reshape(-1), np.arange(values.size)
+    def __call__(self, keys):
+        up = (1.0 + keys * self.scale) / 2.0
+        return profiles._square_tail_given_bias(self.block_size, up, self.threshold)
 
 
 def test_continuous_block_report_equals_per_draw_evaluation(monkeypatch):
-    # the tail is evaluated once per distinct bias of a group of trees;
-    # evaluating it once per sign draw, as the oracle does, must give the
-    # same report exactly
-    def run():
-        return lowerbound_experiment_continuous(400, 1.0, 120, rng_substream(21, 3))
+    # the tail is evaluated once per distinct bias of the run; evaluating it
+    # once per sign draw, as the oracle does, must give the same report exactly
+    def run(counters=None):
+        return lowerbound_experiment_continuous(400, 1.0, 120, rng_substream(21, 3), counters)
 
     evaluated = []
     tail = profiles._square_tail_given_bias
@@ -455,28 +450,46 @@ def test_continuous_block_report_equals_per_draw_evaluation(monkeypatch):
         return tail(p, up, threshold)
 
     monkeypatch.setattr(profiles, "_square_tail_given_bias", counting_tail)
-    report = run()
-    # the stationary tail, then one call per group of trees
-    groups = evaluated[1:]
-    assert len(groups) == -(-120 // profiles._GROUP_TREES)
-    assert sum(groups) < 120 * profiles._INNER_SAMPLES
-    monkeypatch.setattr(profiles, "np", _NumpyWithoutDedup())
+    counters = {}
+    report = run(counters)
+    # the stationary tail, then each group's biases that no earlier group had
+    draws = 120 * profiles._INNER_SAMPLES
+    assert sum(evaluated[1:]) == counters["tail_evaluations"]
+    assert counters["tail_evaluations"] <= counters["distinct_biases"] < draws
+    evaluated.clear()
+    monkeypatch.setattr(profiles, "_LatticeTails", _EveryDrawTails)
     assert report == run()
+    assert sum(evaluated[1:]) == draws
 
 
 def _per_tree_report(n, t, m, rng, p):
-    """The continuous experiment as one loop over trees, each tree's sign
-    draws and distinct biases on their own; returns the report's fields and
-    each group's distinct up-probabilities."""
+    """The continuous experiment as one loop over trees: each group's packed
+    sign bytes drawn as the experiment draws them, then each tree's bits
+    unpacked and its biases 2 (d @ w) - sum(w) taken in floats on their own.
+    Returns the report's fields and, per group, the up-probabilities of the
+    biases that no earlier group had."""
     alpha, threshold, k_min, q_pi, pi_a = profiles._block_event(n, p)
     p2, p3, p4 = profiles._second_moment_coeffs(p)
-    owner, weights = sample_leaf_weights(t, m, rng)
+    owner, weights, _, _ = sample_leaf_weights(t, m, rng)
     per_tree = [weights[owner == i] for i in range(m)]
-    block_tails, moment_zs, second_ok, q_draws = [], [], True, []
-    for w in per_tree:
+    starts = range(0, m, profiles._GROUP_TREES)
+    q_draws, group_biases, seen = [], [], np.empty(0)
+    for start in starts:
+        group = per_tree[start : start + profiles._GROUP_TREES]
+        nbytes = [-(-w.size // 8) for w in group]
+        packed = rng.integers(
+            0, 256, size=(profiles._INNER_SAMPLES, sum(nbytes)), dtype=np.uint8
+        )
+        for w, own in zip(group, np.split(packed, np.cumsum(nbytes)[:-1], axis=1)):
+            bits = np.unpackbits(own, axis=1, bitorder="little")[:, : w.size]
+            q_draws.append(2.0 * (bits @ w) - w.sum())
+        fresh = np.setdiff1d(np.unique(q_draws[start:]), seen)
+        if fresh.size:
+            group_biases.append((1.0 + fresh) / 2.0)
+        seen = np.union1d(seen, fresh)
+    block_tails, moment_zs, second_ok = [], [], True
+    for w, q_draw in zip(per_tree, q_draws):
         m2, m4 = float((w * w).sum()), float((w**4).sum())
-        q_draw = (rng.integers(0, 2, size=(profiles._INNER_SAMPLES, w.size)) * 2 - 1) @ w
-        q_draws.append(q_draw)
         q_seen, q_index = np.unique(q_draw, return_inverse=True)
         tails = profiles._square_tail_given_bias(p, (1.0 + q_seen) / 2.0, threshold)
         block_tails.append(tails[q_index].mean())
@@ -490,7 +503,6 @@ def _per_tree_report(n, t, m, rng, p):
     block_tails = np.array(block_tails)
     # the mixture pmf is summed group by group, as the experiment sums it
     grid = np.arange(alpha + 1)
-    starts = range(0, m, profiles._GROUP_TREES)
     mix_pmf = np.zeros(alpha + 1)
     for start in starts:
         group = block_tails[start : start + profiles._GROUP_TREES]
@@ -506,32 +518,150 @@ def _per_tree_report(n, t, m, rng, p):
         first_moment_max_abs_z=float(np.abs(moment_zs).max()),
         second_moment_bound_ok=second_ok,
     )
-    group_biases = [
-        (1.0 + np.unique(q_draws[start : start + profiles._GROUP_TREES])) / 2.0
-        for start in starts
-    ]
     return fields, group_biases
 
 
 def test_grouped_continuous_experiment_equals_the_per_tree_loop(monkeypatch):
-    # three groups, the last one partial: the same biases reach the tails,
-    # and every field of the report is equal
-    n, t, m = 400, 1.0, 2 * profiles._GROUP_TREES + 6
-    seen = []
+    # three groups, the last one partial: each group's biases that no
+    # earlier group had reach the tails, and every field of the report is
+    # equal; at t = 1 the lattice is small and later groups bring few
+    n, m = 400, 2 * profiles._GROUP_TREES + 6
     tail = profiles._square_tail_given_bias
+    for t in (1.0, 3.0):
+        seen = []
 
-    def recording_tail(p, up, threshold):
-        seen.append(np.array(up, dtype=np.float64))
-        return tail(p, up, threshold)
+        def recording_tail(p, up, threshold):
+            seen.append(np.array(up, dtype=np.float64))
+            return tail(p, up, threshold)
 
-    monkeypatch.setattr(profiles, "_square_tail_given_bias", recording_tail)
-    report = lowerbound_experiment_continuous(n, t, m, rng_substream(21, 5))
-    monkeypatch.undo()
-    fields, group_biases = _per_tree_report(n, t, m, rng_substream(21, 5), report.block_size)
-    assert len(seen) == 1 + len(group_biases)
-    for recorded, oracle in zip(seen[1:], group_biases):
-        assert np.array_equal(recorded, oracle)
-    assert {key: getattr(report, key) for key in fields} == fields
+        with monkeypatch.context() as patch:
+            patch.setattr(profiles, "_square_tail_given_bias", recording_tail)
+            report = lowerbound_experiment_continuous(n, t, m, rng_substream(21, 5))
+        fields, group_biases = _per_tree_report(n, t, m, rng_substream(21, 5), report.block_size)
+        assert len(seen) == 1 + len(group_biases)
+        for recorded, oracle in zip(seen[1:], group_biases):
+            assert np.array_equal(recorded, oracle)
+        assert {key: getattr(report, key) for key in fields} == fields
+
+
+def _leaf_set(*trees):
+    """Owner and weight 2^-depth of every leaf of the given depth lists, in
+    wave order, as `sample_leaf_weights` returns them (no nodes counted)."""
+    for depths in trees:
+        assert sum(Fraction(1, 2**d) for d in depths) == 1
+    leaves = sorted((d, i) for i, depths in enumerate(trees) for d in depths)
+    owner = np.array([i for _, i in leaves])
+    weights = np.array([math.ldexp(1.0, -d) for d, _ in leaves])
+    return owner, weights, 0, 0
+
+
+# full binary trees as leaf depth lists: 1 leaf, 5 leaves in one byte, 13
+# across a byte boundary, and 66 reaching depth 62 (a caterpillar to depth
+# 62 with three more splits near the root)
+_KEY_TREES = (
+    [0],
+    [1, 2, 3, 4, 4],
+    [3] * 3 + [4] * 10,
+    sorted([2, 3, 3, 4, 6, 6] + [d for d in range(3, 62) if d != 5] + [62, 62]),
+)
+
+
+@pytest.mark.parametrize("cells", [profiles._KEY_CELLS, 40])
+def test_sign_keys_equal_the_unpacked_bits_exactly(monkeypatch, cells):
+    # K 2^-62 = 2 (d @ w) - sum(w) for the bits d of the same bytes, as exact
+    # integers K = sum of (2d - 1) 2^(62 - depth); 40 cells gathers three rows
+    # at a time, the last block partial
+    monkeypatch.setattr(profiles, "_KEY_CELLS", cells)
+    assert len(_KEY_TREES[3]) == 66 and max(_KEY_TREES[3]) == profiles._KEY_DEPTH_CAP
+    leaves = np.array([len(depths) for depths in _KEY_TREES])
+    lattice = np.array([1 << (62 - d) for depths in _KEY_TREES for d in depths], dtype=np.int64)
+    rows = 512
+    keys = profiles._sign_keys(np.random.default_rng(5), lattice, leaves, rows)
+    assert keys.shape == (leaves.size, rows) and keys.dtype == np.int64
+    nbytes = -(-leaves // 8)
+    packed = np.random.default_rng(5).integers(0, 256, size=(rows, nbytes.sum()), dtype=np.uint8)
+    for depths, key, own in zip(_KEY_TREES, keys, np.split(packed, np.cumsum(nbytes)[:-1], axis=1)):
+        bits = np.unpackbits(own, axis=1, bitorder="little")[:, : len(depths)]
+        exact = [sum((2 * int(b) - 1) << (62 - d) for b, d in zip(row, depths)) for row in bits]
+        assert key.tolist() == exact
+
+
+def test_sign_key_law_matches_the_exact_bias_law():
+    # registered gate: 2^16 rows of one fixed tree of 11 leaves (two bytes);
+    # the exact law of K is the convolution over depths d of
+    # 2^(6 - d) (2 Bin(c_d, 1/2) - c_d); every lattice point within 5 binomial
+    # standard deviations of its expected count, and Pearson's chi-squared
+    # below df + 5 sqrt(2 df)
+    depths = [2, 2, 3, 3, 4, 4, 5, 5, 5, 6, 6]
+    owner, weights, _, _ = _leaf_set(depths)
+    lattice = np.ldexp(weights, 6).astype(np.int64)
+    rows = 1 << 16
+    keys = profiles._sign_keys(rng_substream(30, 1), lattice, np.array([len(depths)]), rows)[0]
+    law = {0: Fraction(1)}
+    for d in sorted(set(depths)):
+        c, step = depths.count(d), 1 << (6 - d)
+        part = {(2 * j - c) * step: Fraction(math.comb(c, j), 2**c) for j in range(c + 1)}
+        new = {}
+        for a, pa in law.items():
+            for b, pb in part.items():
+                new[a + b] = new.get(a + b, 0) + pa * pb
+        law = new
+    values, counts = np.unique(keys, return_counts=True)
+    observed = dict(zip(values.tolist(), counts.tolist()))
+    assert set(observed) <= set(law)
+    chi2 = 0.0
+    for k, prob in law.items():
+        expected = rows * float(prob)
+        gap = observed.get(k, 0) - expected
+        assert abs(gap) <= 5.0 * math.sqrt(expected * (1.0 - float(prob))), k
+        chi2 += gap * gap / expected
+    df = len(law) - 1
+    assert chi2 <= df + 5.0 * math.sqrt(2.0 * df)
+
+
+def test_key_dedup_by_table_and_by_sort_agree(monkeypatch):
+    # at the cap depth and at both ends of the lattice
+    depth = profiles._KEY_TABLE_DEPTH
+    rng = np.random.default_rng(8)
+    keys = rng.integers(-(1 << depth), (1 << depth) + 1, size=(7, 300))
+    keys[0, :2] = [-(1 << depth), 1 << depth]
+    distinct, index = profiles._distinct_keys(keys, depth)
+    assert np.array_equal(distinct, np.unique(keys)) and np.array_equal(distinct[index], keys)
+    # the same run through the table (depth about 15) and through np.unique
+    def run():
+        counters = {}
+        report = lowerbound_experiment_continuous(400, 3.0, 70, rng_substream(21, 6), counters)
+        return report, counters
+
+    table_run = run()
+    monkeypatch.setattr(profiles, "_KEY_TABLE_DEPTH", 0)
+    assert run() == table_run
+
+
+def test_leaf_past_the_key_depth_cap_raises_before_any_sign_is_drawn(monkeypatch):
+    # caterpillars to depth 62 and 63 next to a two-leaf tree: 62 runs, while a
+    # key at 63 would need 2^63, past int64
+    for deepest in (62, 63):
+        caterpillar = list(range(1, deepest + 1)) + [deepest]
+        monkeypatch.setattr(
+            profiles, "sample_leaf_weights", lambda t, m, rng: _leaf_set([1, 1], caterpillar)
+        )
+        rng = np.random.default_rng(3)
+        if deepest == 62:
+            assert lowerbound_experiment_continuous(400, 1.0, 2, rng).trees == 2
+            continue
+        state = rng.bit_generator.state
+        with pytest.raises(CapacityError, match="depth 63"):
+            lowerbound_experiment_continuous(400, 1.0, 2, rng)
+        assert rng.bit_generator.state == state
+
+
+def test_block_count_is_capped():
+    # alpha = n // p blocks of 80 sites: the cap itself runs, one more raises
+    cap = profiles._BLOCK_COUNT_CAP
+    assert profiles._block_event(80 * cap, 80)[0] == cap
+    with pytest.raises(CapacityError, match=f"block count {cap + 1} "):
+        profiles._block_event(80 * (cap + 1), 80)
 
 
 # -----------------------------------------------------------------------
