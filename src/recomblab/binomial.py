@@ -69,6 +69,19 @@ def _power(base: np.ndarray, k):
     return out, total
 
 
+@functools.lru_cache(maxsize=4)
+def _primes(n: int) -> np.ndarray:
+    """The primes up to n, read-only: one sieve per n, whatever the k of C(n, k)."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    primes = np.flatnonzero(sieve)
+    primes.flags.writeable = False
+    return primes
+
+
 @functools.lru_cache(maxsize=64)
 def _comb_anchor(n: int, k: int):
     """C(n, k) as an integer mant < 2^128 and a shift: C = mant 2^shift (1 + O(n 2^-127)).
@@ -77,12 +90,7 @@ def _comb_anchor(n: int, k: int):
     bits after each chunk of factors: math.comb's time grows with the square
     of n (3.4 s at n = 2^19).
     """
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    primes = np.flatnonzero(sieve)
+    primes = _primes(n)
     exps = np.zeros_like(primes)
     power = primes.copy()
     live = power <= n

@@ -7,11 +7,11 @@ pure function of (flags, seed) byte for byte; the manifest additionally
 records wall-clock time, peak resident memory, output checksums, any capacity
 caps that fired, and the random-substream derivation identifier.
 
-This module is the only one that knows the CSV formats.  Every table, from a
-pmf's `index,value` rows to the martingale's `sample,t,W,leaves` rows, is
-formatted by one formatter, `_csv_text`, in the bytes csv.writer writes, and
-every file, manifests included, goes through one write path: a temporary file
-moved into place.  `_load_start` reads an `index,value` start file back.
+This module is the only one that knows the CSV formats.  Every table is
+formatted a block of rows at a time by one formatter, `_csv_blocks`, in the
+bytes csv.writer writes, and every file, manifests included, goes through one
+write path, `_publish`: blocks written to a temporary file as they come, then
+moved into place.  No table is held whole.  `_load_start` reads one back.
 
 Exit codes: 2 for configuration errors (a missing, bad or abbreviated flag
 exits through argparse's message) and for outputs that cannot be written, 3
@@ -34,7 +34,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -193,28 +193,34 @@ class RunContext:
         self.started_at = datetime.now(timezone.utc).isoformat()
         self._clock = time.perf_counter()
 
-    def _publish(self, name: str, blob: bytes) -> Path:
-        """Write `blob` to a temporary file, then move it into place as `name`."""
+    def _publish(self, name: str, blocks) -> Tuple[Path, str, int]:
+        """Write text `blocks` to a temporary file as they come, then move it into place.
+
+        Returns the path, and the sha256 and byte count of what was written."""
         path = self.out_dir / name
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(blob)
+        digest, size = hashlib.sha256(), 0
+        fh = open(tmp, "wb")
         try:
+            with fh:
+                for block in blocks:
+                    blob = block.encode()
+                    fh.write(blob)
+                    digest.update(blob)
+                    size += len(blob)
             os.replace(tmp, path)
-        except OSError:
+        except BaseException:
             tmp.unlink()
             raise
-        return path
+        return path, digest.hexdigest(), size
 
     def write_rows(self, name: str, header: Sequence[str], rows) -> Path:
         """Write a csv output and record it under `name`, relative to `out_dir`."""
         manifest = (self.out_dir / self.manifest_name).resolve()
         if (self.out_dir / name).resolve() in (manifest, Path(f"{manifest}.tmp")):
             raise ConfigError(f"output {name} is where the run's manifest goes")
-        blob = _csv_text(header, rows).encode()
-        path = self._publish(name, blob)
-        self.outputs.append(
-            {"file": name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
-        )
+        path, digest, size = self._publish(name, _csv_blocks(header, rows))
+        self.outputs.append({"file": name, "sha256": digest, "bytes": size})
         return path
 
     def record_capacity(self, err: CapacityError):
@@ -236,52 +242,44 @@ class RunContext:
             "phases": self.phases,
             "exit_status": status,
         }
-        blob = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-        return self._publish(self.manifest_name, blob)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        return self._publish(self.manifest_name, [text])[0]
 
 
-def _csv_text(header: Sequence[str], rows) -> str:
-    """The bytes csv.writer writes for `header` and `rows`, one line per row.
+def _csv_blocks(header: Sequence[str], rows):
+    """The bytes csv.writer writes for `header` and `rows`, in text blocks of CHUNK_SIZE rows.
 
-    Every row holds one cell per header name.  A table of plain floats, ints
-    and strs that csv.writer would not quote is formatted by one printf
-    template over all its cells (`%s` of a float is its repr, which is what
-    csv.writer writes); any other table goes through csv.writer row by row.
-    The rows are flattened straight from their iterator, so a `zip` or
-    `enumerate` of them allocates no tuple per row.
+    Every row holds one cell per header name.  Each block, the header row
+    first, is formatted by one printf template and kept when its text shows
+    that `%s` gave every cell csv.writer's bytes: one comma between cells,
+    one line break per row, and no quote, carriage return, empty line or
+    `None` (csv.writer quotes or empties those).  Any other block goes
+    through csv.writer, so the bytes do not depend on the block size.  The
+    rows are flattened straight from their iterator, with no tuple per row.
     """
     width = len(header)
-    cells = tuple(chain.from_iterable(rows))
-    if len(cells) % width:
-        raise ValueError(f"{len(cells)} cells do not fill rows of {width}")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    if _printf_safe(cells):
-        return buf.getvalue() + ("%s," * (width - 1) + "%s\n") * (len(cells) // width) % cells
-    writer.writerows(cells[i : i + width] for i in range(0, len(cells), width))
-    return buf.getvalue()
-
-
-def _printf_safe(cells: tuple) -> bool:
-    """Whether `%s` gives every cell the bytes csv.writer gives it.
-
-    Plain floats and ints always pass.  Str cells pass when csv.writer writes
-    each distinct one, alone on a row, unquoted: a lone cell is quoted where
-    it would be in any row, and the empty str besides.
-    """
-    if {float, int}.issuperset(map(type, cells)):
-        return True
-    if not {float, int, str}.issuperset(map(type, cells)):
-        return False
-    strs = {cell for cell in cells if type(cell) is str}
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([s] for s in strs)
-    return buf.getvalue() == "".join(s + "\n" for s in strs)
+    template = "%s," * (width - 1) + "%s\n"
+    rows = chain([header], rows)
+    while cells := tuple(chain.from_iterable(islice(rows, CHUNK_SIZE))):
+        lines, extra = divmod(len(cells), width)
+        if extra:
+            raise ValueError(f"{len(cells)} cells do not fill rows of {width}")
+        text = template * lines % cells
+        if (
+            text.count(",") != lines * (width - 1)
+            or text.count("\n") != lines
+            or text[0] == "\n"
+            or any(mark in text for mark in ('"', "\r", "\n\n", "None"))
+        ):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerows(cells[i : i + width] for i in range(0, len(cells), width))
+            text = buf.getvalue()
+        yield text
 
 
 def _pmf_rows(pmf: cube.Pmf):
-    """The `index,value` rows of a pmf for `_csv_text`.
+    """The `index,value` rows of a pmf for `_csv_blocks`.
 
     Exact evolutions repeat few weights across the cube (the n = 16 mono
     start after 8 discrete steps holds 31 distinct ones in 65 536), so each
@@ -492,7 +490,8 @@ def _cmd_fragmentation(ns, ctx: RunContext) -> int:
 
 def _cmd_martingale(ns, ctx: RunContext) -> int:
     values, leaves = _sample_martingale(ctx, ns.t, ns.samples, ns.seed, ns.workers, ns.method)
-    rows = zip(count(), repeat(ns.t), values.tolist(), leaves.tolist())
+    # the constant horizon cell is formatted once, not once per row
+    rows = zip(count(), repeat(repr(ns.t)), values.tolist(), leaves.tolist())
     ctx.write_rows(ns.out, ["sample", "t", "W", "leaves"], rows)
     return EXIT_OK
 

@@ -66,6 +66,11 @@ _BLOCK_SIZE_CAP = 80 << 16
 # (alpha + 1) x 32 cells at about 190 bytes of temporaries a cell (a 64-tree
 # run peaks at 63 MB resident at the cap, 392 MB at 2^16 blocks)
 _BLOCK_COUNT_CAP = 1 << 12
+# the bytes the continuous one may expect to hold in the leaf arrays of its
+# run, or in the sign keys of one group, before it grows a tree: 2 GiB admits
+# the largest run measured to finish (n = 10^6, t = 11.6, 64 trees: 1.8 GB
+# for a group of 32 trees), not a run at t = log n from n = 10^6 on
+_LEAF_BYTES_BUDGET = 2 << 30
 
 
 def _norm_cdf(x: float) -> float:
@@ -526,6 +531,16 @@ class _LatticeTails:
         return self.tails[np.searchsorted(self.keys, distinct)][index]
 
 
+def _check_leaf_bytes(what: str, need: float) -> None:
+    """Raise CapacityError when `what` would take over _LEAF_BYTES_BUDGET bytes."""
+    if need > _LEAF_BYTES_BUDGET:
+        raise CapacityError(
+            f"{what} would take {need / 2**30:.3g} GiB, over the budget of "
+            f"{_LEAF_BYTES_BUDGET / 2**30:g} GiB",
+            bytes=int(need),
+        )
+
+
 def lowerbound_experiment_continuous(
     n: int,
     t: float,
@@ -539,7 +554,9 @@ def lowerbound_experiment_continuous(
     signs, drawn as packed bits after all the trees are grown.  A given
     `counters` receives the tree nodes grown, the widest wave, the distinct
     biases of each group of trees summed over groups, and the tails
-    evaluated, one per distinct bias of the run.
+    evaluated, one per distinct bias of the run.  Leaf arrays or a group's
+    sign keys over _LEAF_BYTES_BUDGET bytes, as expected before growth or as
+    grown, raise CapacityError before a sign is drawn.
     """
     _check_horizon(t, positive=True)
     if m < 2:
@@ -549,11 +566,23 @@ def lowerbound_experiment_continuous(
     if p < 2:
         raise ConfigError(f"block size {p} too small at n={n}, t={t}")
     alpha, threshold, k_min, q_pi, pi_a = _block_event(n, p)
+    # a tree has e^t leaves expected.  The run keeps four 8-byte arrays a leaf
+    # (owner, weight, lattice and sort order), and a group's keys take, per
+    # byte column of 8 leaves, 256 int64 parts of the byte table and one
+    # packed draw per sign row
+    expected = math.exp(t)
+    column_bytes = 256 * 8 + _INNER_SAMPLES
+    _check_leaf_bytes("the run's leaves", 32 * m * expected)
+    _check_leaf_bytes("a group's sign keys", min(m, _GROUP_TREES) * expected / 8 * column_bytes)
     p2, p3, p4 = _second_moment_coeffs(p)
     r_scale = n * math.exp(-t / 2.0)
     # every tree's leaf weights 2^-depth, grown in one batch; the sign draws
     # below come after all of them
     owner, leaf_weights, nodes, widest = sample_leaf_weights(t, m, rng)
+    leaves = np.bincount(owner, minlength=m)
+    # the grown groups, whose leaf counts have a heavy tail, before a key is drawn
+    columns = np.add.reduceat((leaves + 7) // 8, np.arange(0, m, _GROUP_TREES))
+    _check_leaf_bytes("a grown group's sign keys", int(columns.max()) * column_bytes)
     # every bias is a multiple of 2^-depth for the run's deepest leaf
     depth = 1 - math.frexp(float(leaf_weights.min()))[1]
     if depth > _KEY_DEPTH_CAP:
@@ -562,7 +591,6 @@ def lowerbound_experiment_continuous(
             depth=depth,
         )
     lattice = np.ldexp(leaf_weights[np.argsort(owner, kind="stable")], depth).astype(np.int64)
-    leaves = np.bincount(owner, minlength=m)
     edges = np.concatenate(([0], np.cumsum(leaves)))
     # per-tree leaf moments; m2, a sum of 4^-depth, is exact in any order
     m2 = np.bincount(owner, weights=leaf_weights**2, minlength=m)

@@ -881,7 +881,7 @@ def test_pmf_rows_are_the_csv_writer_bytes(case):
     assert all(isinstance(value, str) == shared for _, value in rows)
     header = ["index", "value"]
     expect = _csv_writer_text(header, enumerate(pmf.weights.tolist()))
-    assert cli._csv_text(header, rows) == expect
+    assert "".join(cli._csv_blocks(header, rows)) == expect
     if shared:
         assert "\n2,-0.0\n" in expect
 
@@ -896,9 +896,45 @@ def test_pmf_rows_are_the_csv_writer_bytes(case):
     ],
 )
 def test_str_cells_that_need_quoting_go_through_csv_writer(header, rows):
-    cells = tuple(cell for row in rows for cell in row)
-    assert not cli._printf_safe(cells)
-    assert cli._csv_text(header, rows) == _csv_writer_text(header, rows)
+    assert "".join(cli._csv_blocks(header, rows)) == _csv_writer_text(header, rows)
+
+
+# 20 rows: with blocks of 7 rows, the header and rows 0-5 make the first
+# block, and only the second (rows 6-12) holds cells that csv.writer quotes
+# or empties
+MIXED_ROWS = [
+    *[(i, 0.1 * i, True) for i in range(3)],
+    (np.float64(0.5), np.int64(-7), False),
+    (float("nan"), float("inf"), -np.inf),
+    (-0.0, "\u00b5\u2218\u00b5", 5e-324),
+    (6, "a,b", 1.5),
+    (7, 'say "hi"', 2),
+    (8, "cr\rhere", 3),
+    (9, "line\nbreak", 4),
+    (10, None, 5),
+    (11, "plain", np.float64(-0.0)),
+    (12, "", 7),
+    *[(i, 1.0 / i, "x") for i in range(13, 20)],
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+@pytest.mark.parametrize(
+    "header, rows",
+    [(["i", "value", "extra"], MIXED_ROWS), (["name"], [("x",), ("",), ("y",)])],
+    ids=["three-blocks", "width-1"],
+)
+def test_written_bytes_are_the_csv_writer_bytes_at_any_block_size(
+    tmp_path, monkeypatch, chunk, header, rows
+):
+    monkeypatch.setattr(cli, "CHUNK_SIZE", chunk)
+    expect = _csv_writer_text(header, rows).encode()
+    blocks = list(cli._csv_blocks(header, rows))
+    assert len(blocks) == -(-(len(rows) + 1) // chunk)
+    ctx = cli.RunContext(command="collide", out_dir=tmp_path, parameters={})
+    assert ctx.write_rows("t.csv", header, iter(rows)).read_bytes() == expect
+    digest = hashlib.sha256(expect).hexdigest()
+    assert ctx.outputs == [{"file": "t.csv", "sha256": digest, "bytes": len(expect)}]
 
 
 @pytest.mark.parametrize("name", ["collide_manifest.json", "collide_manifest.json.tmp"])
@@ -949,6 +985,19 @@ OUT_OF_RANGE_RUNS = [
         ("lowerbound-continuous", "--n", "200000000000000", "--t", "1e-300", "--seed", "1"),
         "block count",
     ),
+    # 64 trees at t = log n: a group's sign keys (about 15 GiB expected) at
+    # n = 10^6, and the run's leaves (about 19 GiB) at n = 10^7, are refused
+    # before a tree is grown
+    (
+        ("lowerbound-continuous", "--n", "1000000", "--t", repr(math.log(1e6)),
+         "--trees", "64", "--seed", "1"),
+        "a group's sign keys would take",
+    ),
+    (
+        ("lowerbound-continuous", "--n", "10000000", "--t", repr(math.log(1e7)),
+         "--trees", "64", "--seed", "1"),
+        "the run's leaves would take",
+    ),
 ]
 
 
@@ -961,6 +1010,7 @@ OUT_OF_RANGE_RUNS = [
         "evolve-continuous-step1e-300", "collide-n19", "evolve-discrete-n19",
         "evolve-continuous-n19", "lowerbound-discrete-t30", "lowerbound-continuous-n1e15",
         "lowerbound-discrete-n1e12", "lowerbound-continuous-n2e14",
+        "lowerbound-continuous-n1e6-group", "lowerbound-continuous-n1e7-run",
     ],
 )
 def test_out_of_range_run_exits_3_and_is_recorded(tmp_path, capsys, monkeypatch, args, reason):

@@ -656,6 +656,22 @@ def test_leaf_past_the_key_depth_cap_raises_before_any_sign_is_drawn(monkeypatch
         assert rng.bit_generator.state == state
 
 
+def test_grown_group_over_the_byte_budget_raises_before_any_sign_is_drawn(monkeypatch):
+    # two trees at t = 1 expect about 2.8 kB of sign keys, under a budget of
+    # 10 kB, but a grown caterpillar's 63 leaves take 8 byte columns: with
+    # the two-leaf tree's one, 37 kB
+    caterpillar = list(range(1, 63)) + [62]
+    monkeypatch.setattr(
+        profiles, "sample_leaf_weights", lambda t, m, rng: _leaf_set([1, 1], caterpillar)
+    )
+    monkeypatch.setattr(profiles, "_LEAF_BYTES_BUDGET", 10_000)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(CapacityError, match="a grown group's sign keys"):
+        lowerbound_experiment_continuous(400, 1.0, 2, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_block_count_is_capped():
     # alpha = n // p blocks of 80 sites: the cap itself runs, one more raises
     cap = profiles._BLOCK_COUNT_CAP
