@@ -363,10 +363,11 @@ def _sample_martingale(
     The sampler choice and the chunk plan depend only on (t, total), never
     on the worker count, so the concatenated samples are reproducible for
     any parallelism degree.  Each cascade chunk grows its own pool; the
-    manifest gets the resolved sampler, the tree sampler version, the tree
-    nodes grown summed over chunks, the widest wave grown in any chunk and,
-    for the cascade, its version, the pool size and the final-stage draws,
-    last-pool entries grown and expected repeat draws summed over chunks.
+    manifest gets the resolved sampler, the direct sampler's version, the
+    tree nodes and the split and table draws summed over chunks, the widest
+    wave or round in any chunk and, for the cascade, the tree sampler's and
+    its own version, the pool size and the final-stage draws, last-pool
+    entries grown and expected repeat draws summed over chunks.
     """
     method = yule.resolve_martingale_method(t, total, method)
     sizes = _chunk_plan(total)
@@ -383,14 +384,19 @@ def _sample_martingale(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_chunk, tasks))
     ctx.resolved.update(
-        martingale_method=method, tree_sampler_version=yule.TREE_SAMPLER_VERSION
+        martingale_method=method, martingale_sampler_version=yule.MARTINGALE_SAMPLER_VERSION
     )
     ctx.counters.update(
         nodes_grown=sum(p.nodes_grown for p in parts),
         widest_wave=max(p.widest_wave for p in parts),
+        split_draws=sum(p.split_draws for p in parts),
+        table_draws=sum(p.table_draws for p in parts),
     )
     if method == "cascade":
-        ctx.resolved["cascade_sampler_version"] = yule.CASCADE_SAMPLER_VERSION
+        ctx.resolved.update(
+            tree_sampler_version=yule.TREE_SAMPLER_VERSION,
+            cascade_sampler_version=yule.CASCADE_SAMPLER_VERSION,
+        )
         ctx.counters.update(
             cascade_pool_size=max(p.pool_size for p in parts),
             cascade_pool_draws=sum(p.pool_draws for p in parts),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -541,20 +541,31 @@ def _check_leaf_bytes(what: str, need: float) -> None:
         )
 
 
+def _count_law_tv(p: np.ndarray, q: np.ndarray) -> Tuple[float, float]:
+    """Total variation distance of two count laws, clipped to [0, 1], and the amount clipped.
+
+    Each law sums to 1 only up to rounding, so for two almost disjoint laws
+    the half-sum of |p - q| can round past 1.
+    """
+    half_sum = 0.5 * float(np.abs(p - q).sum())
+    return min(half_sum, 1.0), max(half_sum - 1.0, 0.0)
+
+
 def lowerbound_experiment_continuous(
     n: int,
     t: float,
     m: int,
     rng: np.random.Generator,
-    counters: Optional[Dict[str, int]] = None,
+    counters: Optional[Dict[str, float]] = None,
 ) -> ContinuousBlockReport:
     """Continuous-time block experiment over m sampled trees.
 
     Each tree's block tail is averaged over `_INNER_SAMPLES` rows of leaf
     signs, drawn as packed bits after all the trees are grown.  A given
     `counters` receives the tree nodes grown, the widest wave, the distinct
-    biases of each group of trees summed over groups, and the tails
-    evaluated, one per distinct bias of the run.  Leaf arrays or a group's
+    biases of each group of trees summed over groups, the tails evaluated,
+    one per distinct bias of the run, and the rounding clipped off
+    `block_count_tv` above 1.  Leaf arrays or a group's
     sign keys over _LEAF_BYTES_BUDGET bytes, as expected before growth or as
     grown, raise CapacityError before a sign is drawn.
     """
@@ -620,13 +631,14 @@ def lowerbound_experiment_continuous(
         np.divide(gap, se, out=moment_zs[group], where=se != 0.0)
     mix_pmf /= m
     pi_pmf = binomial.pmf(counts_grid, alpha, q_pi)
-    block_count_tv = 0.5 * float(np.abs(mix_pmf - pi_pmf).sum())
+    block_count_tv, overshoot = _count_law_tv(mix_pmf, pi_pmf)
     if counters is not None:
         counters.update(
             nodes_grown=nodes,
             widest_wave=widest,
             distinct_biases=tails_at.distinct,
             tail_evaluations=tails_at.keys.size,
+            block_count_tv_overshoot=overshoot,
         )
 
     below = binomial.lower_tail(k_min - 1, alpha, block_tails)

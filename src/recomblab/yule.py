@@ -8,12 +8,14 @@ averaging the root measure over trees gives mu_t exactly.
 
 Every tree here comes from one generator, the generation-wave kernel
 `_wave_batch`, which grows many trees at once and reports what each consumer
-needs: leaf counts per depth for the martingale samplers, the leaf-weight
+needs: leaf counts per depth for the cascade's stages, the leaf-weight
 estimators and the spinal check, and each wave's death times and survival
 mask for the consumers that need parent links (`sample_yule` and the
-tree-average estimator).  The module also holds a fixed-step order-4
-integrator for the character-space ODE, Monte Carlo drivers for both
-representations, the additive leaf-weight martingale
+tree-average estimator).  The direct martingale sampler grows no tree: it
+draws each tree's leaf count and splits it by the Yule-Harding shape law.
+The module also holds a fixed-step order-4 integrator for the
+character-space ODE, Monte Carlo drivers for both representations, the
+additive leaf-weight martingale
 
     value = e^{t/2} * sum over leaves x of 4^{-depth(x)}
 
@@ -23,6 +25,7 @@ estimation, and a check of the size-biased (spinal) identity on grown trees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -37,6 +40,9 @@ from .discrete import _collision_kernel, _draw_spins, collide_coeffs
 MAX_LEAVES = 1 << 22
 _TREE_MEASURE_CELL_CAP = 1 << 26
 _BATCH_NODE_BUDGET = 250_000_000
+# nodes one `_wave_batch` call may grow, and the nodes the direct
+# martingale sampler's trees may have
+_TREE_NODE_BUDGET = 4 * _BATCH_NODE_BUDGET
 # lineages the widest generation wave of one tree chunk is sized to reach: a
 # 1 MiB array of death times, so a wave's arrays fit a 2 MiB L2 cache.  On a
 # 2-core Xeon (2 MiB L2 per core), 10 000 direct trees at t = 6, widths
@@ -51,10 +57,42 @@ _BATCH_NODE_BUDGET = 250_000_000
 #     2e7          1      881 302     17.9 MiB     0.158
 WAVE_WIDTH = 1 << 17
 # version of the wave kernel's draw order, for every tree it grows (the
-# martingale samplers, sample_yule, the block lower bound, both
-# representation estimators, the spinal check); bumped whenever a seeded
-# output of theirs changes bytes
+# cascade's stages, sample_yule, the block lower bound, both representation
+# estimators, the spinal check); bumped whenever a seeded output of theirs
+# changes bytes
 TREE_SAMPLER_VERSION = 3
+# direct martingale sampler: the largest subtree, in leaves, whose sum of
+# 4^-depth is drawn from its exact table instead of split further, and the
+# version of its draw order, bumped whenever its seeded output changes
+# bytes.  Medians of 11 rounds alternated in one process on a 2-core Xeon,
+# each building the tables once and drawing 10 000 trees at t = 6:
+#
+#     leaves   columns   build ms   draw ms
+#          8        38       0.47      26.8
+#         12       364       0.86      20.2
+#         16     3 709       1.75      16.0
+#         20    38 151       6.77      13.0
+#         24   392 286      91.3       13.2
+#
+# Every process that draws pays the build once: a run of 1 000 trees at
+# t = 6 draws in about 1.6 ms, so 20 leaves would cost it more than it saves.
+SHAPE_TABLE_LEAVES = 16
+MARTINGALE_SAMPLER_VERSION = 1
+# pieces the widest round of one direct-sampler chunk is sized to reach.  A
+# round's arrays take about 70 bytes a piece, against about 20 a lineage in
+# a wave, so the wave width would triple the memory of the wave kernel it
+# replaced.  Medians of 9 rounds alternated in one process on a 2-core Xeon,
+# with the traced peak of one call:
+#
+#     width   t = 6, 10 000 trees   t = 1, 70 000 trees   t = 2, 2^18 trees
+#     2^13     22.4 ms  0.7 MiB      3.6 ms  1.7 MiB       18.7 ms   6.1 MiB
+#     2^14     18.4 ms  1.2 MiB      3.6 ms  2.3 MiB       16.8 ms   6.1 MiB
+#     2^15     17.8 ms  2.2 MiB      3.7 ms  3.6 MiB       15.8 ms   6.4 MiB
+#     2^16     19.1 ms  4.2 MiB      4.6 ms  6.1 MiB       17.0 ms   8.7 MiB
+#     2^17     19.4 ms  6.8 MiB      4.3 ms  6.5 MiB       19.8 ms  13.5 MiB
+#
+# The wave kernel took 2.7 and 4.5 MiB for the first two.
+SPLIT_WIDTH = 1 << 14
 # cascade sampler: stage length, smallest bootstrap pool, and the version of
 # its draw order, bumped whenever seeded cascade output changes bytes
 CASCADE_STAGE = 2.0
@@ -106,7 +144,7 @@ def _wave_batch(
     m: int,
     rng: np.random.Generator,
     on_frozen: Callable[[np.ndarray, np.ndarray, int], None],
-    node_budget: int = 4 * _BATCH_NODE_BUDGET,
+    node_budget: int = _TREE_NODE_BUDGET,
     on_wave: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
 ) -> Tuple[int, int]:
     """Drive m independent trees to horizon t without materializing them.
@@ -125,8 +163,9 @@ def _wave_batch(
     order.  Every lineage splits after an independent mean-one exponential
     time, so each tree has the branching law.  Returns the number of
     lineages (tree nodes) grown and the widest wave grown, in lineages.
-    Every tree sampler comes through here, so here a horizon outside
-    [0, inf) raises.
+    Every grown tree comes through here, so here a horizon outside
+    [0, inf) raises; `martingale_samples` checks it before the direct
+    sampler, which grows none.
     """
     _check_horizon(t)
     chunk = _wave_chunk(t, m)
@@ -480,11 +519,14 @@ def double_quenched_estimate(
 class MartingaleBatch:
     """One sampler call's martingale values with the leaf count of each tree.
 
-    `nodes_grown` counts the tree nodes the wave kernel simulated for the
-    batch and `widest_wave` the lineages of the widest wave it grew.  A
-    cascade batch also reports its bootstrap: the pool size, the pool
-    entries its final stage drew, the entries of the last pool it grew (one
-    per distinct draw), and the expected number of repeated draws
+    `nodes_grown` counts the nodes of the batch's trees, 2 N - 1 for a tree
+    of N leaves, whether grown by the wave kernel or not, and `widest_wave`
+    the items of its widest working array: the lineages of a wave, or the
+    pieces of a direct sampler's round.  `split_draws` and `table_draws`
+    count the direct sampler's uniform splits and table draws.  A cascade
+    batch also reports its bootstrap: the pool size, the pool entries its
+    final stage drew, the entries of the last pool it grew (one per
+    distinct draw), and the expected number of repeated draws
     draws^2 / (2 pool_size).  A direct batch, and a cascade pool, leave them
     at zero.
     """
@@ -493,23 +535,179 @@ class MartingaleBatch:
     leaf_counts: np.ndarray
     nodes_grown: int
     widest_wave: int
+    split_draws: int = 0
+    table_draws: int = 0
     pool_size: int = 0
     pool_draws: int = 0
     pool_grown: int = 0
     expected_repeat_draws: float = 0.0
 
 
+def _shape_laws(leaves: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Exact law of S = sum over leaves of 4^-depth for trees of 1 .. `leaves` leaves.
+
+    Entry k - 1 holds the sorted atoms of S for a tree of k leaves and their
+    probabilities.  Given its leaf count k, a Yule tree's shape is the
+    Yule-Harding tree: the root splits the leaves into U and k - U with U
+    uniform on {1, ..., k - 1}, independently of the split times (Harding
+    1971; Aldous 1996), so S(1) = 1 and S(k) = (S(U) + S'(k - U)) / 4 with
+    S' an independent copy.  Every atom is a sum of at most k powers 4^-d
+    with d < k, exact in a float for k <= 26, so equal atoms merge exactly;
+    the probabilities are rounded sums of products.
+    """
+    laws = [(np.ones(1), np.ones(1))]
+    for k in range(2, leaves + 1):
+        pairs = [(laws[u - 1], laws[k - u - 1]) for u in range(1, k)]
+        sums = np.concatenate([np.add.outer(a[0], b[0]).ravel() for a, b in pairs])
+        weights = np.concatenate([np.outer(a[1], b[1]).ravel() for a, b in pairs])
+        atoms, merged = np.unique(sums, return_inverse=True)
+        laws.append((atoms / 4.0, np.bincount(merged, weights=weights) / (k - 1)))
+    return laws
+
+
+def _alias_table(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table of the law p: column i keeps i with probability
+    coin[i] and otherwise returns alias[i].
+
+    Columns of scaled mass q = n p below 1 ("small") take the rest of their
+    column from the columns of mass at least 1 ("large"), in order: lay the
+    small deficits 1 - q end to end and the large excesses q - 1 end to
+    end, and a small column's alias is the large whose excess holds the
+    start of its deficit.  A small deficit that runs past the end of that
+    excess is overdrawn: the large column keeps 1 minus the overdraft and
+    takes the rest from the next large (Vose 1991 in one pass of cumulative
+    sums).  The last large keeps its whole column.
+    """
+    q = p * p.size
+    small = q < 1.0
+    coin, alias = np.ones(p.size), np.arange(p.size)
+    lows, highs = np.flatnonzero(small), np.flatnonzero(~small)
+    if lows.size == 0:
+        return coin, alias
+    deficit_end = np.cumsum(1.0 - q[lows])
+    deficit_start = deficit_end - (1.0 - q[lows])
+    excess_end = np.cumsum(q[highs] - 1.0)
+    coin[lows] = q[lows]
+    holder = np.searchsorted(excess_end, deficit_start, side="right")
+    alias[lows] = highs[np.minimum(holder, highs.size - 1)]
+    # the end of the last deficit that starts before each large's excess ends
+    last = np.searchsorted(deficit_start, excess_end, side="left") - 1
+    overdraft = np.where(last >= 0, deficit_end[np.maximum(last, 0)], 0.0) - excess_end
+    coin[highs[:-1]] = 1.0 - np.clip(overdraft[:-1], 0.0, 1.0)
+    alias[highs[:-1]] = highs[1:]
+    return coin, alias
+
+
+@functools.lru_cache(maxsize=4)
+def _shape_tables(leaves: int) -> Tuple[np.ndarray, ...]:
+    """`_shape_laws(leaves)` as one read-only alias table for O(1) draws.
+
+    Returns (atoms, coin, hop, sizes, offsets): the law of k leaves owns
+    the columns offsets[k] .. offsets[k] + sizes[k] - 1, and column c's
+    alias is column c + hop[c], inside the same law.  For 16 leaves that
+    is 3 709 columns, built in about 2 ms.
+    """
+    laws = _shape_laws(leaves)
+    sizes = np.array([0] + [atoms.size for atoms, _ in laws])
+    coins, aliases = zip(*(_alias_table(p) for _, p in laws))
+    tables = (
+        np.concatenate([atoms for atoms, _ in laws]),
+        np.concatenate(coins),
+        np.concatenate([alias - np.arange(alias.size) for alias in aliases]),
+        sizes.astype(np.float64),
+        np.cumsum(sizes) - sizes,
+    )
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
+def _split_chunk(t: float, m: int) -> int:
+    """Trees per direct-sampler chunk, so that its widest round expects `SPLIT_WIDTH` pieces.
+
+    A round holds the pieces of one depth, and a tree's widest round holds
+    about 2 / (SHAPE_TABLE_LEAVES + 1) of the lineages of its widest wave
+    (0.117-0.129 of `_wave_peak(t)` measured at t = 4 .. 9, against 2/17 =
+    0.118), but at least its root.
+    """
+    per_tree = max(1.0, 2.0 * _wave_peak(t) / (SHAPE_TABLE_LEAVES + 1))
+    return max(1, min(m, int(SPLIT_WIDTH / per_tree)))
+
+
 def _direct_martingale_batch(t: float, m: int, rng: np.random.Generator) -> MartingaleBatch:
-    raw = np.zeros(m)
-    counts = np.zeros(m, dtype=np.int64)
+    """m exact draws of the martingale at horizon t, with no tree grown.
 
-    def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
-        # a count times 4^-depth is exactly the sum of that many 4^-depth
-        raw[trees] += frozen * math.ldexp(1.0, -2 * depth)
-        counts[trees] += frozen
-
-    nodes, widest = _wave_batch(t, m, rng, on_frozen)
-    return MartingaleBatch(math.exp(t / 2.0) * raw, counts, nodes, widest)
+    A rate-1 Yule tree at horizon t has Geometric(e^-t) leaves, and its
+    shape given N leaves is the Yule-Harding tree (`_shape_laws`), so the
+    sum over leaves of 4^-depth needs neither split times nor nodes.  Every
+    tree's leaf count is drawn first; more than the node budget of trees
+    with 2 N - 1 nodes raises CapacityError before any split.  Trees then
+    go in chunks of `_split_chunk(t, m)`, one round per depth: a piece
+    (a subtree, by its leaf count) of at most `SHAPE_TABLE_LEAVES` leaves
+    draws its sum from the exact table of its leaf count in O(1), one
+    uniform giving the alias column and, from its at least 42 bits below
+    the column, the coin; a larger piece splits
+    into U and k - U leaves, U = `rng.integers(1, k)`, one depth down.
+    Each round draws its table pieces, then its splits, in piece order.
+    The batch reports the nodes the trees would have (the sum of 2 N - 1),
+    the widest round in pieces as `widest_wave`, and the split and table
+    draws.
+    """
+    leaves = rng.geometric(1.0 / _exp(t), m)
+    nodes = 2.0 * leaves.sum(dtype=np.float64) - m
+    if nodes > _TREE_NODE_BUDGET:
+        raise CapacityError(
+            f"direct trees would have {nodes:.3g} nodes, over the node budget of "
+            f"{_TREE_NODE_BUDGET:.3g}",
+            horizon=t,
+            nodes=nodes,
+        )
+    atoms, coin, hop, sizes, offsets = _shape_tables(SHAPE_TABLE_LEAVES)
+    raw = np.empty(m)
+    chunk = _split_chunk(t, m)
+    splits = draws = widest = 0
+    for start in range(0, m, chunk):
+        pieces = leaves[start : start + chunk]
+        owner = np.arange(pieces.size)
+        total = np.zeros(pieces.size)
+        depth = 0
+        while pieces.size:
+            widest = max(widest, pieces.size)
+            # index arrays and take, not boolean masks: about 1.3 against
+            # 6 ns a piece on pieces that split about half and half
+            small = pieces <= SHAPE_TABLE_LEAVES
+            tabled = np.flatnonzero(small)
+            if tabled.size:
+                k = pieces.take(tabled)
+                x = rng.random(k.size) * sizes[k]
+                column = x.astype(np.int64)
+                cell = offsets[k] + column
+                # the coin keeps the column's atom or hops to its alias
+                cell += (x - column >= coin[cell]) * hop[cell]
+                # 4^-depth times a sum of atoms is exact scaling
+                total += math.ldexp(1.0, -2 * depth) * np.bincount(
+                    owner.take(tabled), weights=atoms[cell], minlength=total.size
+                )
+                draws += k.size
+            split = np.flatnonzero(~small)
+            k, parent = pieces.take(split), owner.take(split)
+            if k.size:
+                u = rng.integers(1, k)
+                pieces = np.concatenate([u, k - u])
+                owner = np.concatenate([parent, parent])
+                splits += k.size
+            else:
+                pieces = k
+            depth += 1
+        raw[start : start + chunk] = total
+    return MartingaleBatch(
+        math.exp(t / 2.0) * raw,
+        leaves,
+        int(nodes),
+        widest,
+        split_draws=splits,
+        table_draws=draws,
+    )
 
 
 def _add_leaves(
@@ -546,7 +744,7 @@ def _cascade_pool(
 ) -> MartingaleBatch:
     """`width` i.i.d. (value, leaf count) entries of the next cascade pool.
 
-    With no previous pool an entry is a direct tree of horizon `first`;
+    With no previous pool an entry is a direct draw at horizon `first`;
     otherwise it is a stage tree whose leaves draw their subtrees from
     `pool` uniformly with replacement.
     """
@@ -593,18 +791,19 @@ def _cascade_martingale_batch(
     pool entry twice is O(leaves^2 / P), and sample means stay exactly
     unbiased.  The batch reports P, the final stage's draws D, the entries
     of pool K-1 it grew (the distinct draws) and the expected number of
-    repeated draws D^2 / (2P), and the nodes and widest wave of every
-    `_wave_batch` call it made.
+    repeated draws D^2 / (2P), and the nodes, the widest wave or round, and
+    the split and table draws of every pool and stage it made.
     """
     nstages = max(1, math.ceil(t / CASCADE_STAGE))
     first = t - (nstages - 1) * CASCADE_STAGE
     if nstages == 1:
         return _direct_martingale_batch(first, m, rng)
     pool_size = max(m, CASCADE_MIN_POOL)
-    pool, nodes, widest = None, 0, 0
+    pool, nodes, widest, splits, tables = None, 0, 0, 0, 0
     for _ in range(nstages - 2):
         pool = _cascade_pool(first, pool, pool_size, rng)
         nodes, widest = nodes + pool.nodes_grown, max(widest, pool.widest_wave)
+        splits, tables = splits + pool.split_draws, tables + pool.table_draws
     # the final stage keeps each wave's frozen trees and their leaves' picks,
     # as int32 since m <= P < 2^31
     waves = []
@@ -628,6 +827,8 @@ def _cascade_martingale_batch(
         counts,
         nodes + stage_nodes + last.nodes_grown,
         max(widest, stage_widest, last.widest_wave),
+        split_draws=splits + last.split_draws,
+        table_draws=tables + last.table_draws,
         pool_size=pool_size,
         pool_draws=draws,
         pool_grown=drawn.size,

@@ -289,6 +289,7 @@ def test_manifest_names_the_sampler_and_its_pool(tmp_path):
     manifest = json.loads((out / "w_tail_manifest.json").read_text())
     assert manifest["resolved"] == {
         "martingale_method": "cascade",
+        "martingale_sampler_version": 1,
         "tree_sampler_version": 3,
         "cascade_sampler_version": 4,
     }
@@ -302,6 +303,8 @@ def test_manifest_names_the_sampler_and_its_pool(tmp_path):
     assert manifest["counters"] == {
         "nodes_grown": sum(c.nodes_grown for c in chunks),
         "widest_wave": max(c.widest_wave for c in chunks),
+        "split_draws": sum(c.split_draws for c in chunks),
+        "table_draws": sum(c.table_draws for c in chunks),
         "cascade_pool_size": 1048576,
         "cascade_pool_draws": sum(c.pool_draws for c in chunks),
         "cascade_pool_grown": sum(c.pool_grown for c in chunks),
@@ -316,13 +319,16 @@ def test_manifest_names_the_sampler_and_its_pool(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     manifest = json.loads((out / "martingale_manifest.json").read_text())
-    assert manifest["resolved"] == {"martingale_method": "direct", "tree_sampler_version": 3}
-    # the direct sampler draws nothing but its trees, so the kernel alone
-    # on the chunk's substream grows the same ones
-    nodes, widest = yule._wave_batch(
-        1.0, 20, rng_substream(3, cli.CHUNK_TASK_BASE), lambda *wave: None
-    )
-    assert manifest["counters"] == {"nodes_grown": nodes, "widest_wave": widest}
+    assert manifest["resolved"] == {"martingale_method": "direct", "martingale_sampler_version": 1}
+    # the direct sampler grows no tree, but counts the nodes its trees have
+    batch = yule.martingale_samples(1.0, 20, rng_substream(3, cli.CHUNK_TASK_BASE), "direct")
+    assert batch.nodes_grown == int((2 * batch.leaf_counts - 1).sum())
+    assert manifest["counters"] == {
+        "nodes_grown": batch.nodes_grown,
+        "widest_wave": batch.widest_wave,
+        "split_draws": batch.split_draws,
+        "table_draws": batch.table_draws,
+    }
 
 
 def test_finite_horizon_profile_names_the_tree_sampler(tmp_path, capsys):
@@ -331,10 +337,17 @@ def test_finite_horizon_profile_names_the_tree_sampler(tmp_path, capsys):
     ]
     assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "profile_continuous_manifest.json").read_text())
-    assert manifest["resolved"] == {"martingale_method": "direct", "tree_sampler_version": 3}
+    assert manifest["resolved"] == {
+        "martingale_method": "direct",
+        "martingale_sampler_version": yule.MARTINGALE_SAMPLER_VERSION,
+    }
+    assert yule.MARTINGALE_SAMPLER_VERSION == 1
     batch = yule.martingale_samples(1.0, 50, rng_substream(2, cli.CHUNK_TASK_BASE), "direct")
     assert manifest["counters"] == {
-        "nodes_grown": batch.nodes_grown, "widest_wave": batch.widest_wave
+        "nodes_grown": batch.nodes_grown,
+        "widest_wave": batch.widest_wave,
+        "split_draws": batch.split_draws,
+        "table_draws": batch.table_draws,
     }
 
 
@@ -357,15 +370,18 @@ def test_nodes_grown_counts_every_tree_node(tmp_path):
 
 # sha256 of small seeded outputs, recorded before the wave kernel and the
 # lower-bound tail evaluation were rewritten.  A change of draw order must
-# fail here and announce a sampler version bump: every tree output is pinned
-# at tree sampler version 3 (tree chunks sized so the widest wave expects
-# 2^17 lineages), `fragmentation` at fragmentation sampler version 2 (one
+# fail here and announce a sampler version bump: every grown tree output is
+# pinned at tree sampler version 3 (tree chunks sized so the widest wave
+# expects 2^17 lineages), both direct outputs at martingale sampler version
+# 1 (no tree grown: geometric leaf counts, uniform splits, exact tables up
+# to 16 leaves), `fragmentation` at fragmentation sampler version 2 (one
 # word of all rounds per site, drawn for every trial at once), and both
 # cascade outputs at cascade sampler version 4 (the last pool grown only at
-# the entries the final stage draws, and its first pool of 2^20 trees grown
-# in 2^17-lineage chunks; recorded again for that).  The horizon-6 direct
-# row spans three tree chunks (1410, 1410 and 180 trees), so it pins the
-# chunk boundary.  The `lowerbound-continuous`
+# the entries the final stage draws), with their first pool drawn by the
+# direct sampler (recorded again for each).  The horizon-6 direct row spans
+# three direct chunks (1498, 1498 and 4 trees), so it pins the chunk
+# boundary.
+# The `lowerbound-continuous`
 # digest was recorded again when its binomial law moved to the public
 # scipy.special functions, and again when its binomial tails moved from
 # bdtr/bdtrc to betainc: both times the same draws, cells changed in the last
@@ -383,25 +399,25 @@ SEEDED_OUTPUT_SHA256 = [
         ("martingale", "--t", "2.5", "--samples", "400", "--seed", "77",
          "--method", "direct"),
         "martingale.csv",
-        "a3a5811a8de06617fd60e3ed37923f962fdeda9796cf1572687e92b9c0db661a",
+        "bd8c722638b87c66f75e4c9ff3dacf54c6d06f120012677bf0f6dc7984346ca4",
     ),
     (
         ("martingale", "--t", "6.0", "--samples", "3000", "--seed", "3",
          "--method", "direct"),
         "martingale.csv",
-        "af21914defd6fa0ee7d2e5c27aefb3604df454c3557dfbece5c3776534e6994f",
+        "f35f1fd619fd3208af86f429c6848f5ae72fe5662c62633482a1bce9c542be62",
     ),
     (
         ("martingale", "--t", "5.0", "--samples", "300", "--seed", "8",
          "--method", "cascade"),
         "martingale.csv",
-        "914509dc0735efea41f1c560c61cd310875dc174c106f26d4b728f85f2c92131",
+        "626b67a1ceabd283bdf9d454489803b064b8d6bb3db650cc2fe2a6a14a7eb3e5",
     ),
     (
         ("w-tail", "--horizon", "5", "--samples", "300", "--eps", "0.5,0.25",
          "--seed", "5", "--method", "cascade"),
         "w_tail.csv",
-        "690c4aa7025b46b36e99b86b1d81875ddec83680804d6ca12b917fa838a91096",
+        "08db39730740ead3ca469f704f28b9725e30ae4484af8d7bca39321a51ed3c12",
     ),
     (
         ("w-tail", "--samples", "300", "--eps", "0.5,0.25", "--seed", "5"),
@@ -458,6 +474,7 @@ def test_lowerbound_manifest_names_the_tree_sampler(tmp_path, capsys):
         "widest_wave": widest,
         "distinct_biases": 17,
         "tail_evaluations": 17,
+        "block_count_tv_overshoot": 0.0,
     }
 
 
@@ -956,6 +973,12 @@ OUT_OF_RANGE_RUNS = [
         ("martingale", "--t", "800", "--samples", "3", "--seed", "1", "--method", "direct"),
         "overflows",
     ),
+    # three direct trees at t = 30 expect about 6e13 nodes: refused from
+    # their leaf counts, before any split
+    (
+        ("martingale", "--t", "30", "--samples", "3", "--seed", "1", "--method", "direct"),
+        "over the node budget",
+    ),
     (("w-tail", "--horizon", "800", "--samples", "3", "--seed", "1", "--eps", "0.5"), "overflows"),
     (
         ("profile-continuous", "--horizon", "800", "--samples", "3", "--seed", "1", "--lambda", "0"),
@@ -1005,7 +1028,8 @@ OUT_OF_RANGE_RUNS = [
     "args,reason",
     OUT_OF_RANGE_RUNS,
     ids=[
-        "martingale-t60", "martingale-t800", "martingale-t800-direct", "w-tail-t800",
+        "martingale-t60", "martingale-t800", "martingale-t800-direct", "martingale-t30-direct",
+        "w-tail-t800",
         "profile-continuous-t800", "spinal-check-t2000", "evolve-continuous-t1e300",
         "evolve-continuous-step1e-300", "collide-n19", "evolve-discrete-n19",
         "evolve-continuous-n19", "lowerbound-discrete-t30", "lowerbound-continuous-n1e15",

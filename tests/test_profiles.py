@@ -521,6 +521,21 @@ def _per_tree_report(n, t, m, rng, p):
     return fields, group_biases
 
 
+def test_count_law_distance_is_clipped_at_one():
+    # two laws on ten cells each, their only overlap 1e-300: each sums to 1
+    # only up to rounding, and the half-sum of |p - q| reads 1 + 2^-52
+    p = np.concatenate([np.full(10, 0.1), np.zeros(10)])
+    q = p[::-1].copy()
+    q[0] = 1e-300
+    assert 0.5 * float(np.abs(p - q).sum()) == 1.0 + 2.0**-52
+    assert profiles._count_law_tv(p, q) == (1.0, 2.0**-52)
+    # inside [0, 1] nothing is clipped
+    assert profiles._count_law_tv(p, p) == (0.0, 0.0)
+    half = np.full(20, 0.05)
+    tv, clipped = profiles._count_law_tv(p, half)
+    assert tv == 0.5 * float(np.abs(p - half).sum()) and clipped == 0.0
+
+
 def test_grouped_continuous_experiment_equals_the_per_tree_loop(monkeypatch):
     # three groups, the last one partial: each group's biases that no
     # earlier group had reach the tails, and every field of the report is

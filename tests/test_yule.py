@@ -2,10 +2,13 @@
 
 import csv
 import io
+import itertools
 import math
 import time
 import tracemalloc
 import warnings
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -443,7 +446,9 @@ def _oracle_picked_cascade(t, m, rng):
     def entries(width):
         nonlocal nodes
         if pool is None:
-            w, l, (grown, _) = _oracle_direct(first, width, rng)
+            # pool 1 is the direct sampler's, which grows no tree
+            batch = yule._direct_martingale_batch(first, width, rng)
+            w, l, grown = batch.values, batch.leaf_counts, batch.nodes_grown
         else:
             leaves, grown = _oracle_stage(width, pool_size, rng)
             w, l = _oracle_sums(width, leaves, *pool)
@@ -465,31 +470,47 @@ def _oracle_picked_cascade(t, m, rng):
     return values, counts, sum(pick.size for *_, pick in leaves), distinct, nodes
 
 
+def _wave_direct(t, m, rng):
+    """Martingale values and leaf counts of m trees grown by the wave kernel."""
+    raw = np.zeros(m)
+    counts = np.zeros(m, dtype=np.int64)
+
+    def on_frozen(trees, frozen, depth):
+        # a count times 4^-depth is exactly the sum of that many 4^-depth
+        raw[trees] += frozen * math.ldexp(1.0, -2 * depth)
+        counts[trees] += frozen
+
+    work = yule._wave_batch(t, m, rng, on_frozen)
+    return math.exp(t / 2.0) * raw, counts, work
+
+
 @pytest.mark.parametrize(
     "t,m",
     [(0.0, 1), (0.0, 777), (0.5, 1), (0.5, 1001), (2.0, 1), (2.0, 999), (6.0, 1), (6.0, 123)],
 )
 def test_direct_sampler_matches_per_lineage_oracle(t, m):
-    batch = martingale_samples(t, m, rng_substream(11, 30), method="direct")
-    values, counts, (nodes, widest) = _oracle_direct(t, m, rng_substream(11, 30))
-    assert np.array_equal(batch.values, values)
-    assert np.array_equal(batch.leaf_counts, counts)
-    assert batch.nodes_grown == nodes == int((2 * counts - 1).sum())
-    assert batch.widest_wave == widest
+    # the wave kernel's martingale sums, bit for bit
+    values, counts, (nodes, widest) = _wave_direct(t, m, rng_substream(11, 30))
+    oracle_values, oracle_counts, work = _oracle_direct(t, m, rng_substream(11, 30))
+    assert np.array_equal(values, oracle_values)
+    assert np.array_equal(counts, oracle_counts)
+    assert (nodes, widest) == work
+    assert nodes == int((2 * counts - 1).sum())
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0, 6.0])
 def test_direct_sampler_matches_oracle_across_chunks(monkeypatch, t):
-    # a narrow wave forces many tree chunks, the last one short
+    # a narrow wave forces many tree chunks of the wave kernel, the last one
+    # short
     monkeypatch.setattr(yule, "WAVE_WIDTH", 300)
     chunk = yule._wave_chunk(t, 1 << 30)
     m = 5 * chunk + 3
     assert chunk >= 2
-    batch = martingale_samples(t, m, rng_substream(11, 31), method="direct")
-    values, counts, (nodes, widest) = _oracle_direct(t, m, rng_substream(11, 31))
-    assert np.array_equal(batch.values, values)
-    assert np.array_equal(batch.leaf_counts, counts)
-    assert (batch.nodes_grown, batch.widest_wave) == (nodes, widest)
+    values, counts, work = _wave_direct(t, m, rng_substream(11, 31))
+    oracle_values, oracle_counts, oracle_work = _oracle_direct(t, m, rng_substream(11, 31))
+    assert np.array_equal(values, oracle_values)
+    assert np.array_equal(counts, oracle_counts)
+    assert work == oracle_work
 
 
 @pytest.mark.parametrize("t", [1.0, 3.0, 6.0])
@@ -634,6 +655,186 @@ def test_node_budget_error_matches_oracle():
         _oracle_wave_batch(4.0, 200, rng_substream(11, 34), ignore, node_budget=5000)
     assert err.value.stats == oracle_err.value.stats
     assert err.value.stats["nodes"] > 5000
+
+
+# -----------------------------------------------------------------------
+# direct sampler: leaf counts and Yule-Harding shapes, no tree grown
+# -----------------------------------------------------------------------
+
+
+def _exact_shape_laws(leaves):
+    """Law of S = sum over leaves of 4^-depth for 1 .. `leaves` leaves, as
+    {S: probability} in Fractions, from the uniform-split recursion."""
+    laws = [{Fraction(1): Fraction(1)}]
+    for k in range(2, leaves + 1):
+        law = defaultdict(Fraction)
+        for u in range(1, k):
+            for a, pa in laws[u - 1].items():
+                for b, pb in laws[k - u - 1].items():
+                    law[(a + b) / 4] += pa * pb / (k - 1)
+        laws.append(dict(law))
+    return laws
+
+
+def _enumerated_shape_law(k):
+    """Law of S for k leaves over the (k - 1)! equally likely sequences in
+    which a uniformly chosen leaf splits, one leaf more at each step."""
+    law = defaultdict(Fraction)
+    for choices in itertools.product(*(range(j) for j in range(1, k))):
+        depths = [0]
+        for leaf in choices:
+            depths[leaf : leaf + 1] = [depths[leaf] + 1] * 2
+        law[sum(Fraction(1, 4**d) for d in depths)] += Fraction(1, math.factorial(k - 1))
+    return dict(law)
+
+
+def _alias_law(coin, hop):
+    """The law an alias table draws: each column's own share plus what
+    other columns hop to it."""
+    given = coin.copy()
+    np.add.at(given, np.arange(coin.size) + hop, 1.0 - coin)
+    return given / coin.size
+
+
+def test_shape_tables_match_brute_force_split_sequences():
+    laws = yule._shape_laws(8)
+    atoms, coin, hop, sizes, offsets = yule._shape_tables(8)
+    for k in range(1, 9):
+        enumerated = _enumerated_shape_law(k)
+        support = sorted(enumerated)
+        want = np.array([float(enumerated[s]) for s in support])
+        assert sum(enumerated.values()) == 1
+        # every atom a sum of at most 8 powers of 1/4: exact as a float
+        assert [Fraction(a) for a in laws[k - 1][0]] == support
+        assert np.abs(laws[k - 1][1] - want).max() <= 1e-14
+        # the alias table's columns give each atom the same probability
+        cols = slice(offsets[k], offsets[k] + int(sizes[k]))
+        assert np.array_equal(atoms[cols], laws[k - 1][0])
+        assert np.abs(_alias_law(coin[cols], hop[cols]) - want).max() <= 1e-14
+
+
+def test_default_shape_tables_are_the_recursion_law():
+    # 3 709 columns for up to 16 leaves, each law's alias table within
+    # rounding of the law it was built from
+    laws = yule._shape_laws(yule.SHAPE_TABLE_LEAVES)
+    atoms, coin, hop, sizes, offsets = yule._shape_tables(yule.SHAPE_TABLE_LEAVES)
+    assert atoms.size == sizes.sum() == 3709
+    assert not atoms.flags.writeable and not hop.flags.writeable
+    for k, (support, p) in enumerate(laws, 1):
+        assert p.sum() == pytest.approx(1.0, abs=1e-14)
+        cols = slice(offsets[k], offsets[k] + int(sizes[k]))
+        assert ((coin[cols] >= 0.0) & (coin[cols] <= 1.0)).all()
+        alias = np.arange(p.size) + hop[cols]
+        assert ((alias >= 0) & (alias < p.size)).all()
+        assert np.abs(_alias_law(coin[cols], hop[cols]) - p).max() <= 1e-14
+
+
+# Gate, registered before the first run: 400 000 trees at t = 2 per route.
+# Cells are the exact law's (N, S) atoms with N <= 10 and an expected count
+# of at least 5, plus one overflow cell for every other outcome; a route
+# passes while Pearson's chi-square p-value is at least 1e-3.
+LAW_HORIZON, LAW_SAMPLES, LAW_LEAVES = 2.0, 400_000, 10
+
+
+def _joint_law_p_value(values, leaf_counts):
+    q = math.exp(-LAW_HORIZON)
+    scale = math.exp(LAW_HORIZON / 2.0)
+    expected = {}
+    for n, law in enumerate(_exact_shape_laws(LAW_LEAVES), 1):
+        for s, ps in law.items():
+            e = LAW_SAMPLES * q * (1.0 - q) ** (n - 1) * float(ps)
+            if e >= 5.0:
+                # the samplers' value of an exact sum S, bit for bit
+                expected[(float(n), scale * float(s))] = e
+    cells, counts = np.unique(
+        np.stack([leaf_counts.astype(np.float64), values], axis=1), axis=0, return_counts=True
+    )
+    observed = dict(zip(map(tuple, cells.tolist()), counts.tolist()))
+    got = np.array([observed.get(cell, 0) for cell in expected] + [0.0])
+    want = np.array(list(expected.values()) + [0.0])
+    got[-1] = LAW_SAMPLES - got.sum()
+    want[-1] = LAW_SAMPLES - want.sum()
+    stat = float(((got - want) ** 2 / want).sum())
+    return sps.chi2.sf(stat, got.size - 1), got.size
+
+
+class _Slip:
+    """A generator that draws like `rng` but for the methods given."""
+
+    def __init__(self, rng, **methods):
+        self._rng = rng
+        self.__dict__.update(methods)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_direct_sampler_follows_the_exact_joint_law():
+    batch = martingale_samples(LAW_HORIZON, LAW_SAMPLES, rng_substream(11, 70), "direct")
+    p_value, cells = _joint_law_p_value(batch.values, batch.leaf_counts)
+    assert p_value >= 1e-3, (p_value, cells)
+
+
+def test_uniform_splits_follow_the_exact_joint_law(monkeypatch):
+    # no table beyond one leaf: every piece of 2 or more leaves is split
+    monkeypatch.setattr(yule, "SHAPE_TABLE_LEAVES", 1)
+    batch = martingale_samples(LAW_HORIZON, LAW_SAMPLES, rng_substream(11, 71), "direct")
+    assert batch.table_draws == LAW_SAMPLES + batch.split_draws == int(batch.leaf_counts.sum())
+    p_value, cells = _joint_law_p_value(batch.values, batch.leaf_counts)
+    assert p_value >= 1e-3, (p_value, cells)
+
+
+def test_wave_kernel_follows_the_exact_joint_law():
+    values, counts, _ = _wave_direct(LAW_HORIZON, LAW_SAMPLES, rng_substream(11, 72))
+    p_value, cells = _joint_law_p_value(values, counts)
+    assert p_value >= 1e-3, (p_value, cells)
+
+
+@pytest.mark.parametrize("slip", ["leaf-law", "balanced-split"])
+def test_exact_law_gate_fails_a_wrong_sampler(monkeypatch, slip):
+    base = rng_substream(11, 73)
+    if slip == "leaf-law":
+        # Geometric(e^(-t/2)) leaves
+        rng = _Slip(base, geometric=lambda p, size: base.geometric(math.sqrt(p), size))
+    else:
+        # U - 1 ~ Binomial(k - 2, 1/2) instead of uniform, on every split
+        monkeypatch.setattr(yule, "SHAPE_TABLE_LEAVES", 1)
+        rng = _Slip(base, integers=lambda low, high: low + base.binomial(high - 2, 0.5))
+    batch = martingale_samples(LAW_HORIZON, LAW_SAMPLES, rng, "direct")
+    p_value, _ = _joint_law_p_value(batch.values, batch.leaf_counts)
+    assert p_value < 1e-3
+
+
+def test_direct_sampler_counts_its_draws_and_nodes():
+    # m trees of N leaves have 2 N - 1 nodes each; a piece is either split
+    # or tabled, and each split adds one piece
+    m = 3000
+    batch = martingale_samples(5.0, m, rng_substream(11, 74), "direct")
+    assert batch.nodes_grown == int((2 * batch.leaf_counts - 1).sum())
+    assert batch.table_draws == m + batch.split_draws
+    assert batch.leaf_counts.min() >= 1
+    assert (batch.values > 0).all()
+    assert batch.values.max() <= math.exp(5.0 / 2.0)
+
+
+@pytest.mark.parametrize("t", [4.0, 6.0, 8.0])
+def test_widest_round_of_a_full_chunk_is_about_the_split_width(t):
+    # two full chunks and a short one; a tree's widest round expects about
+    # 2 / 17 of its widest wave
+    chunk = yule._split_chunk(t, 1 << 30)
+    batch = martingale_samples(t, 2 * chunk + 1, rng_substream(11, 75), "direct")
+    assert 0.8 <= batch.widest_wave / yule.SPLIT_WIDTH <= 1.2
+
+
+def test_forced_direct_over_the_node_budget_raises_before_any_split():
+    # three trees at t = 30 expect about 6e13 nodes against a 1e9 budget;
+    # only their leaf counts are drawn
+    def no_draw(*args):
+        raise AssertionError("drew a split or a table atom")
+
+    rng = _Slip(rng_substream(11, 76), integers=no_draw, random=no_draw)
+    with pytest.raises(CapacityError, match="node budget"):
+        martingale_samples(30.0, 3, rng, "direct")
 
 
 # -----------------------------------------------------------------------
@@ -811,20 +1012,12 @@ def test_spinal_identity_holds():
         assert abs(r.z) <= 4.0
 
 
-class _FastSplits:
-    """A generator whose exponential clocks run 1.1 times too fast."""
-
-    def __init__(self, rng):
-        self._rng = rng
-
-    def standard_exponential(self, size):
-        return self._rng.standard_exponential(size) / 1.1
-
-
 def test_spinal_identity_fails_on_a_wrong_split_rate():
-    # the check grows its trees, so a wave sampler splitting at rate 1.1
-    # moves every weighted mean off its closed form
-    report = spinal_identity_check(1.0, 20_000, _FastSplits(rng_substream(11, 60)))
+    # the check grows its trees, so a wave sampler whose exponential clocks
+    # run 1.1 times too fast moves every weighted mean off its closed form
+    rng = rng_substream(11, 60)
+    fast = _Slip(rng, standard_exponential=lambda size: rng.standard_exponential(size) / 1.1)
+    report = spinal_identity_check(1.0, 20_000, fast)
     assert not report.passed
 
 
