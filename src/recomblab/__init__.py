@@ -49,7 +49,6 @@ from .profiles import (
 )
 from .streams import STREAM_ALGORITHM, rng_substream
 from .yule import (
-    MartingaleBatch,
     MonteCarloMeasure,
     double_quenched_estimate,
     evolve_continuous,

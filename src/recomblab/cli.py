@@ -31,7 +31,6 @@ import re
 import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, count, islice, repeat
@@ -59,7 +58,7 @@ EXIT_NUMERICAL = 4
 OUT_DIR_ENV = "RECOMBLAB_OUT_DIR"
 
 # fixed Monte Carlo chunk size: the chunk plan depends only on the sample
-# count, so results are identical for every worker-pool width
+# count, so it fixes each chunk's substream and bounds each call's memory
 CHUNK_SIZE = 10_000
 CHUNK_TASK_BASE = 100
 
@@ -356,33 +355,24 @@ def _chunk_plan(total: int) -> List[int]:
 
 
 def _sample_martingale(
-    ctx: RunContext, t: float, total: int, seed: int, workers: int, method: str
+    ctx: RunContext, t: float, total: int, seed: int, method: str
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Chunked martingale values and leaf counts, in an order fixed by task id.
+    """Chunked martingale values and leaf counts, chunk after chunk in task-id order.
 
-    The sampler choice and the chunk plan depend only on (t, total), never
-    on the worker count, so the concatenated samples are reproducible for
-    any parallelism degree.  Each cascade chunk grows its own pool; the
-    manifest gets the resolved sampler, the direct sampler's version, the
-    tree nodes and the split and table draws summed over chunks, the widest
-    wave or round in any chunk and, for the cascade, the tree sampler's and
-    its own version, the pool size and the final-stage draws, last-pool
-    entries grown and expected repeat draws summed over chunks.
+    The sampler choice and the chunk plan depend only on (t, total), and
+    chunk i draws from substream CHUNK_TASK_BASE + i.  Each cascade chunk
+    grows its own pool; the manifest gets the resolved sampler, the direct
+    sampler's version, the tree nodes and the split and table draws summed
+    over chunks, the widest wave or round in any chunk and, for the
+    cascade, the tree sampler's and its own version, the pool size and the
+    final-stage draws, last-pool entries grown and expected repeat draws
+    summed over chunks.
     """
     method = yule.resolve_martingale_method(t, total, method)
-    sizes = _chunk_plan(total)
-
-    def run_chunk(task: tuple) -> yule.MartingaleBatch:
-        idx, size = task
-        rng = rng_substream(seed, CHUNK_TASK_BASE + idx)
-        return yule.martingale_samples(t, size, rng, method=method)
-
-    tasks = list(enumerate(sizes))
-    if workers <= 1 or len(tasks) == 1:
-        parts = [run_chunk(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, tasks))
+    parts = [
+        yule.martingale_samples(t, size, rng_substream(seed, CHUNK_TASK_BASE + idx), method=method)
+        for idx, size in enumerate(_chunk_plan(total))
+    ]
     ctx.resolved.update(
         martingale_method=method, martingale_sampler_version=yule.MARTINGALE_SAMPLER_VERSION
     )
@@ -411,11 +401,11 @@ def _martingale_values(ns, ctx: RunContext) -> np.ndarray:
     """The `--samples` martingale values of `w-tail` and `profile-continuous`.
 
     At `--horizon` they come from `_sample_martingale`.  Without it they are
-    exact draws of the t = inf limit, from substream 0 in one call whatever
-    `--workers` is; the limit has one sampler, so `--method` must be `auto`.
+    exact draws of the t = inf limit, from substream 0 in one call; the limit
+    has one sampler, so `--method` must be `auto`.
     """
     if ns.horizon is not None:
-        return _sample_martingale(ctx, ns.horizon, ns.samples, ns.seed, ns.workers, ns.method)[0]
+        return _sample_martingale(ctx, ns.horizon, ns.samples, ns.seed, ns.method)[0]
     if ns.method != "auto":
         raise ConfigError(f"--method {ns.method} needs --horizon: the limit has one sampler")
     ctx.resolved["martingale_method"] = "limit"
@@ -495,7 +485,7 @@ def _cmd_fragmentation(ns, ctx: RunContext) -> int:
 
 
 def _cmd_martingale(ns, ctx: RunContext) -> int:
-    values, leaves = _sample_martingale(ctx, ns.t, ns.samples, ns.seed, ns.workers, ns.method)
+    values, leaves = _sample_martingale(ctx, ns.t, ns.samples, ns.seed, ns.method)
     # the constant horizon cell is formatted once, not once per row
     rows = zip(count(), repeat(repr(ns.t)), values.tolist(), leaves.tolist())
     ctx.write_rows(ns.out, ["sample", "t", "W", "leaves"], rows)
@@ -587,7 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     sampler.add_argument(
         "--method", choices=("auto", "direct", "cascade"), default="auto", help="martingale sampler"
     )
-    sampler.add_argument("--workers", type=_COUNT, default=1, help="worker threads")
+    sampler.add_argument(
+        "--workers", type=_COUNT, default=1, help="has no effect: chunks run one after another"
+    )
     limit = argparse.ArgumentParser(add_help=False, parents=[sampler])
     limit.add_argument(
         "--horizon", type=_NONNEGATIVE_REAL, help="finite horizon; default the exact t = inf limit"

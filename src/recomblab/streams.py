@@ -1,8 +1,8 @@
 """Deterministic random-stream derivation.
 
 Every stochastic entry point takes a master seed and derives independent
-substreams keyed by a task id, so results are reproducible bit for bit and
-independent of how work is split across workers.
+substreams keyed by a task id, so results are reproducible bit for bit; each
+of the CLI's martingale chunks takes its own task id, fixed by the chunk plan.
 """
 
 from __future__ import annotations

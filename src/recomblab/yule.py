@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -522,13 +522,13 @@ class MartingaleBatch:
     `nodes_grown` counts the nodes of the batch's trees, 2 N - 1 for a tree
     of N leaves, whether grown by the wave kernel or not, and `widest_wave`
     the items of its widest working array: the lineages of a wave, or the
-    pieces of a direct sampler's round.  `split_draws` and `table_draws`
-    count the direct sampler's uniform splits and table draws.  A cascade
-    batch also reports its bootstrap: the pool size, the pool entries its
-    final stage drew, the entries of the last pool it grew (one per
-    distinct draw), and the expected number of repeated draws
-    draws^2 / (2 pool_size).  A direct batch, and a cascade pool, leave them
-    at zero.
+    pieces of a direct sampler's round; a cascade of two or more stages
+    counts only its waves.  `split_draws` and `table_draws` count the direct
+    sampler's uniform splits and table draws.  A cascade batch also reports
+    its bootstrap: the pool size, the pool entries its final stage drew, the
+    entries of the last pool it grew (one per distinct draw), and the
+    expected number of repeated draws draws^2 / (2 pool_size).  A direct
+    batch, and a cascade pool, leave them at zero.
     """
 
     values: np.ndarray
@@ -749,7 +749,8 @@ def _cascade_pool(
     `pool` uniformly with replacement.
     """
     if pool is None:
-        return _direct_martingale_batch(first, width, rng)
+        # a direct pool grows no tree: its work shows in its split and table draws
+        return replace(_direct_martingale_batch(first, width, rng), nodes_grown=0, widest_wave=0)
     new_w = np.zeros(width)
     new_l = np.zeros(width, dtype=np.int64)
 
@@ -791,8 +792,9 @@ def _cascade_martingale_batch(
     pool entry twice is O(leaves^2 / P), and sample means stay exactly
     unbiased.  The batch reports P, the final stage's draws D, the entries
     of pool K-1 it grew (the distinct draws) and the expected number of
-    repeated draws D^2 / (2P), and the nodes, the widest wave or round, and
-    the split and table draws of every pool and stage it made.
+    repeated draws D^2 / (2P), the nodes and the widest wave of every
+    stage pool and final stage it grew, and the split and table draws of
+    its direct pool.
     """
     nstages = max(1, math.ceil(t / CASCADE_STAGE))
     first = t - (nstages - 1) * CASCADE_STAGE

@@ -65,6 +65,18 @@ def test_package_import_loads_no_scipy(tmp_path, module):
     assert r.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_thread_pool(tmp_path):
+    # martingale chunks run one after another, so no command pays for the
+    # thread pool's imports at start
+    probe = (
+        "import sys, recomblab.cli; "
+        "print(sorted({'concurrent.futures', 'queue', 'logging'} & set(sys.modules)))"
+    )
+    r = run_python(["-c", probe], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_limit_and_block_experiments_load_no_scipy(tmp_path):
     # the binomial law they share is numpy and math alone
     probe = (

@@ -446,9 +446,9 @@ def _oracle_picked_cascade(t, m, rng):
     def entries(width):
         nonlocal nodes
         if pool is None:
-            # pool 1 is the direct sampler's, which grows no tree
+            # pool 1 is the direct sampler's, which grows no tree and so adds no node
             batch = yule._direct_martingale_batch(first, width, rng)
-            w, l, grown = batch.values, batch.leaf_counts, batch.nodes_grown
+            w, l, grown = batch.values, batch.leaf_counts, 0
         else:
             leaves, grown = _oracle_stage(width, pool_size, rng)
             w, l = _oracle_sums(width, leaves, *pool)
@@ -571,6 +571,26 @@ def test_cascade_matches_per_lineage_oracle(monkeypatch, t, pool):
     # one last-pool entry per distinct pick, and no more than either bound
     assert batch.pool_grown == distinct <= min(draws, pool)
     assert batch.nodes_grown == nodes
+
+
+@pytest.mark.parametrize("t", [3.0, 5.0])
+def test_cascade_counts_only_what_its_waves_grow(monkeypatch, t):
+    # the direct pool's trees are never grown: their work is the split and
+    # table draws, and nodes_grown and widest_wave are the waves' own
+    waves = []
+    wave_batch = yule._wave_batch
+
+    def counted(*args, **kwargs):
+        work = wave_batch(*args, **kwargs)
+        waves.append(work)
+        return work
+
+    monkeypatch.setattr(yule, "_wave_batch", counted)
+    batch = martingale_samples(t, 300, rng_substream(1, 0), method="cascade")
+    assert len(waves) == math.ceil(t / yule.CASCADE_STAGE) - 1
+    assert batch.nodes_grown == sum(nodes for nodes, _ in waves)
+    assert batch.widest_wave == max(widest for _, widest in waves)
+    assert batch.split_draws > 0 and batch.table_draws > 0
 
 
 def test_two_stage_cascade_chunk_allocates_no_pool_sized_array():
