@@ -17,9 +17,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import cube, discrete, profiles, yule
-from .streams import rng_substream
-
-DEFAULT_SEED = 20260816
+from .streams import DEFAULT_SEED, rng_substream
 
 # deterministic coefficients are compared at this gate: float accumulation
 # over 1e5 samples keeps an exactly-preserved value well inside it

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -39,8 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__, cube, discrete, profiles, yule
-from .acceptance import DEFAULT_SEED, run_all
+from . import __version__, cube, discrete
 from .errors import (
     CapacityError,
     ConfigError,
@@ -48,7 +48,7 @@ from .errors import (
     NumericalInvariantError,
     RecombError,
 )
-from .streams import STREAM_ALGORITHM, rng_substream
+from .streams import DEFAULT_SEED, STREAM_ALGORITHM, rng_substream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,10 +62,26 @@ OUT_DIR_ENV = "RECOMBLAB_OUT_DIR"
 CHUNK_SIZE = 10_000
 CHUNK_TASK_BASE = 100
 
-# the commands that evaluate a scipy special function.  `main` imports
-# scipy.special for them before the manifest clock starts, so wall_seconds
-# excludes imports, and every other command starts without scipy.
-SCIPY_COMMANDS = frozenset({"profile-discrete", "selftest"})
+# what each command runs beyond cube, discrete, errors and streams.  `main`
+# imports these before the manifest clock starts, so wall_seconds excludes
+# imports and a command loads no module it does not run; the handlers import
+# them again, from sys.modules.  numpy 2 loads numpy.random on first use, so
+# every command that draws names it, and scipy.special is for the gammaln of
+# discrete.mono_mixture_tv.
+PRECLOCK_IMPORTS: Dict[str, Tuple[str, ...]] = {
+    "collide": (),
+    "evolve-discrete": (),
+    "evolve-continuous": ("recomblab.yule",),
+    "profile-discrete": ("recomblab.profiles", "scipy.special"),
+    "profile-continuous": ("recomblab.yule", "recomblab.profiles", "numpy.random"),
+    "fragmentation": ("numpy.random",),
+    "martingale": ("recomblab.yule", "numpy.random"),
+    "w-tail": ("recomblab.yule", "numpy.random"),
+    "lowerbound-discrete": ("recomblab.profiles",),
+    "lowerbound-continuous": ("recomblab.yule", "recomblab.profiles", "numpy.random"),
+    "spinal-check": ("recomblab.yule", "numpy.random"),
+    "selftest": ("recomblab.acceptance", "numpy.random", "scipy.special"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +384,8 @@ def _sample_martingale(
     final-stage draws, last-pool entries grown and expected repeat draws
     summed over chunks.
     """
+    from . import yule
+
     method = yule.resolve_martingale_method(t, total, method)
     parts = [
         yule.martingale_samples(t, size, rng_substream(seed, CHUNK_TASK_BASE + idx), method=method)
@@ -404,6 +422,8 @@ def _martingale_values(ns, ctx: RunContext) -> np.ndarray:
     exact draws of the t = inf limit, from substream 0 in one call; the limit
     has one sampler, so `--method` must be `auto`.
     """
+    from . import yule
+
     if ns.horizon is not None:
         return _sample_martingale(ctx, ns.horizon, ns.samples, ns.seed, ns.method)[0]
     if ns.method != "auto":
@@ -435,7 +455,11 @@ def _cmd_evolve_discrete(ns, ctx: RunContext) -> int:
 
 
 def _cmd_evolve_continuous(ns, ctx: RunContext) -> int:
-    state = yule.evolve_continuous(_load_start(ns.start, ns.n), ns.t, step=ns.step)
+    from . import yule
+
+    state = yule.evolve_continuous(
+        _load_start(ns.start, ns.n), ns.t, step=ns.step, counters=ctx.counters
+    )
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(state.n)
     ctx.write_rows(ns.out, ["index", "value"], _pmf_rows(state))
     return EXIT_OK
@@ -444,6 +468,8 @@ def _cmd_evolve_continuous(ns, ctx: RunContext) -> int:
 def _cmd_profile_discrete(ns, ctx: RunContext) -> int:
     """Exact two-point-start profile at steps round(log2 n) + window, with
     the Gaussian profile and the site union bound at each window's scale."""
+    from . import profiles
+
     windows = []
     for w in ns.lambda_grid:
         if w != int(w):
@@ -467,6 +493,8 @@ def _cmd_profile_discrete(ns, ctx: RunContext) -> int:
 
 def _cmd_profile_continuous(ns, ctx: RunContext) -> int:
     """Mixture profile on the window grid from one martingale batch."""
+    from . import profiles
+
     values = _martingale_values(ns, ctx)
     rows = []
     for w in ns.lambda_grid:
@@ -493,6 +521,8 @@ def _cmd_martingale(ns, ctx: RunContext) -> int:
 
 
 def _cmd_w_tail(ns, ctx: RunContext) -> int:
+    from . import yule
+
     values = _martingale_values(ns, ctx)
     rows = []
     for eps in ns.eps:
@@ -509,12 +539,16 @@ def _cmd_w_tail(ns, ctx: RunContext) -> int:
 
 
 def _cmd_lowerbound_discrete(ns, ctx: RunContext) -> int:
+    from . import profiles
+
     report = profiles.lowerbound_experiment_discrete(ns.n, ns.t)
     ctx.write_rows(ns.out, ["key", "value"], vars(report).items())
     return EXIT_OK
 
 
 def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
+    from . import profiles, yule
+
     rng = rng_substream(ns.seed, 0)
     report = profiles.lowerbound_experiment_continuous(
         ns.n, ns.t, ns.trees, rng, counters=ctx.counters
@@ -528,6 +562,8 @@ def _cmd_lowerbound_continuous(ns, ctx: RunContext) -> int:
 
 
 def _cmd_spinal_check(ns, ctx: RunContext) -> int:
+    from . import yule
+
     report = yule.spinal_identity_check(ns.t, ns.samples, rng_substream(ns.seed, 0))
     ctx.resolved["tree_sampler_version"] = yule.TREE_SAMPLER_VERSION
     ctx.counters.update(nodes_grown=report.nodes_grown, widest_wave=report.widest_wave)
@@ -537,7 +573,9 @@ def _cmd_spinal_check(ns, ctx: RunContext) -> int:
 
 
 def _cmd_selftest(ns, ctx: RunContext) -> int:
-    results = run_all(ns.seed, printer=print)
+    from . import acceptance
+
+    results = acceptance.run_all(ns.seed, printer=print)
     ctx.phases.update((f"criterion_{r.number}", round(r.seconds, 3)) for r in results)
     rows = [(r.number, r.slug, int(r.passed), r.summary) for r in results]
     ctx.write_rows(ns.out, ["criterion", "slug", "passed", "summary"], rows)
@@ -694,8 +732,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ns.command is None:
         parser.print_help()
         return EXIT_CONFIG
-    if ns.command in SCIPY_COMMANDS:
-        import scipy.special  # noqa: F401
+    for module in PRECLOCK_IMPORTS[ns.command]:
+        importlib.import_module(module)
     # an unwritable output exits 2, with a manifest wherever its directory exists
     try:
         ctx = RunContext(

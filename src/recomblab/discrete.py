@@ -120,7 +120,10 @@ def _rank_positions(n: int) -> np.ndarray:
     return positions
 
 
-def _collide_pairs(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+def _collide_pairs(
+    f: np.ndarray, g: np.ndarray, n: int, scratch: Optional[np.ndarray] = None
+) -> np.ndarray:
+    # the pair sums take no scratch rows: their terms are about 3^n wide
     starts, pairs, scale, doubled = _disjoint_pair_tables(n)
     # f[a]*g[b] + f[b]*g[a] is symmetric under swapping f and g term by term,
     # so the whole path is exactly commutative in floating point.  In a
@@ -148,22 +151,23 @@ def _rank_slices(values: np.ndarray, n: int) -> np.ndarray:
     return sliced.reshape(values.shape[:-1] + (n + 1, 1 << n))
 
 
-def _ranked_product(fz: np.ndarray, gz: np.ndarray, n: int) -> np.ndarray:
+def _ranked_product(
+    fz: np.ndarray, gz: np.ndarray, n: int, scratch: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Ring product of two lifts; overwrites and returns fz.
 
     Per mask, the rank polynomials are multiplied, truncated at degree n, and
     degree r is scaled by 2^-r.  The rank products are accumulated
     symmetrically, fz[i]*gz[j] + fz[j]*gz[i], so the product is exactly
-    commutative; ``gz is fz`` squares.
+    commutative; ``gz is fz`` squares.  `scratch`, from `_product_scratch`,
+    holds the three working rows, so a run of products allocates them once.
     """
     # rank r of the product reads ranks 0..r only, so going from the top
     # rank down it can overwrite fz[r].  A square sums each cross product
     # once and doubles the sum, which is exactly the sum of the doubled
     # products.
     square = gz is fz
-    acc = np.empty(fz.shape[:-2] + fz.shape[-1:])
-    term = np.empty(acc.shape)
-    other = np.empty(acc.shape)
+    acc, term, other = _product_scratch(fz) if scratch is None else scratch
     for r in range(n, -1, -1):
         acc.fill(0.0)
         for i in range((r + 1) // 2):
@@ -179,6 +183,11 @@ def _ranked_product(fz: np.ndarray, gz: np.ndarray, n: int) -> np.ndarray:
             acc += term
         np.multiply(acc, 0.5**r, out=fz[..., r, :])
     return fz
+
+
+def _product_scratch(lifted: np.ndarray) -> np.ndarray:
+    """Three working rows for ring products of operands shaped like `lifted`."""
+    return np.empty((3,) + lifted.shape[:-2] + lifted.shape[-1:])
 
 
 def _rank_readout(z: np.ndarray, n: int) -> np.ndarray:
@@ -313,7 +322,8 @@ def evolve_discrete(mu: Pmf, steps: int) -> Pmf:
     """State after `steps` rounds of self-collision.
 
     The state stays in the collision kernel's lifted domain: one lift,
-    `steps` ring squares and one readout.
+    `steps` ring squares, whose scratch rows are allocated once, and one
+    readout.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -322,8 +332,9 @@ def evolve_discrete(mu: Pmf, steps: int) -> Pmf:
     if steps:
         lift, product, readout = _collision_kernel(n)
         state = lift(coeffs, n)
+        scratch = _product_scratch(state)
         for _ in range(steps):
-            state = product(state, state, n)
+            state = product(state, state, n, scratch)
         coeffs = readout(state, n)
     return wht_inverse(FourierTable(n, coeffs))
 

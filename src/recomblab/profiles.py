@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidDistributionError,
 )
-from .yule import _check_horizon, sample_leaf_weights
 
 # check_l1_l2_bound's slack on the unit masses of probs and density
 _DENSITY_TOL = 1e-9
@@ -566,9 +565,14 @@ def lowerbound_experiment_continuous(
     biases of each group of trees summed over groups, the tails evaluated,
     one per distinct bias of the run, and the rounding clipped off
     `block_count_tv` above 1.  Leaf arrays or a group's
-    sign keys over _LEAF_BYTES_BUDGET bytes, as expected before growth or as
-    grown, raise CapacityError before a sign is drawn.
+    sign keys over _LEAF_BYTES_BUDGET bytes, as expected before growth, as
+    kept while growing or as grown, raise CapacityError before a sign is
+    drawn.
     """
+    # the only function here that grows trees imports the tree sampler, so
+    # the exact profiles and the discrete experiment load no yule
+    from .yule import _check_horizon, sample_leaf_weights
+
     _check_horizon(t, positive=True)
     if m < 2:
         raise ValueError(f"need at least 2 trees, got {m}")
@@ -583,13 +587,16 @@ def lowerbound_experiment_continuous(
     # packed draw per sign row
     expected = math.exp(t)
     column_bytes = 256 * 8 + _INNER_SAMPLES
-    _check_leaf_bytes("the run's leaves", 32 * m * expected)
+    leaf_bytes = 32
+    _check_leaf_bytes("the run's leaves", leaf_bytes * m * expected)
     _check_leaf_bytes("a group's sign keys", min(m, _GROUP_TREES) * expected / 8 * column_bytes)
     p2, p3, p4 = _second_moment_coeffs(p)
     r_scale = n * math.exp(-t / 2.0)
-    # every tree's leaf weights 2^-depth, grown in one batch; the sign draws
-    # below come after all of them
-    owner, leaf_weights, nodes, widest = sample_leaf_weights(t, m, rng)
+    # every tree's leaf weights 2^-depth, grown in one batch with the leaves
+    # kept so far held to the budget; the sign draws below come after all of them
+    owner, leaf_weights, nodes, widest = sample_leaf_weights(
+        t, m, rng, leaf_cap=_LEAF_BYTES_BUDGET // leaf_bytes
+    )
     leaves = np.bincount(owner, minlength=m)
     # the grown groups, whose leaf counts have a heavy tail, before a key is drawn
     columns = np.add.reduceat((leaves + 7) // 8, np.arange(0, m, _GROUP_TREES))

@@ -3,20 +3,24 @@
 Every stochastic entry point takes a master seed and derives independent
 substreams keyed by a task id, so results are reproducible bit for bit; each
 of the CLI's martingale chunks takes its own task id, fixed by the chunk plan.
+
+numpy 2 loads `numpy.random` on first attribute access, so importing this
+module loads no generator code; `cli.PRECLOCK_IMPORTS` names the commands
+that draw, and the CLI imports `numpy.random` for them before the manifest
+clock starts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# numpy 2 loads numpy.random lazily, on first attribute access; importing it
-# with the package keeps that load out of each seeded command's timed run
-import numpy.random  # noqa: F401
-
 from .errors import ConfigError
 
 # recorded in run manifests so an archived run names its generator scheme
 STREAM_ALGORITHM = "pcg64:seedseq-spawnkey-v1"
+
+# the master seed of the acceptance registry and of `recomblab selftest`
+DEFAULT_SEED = 20260816
 
 
 def rng_substream(master_seed: int, task_id: int) -> np.random.Generator:

@@ -28,13 +28,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cube import FourierTable, Pmf, _product_coeff_rows, wht_forward, wht_inverse
 from .errors import CapacityError, InvalidDistributionError, NumericalInvariantError
-from .discrete import _collision_kernel, _draw_spins, collide_coeffs
+from .discrete import _collision_kernel, _draw_spins, _product_scratch, collide_coeffs
 
 # leaves one sample_yule tree may reach before it raises a capacity error
 MAX_LEAVES = 1 << 22
@@ -216,20 +216,31 @@ def _wave_batch(
 
 
 def sample_leaf_weights(
-    t: float, m: int, rng: np.random.Generator
+    t: float, m: int, rng: np.random.Generator, leaf_cap: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """Owner tree and weight 2^-depth of every leaf of m trees at horizon t.
 
     Leaves come in wave order (by depth, then by tree), so the leaves of one
     tree are in depth order and a stable sort by owner keeps it.  The tree
     nodes grown and the widest wave grown, as `_wave_batch` counts them,
-    come after the two arrays.
+    come after the two arrays.  Once the leaves kept pass `leaf_cap`, growth
+    stops with CapacityError: leaf counts have a heavy tail, so an unlucky
+    draw can far exceed the m e^t expected.
     """
     owners: List[np.ndarray] = []
     weights: List[np.ndarray] = []
+    kept = 0
 
     def on_frozen(trees: np.ndarray, frozen: np.ndarray, depth: int) -> None:
+        nonlocal kept
         owners.append(np.repeat(trees, frozen))
+        kept += owners[-1].size
+        if leaf_cap is not None and kept > leaf_cap:
+            raise CapacityError(
+                f"{kept} leaves kept by depth {depth}, over the cap of {leaf_cap}",
+                leaves=kept,
+                leaf_cap=leaf_cap,
+            )
         weights.append(np.full(owners[-1].size, math.ldexp(1.0, -depth)))
 
     nodes, widest = _wave_batch(t, m, rng, on_frozen)
@@ -310,19 +321,24 @@ COEFF_BOX_TOL = 1e-9
 RK4_STEP_CAP = 1_000_000
 
 
-def evolve_continuous(mu: Pmf, t: float, step: float = 0.01) -> Pmf:
+def evolve_continuous(
+    mu: Pmf, t: float, step: float = 0.01, counters: Optional[Dict[str, float]] = None
+) -> Pmf:
     """Integrate the character-space ODE with fixed-step classical order 4.
 
     The horizon is split into equal steps no longer than `step`.  The run
     lifts the coefficients into the collision kernel's ring once and takes
     every stage of every step there (see `discrete.collide_coeffs`), in four
     buffers allocated once: the state, the stage input, the weighted sum of
-    the stages and the current stage.  After each step the state's rank-0
-    row, the lift of the empty-set coefficient, is held at exactly 1, and a
-    read-out copy of the state must keep every coefficient inside
-    [-1-tol, 1+tol]; leaving that box, or turning NaN, aborts the run, since
-    it means the trajectory is no longer a probability measure.  More than
-    RK4_STEP_CAP steps raise CapacityError before any is taken.
+    the stages and the current stage; the ring product's scratch rows and
+    the box check's copy are allocated once too.  After each step the
+    state's rank-0 row, the lift of the empty-set coefficient, is held at
+    exactly 1, and a read-out copy of the state must keep every coefficient
+    inside [-1-tol, 1+tol]; leaving that box, or turning NaN, aborts the
+    run, since it means the trajectory is no longer a probability measure.
+    A given `counters` receives `rk4_worst_coeff`, the largest |coeff| the
+    box check saw.  More than RK4_STEP_CAP steps raise CapacityError before
+    any is taken.
     """
     _check_horizon(t)
     if step <= 0:
@@ -340,13 +356,15 @@ def evolve_continuous(mu: Pmf, t: float, step: float = 0.01) -> Pmf:
     half, full, sixth = (np.array(x) for x in (0.5 * h, h, h / 6.0))
     lift, product, readout = _collision_kernel(n)
     y = lift(wht_forward(mu).coeffs.copy(), n)
-    stage, total, k = (np.empty_like(y) for _ in range(3))
+    stage, total, k, box = (np.empty_like(y) for _ in range(4))
+    scratch = _product_scratch(y)
+    most = 0.0
 
     def field(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         # x∘x - x into out; a ring product may overwrite its first operand,
         # so it squares out
         out[...] = x
-        return np.subtract(product(out, out, n), x, out=out)
+        return np.subtract(product(out, out, n, scratch), x, out=out)
 
     # y + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that order; doubling is exact.
     # A state that overflows turns inf or NaN, and the box check reports it
@@ -369,13 +387,17 @@ def evolve_continuous(mu: Pmf, t: float, step: float = 0.01) -> Pmf:
             total *= sixth
             y += total
             y[0] = 1.0
-            c = readout(y.copy(), n)
+            box[...] = y
+            c = readout(box, n)
             worst = float(np.abs(c).max())
             if not worst <= 1.0 + COEFF_BOX_TOL:
                 raise NumericalInvariantError(
                     f"coefficient magnitude {worst} left the unit box; "
                     f"reduce the step (h={h})"
                 )
+            most = max(most, worst)
+    if counters is not None:
+        counters["rk4_worst_coeff"] = most
     return wht_inverse(FourierTable(n, c))
 
 

@@ -94,18 +94,28 @@ def test_limit_and_block_experiments_load_no_scipy(tmp_path):
 
 
 # Runs one command in a fresh interpreter and prints the modules imported
-# between the start of the manifest clock and the end of the manifest, and
-# every scipy module loaded by then.  selftest runs four quick criteria;
-# criteria 2 and 5 call gammaln.
-CLOCK_PROBE = """
+# between the start of the manifest clock and the end of the manifest, every
+# scipy module loaded by then, and which of the optional modules (LOAD_WATCH)
+# the run loaded.  selftest runs four quick criteria; criteria 2 and 5 call
+# gammaln.  The probe narrows the registry where the clock starts, and only
+# if the command has imported it by then: a probe that imported it itself
+# would load every module before the clock.
+LOAD_WATCH = (
+    "recomblab.yule", "recomblab.profiles", "recomblab.binomial", "recomblab.acceptance",
+    "numpy.random", "scipy",
+)
+CLOCK_PROBE = f"""
 import json, sys
-from recomblab import acceptance, cli
+from recomblab import cli
 
 snapshots = []
 start, finish = cli.RunContext.__post_init__, cli.RunContext.finish
 
 def timed_start(self):
     snapshots.append(set(sys.modules))
+    acceptance = sys.modules.get("recomblab.acceptance")
+    if acceptance is not None:
+        acceptance.CRITERIA[:] = [c for c in acceptance.CRITERIA if c.number in (1, 2, 5, 13)]
     start(self)
 
 def timed_finish(self, status):
@@ -115,14 +125,14 @@ def timed_finish(self, status):
 
 cli.RunContext.__post_init__ = timed_start
 cli.RunContext.finish = timed_finish
-acceptance.CRITERIA[:] = [c for c in acceptance.CRITERIA if c.number in (1, 2, 5, 13)]
 status = cli.main(sys.argv[1:])
 before, after = snapshots
-print(json.dumps({
+print(json.dumps({{
     "status": status,
     "imported": sorted(after - before),
     "scipy": sorted(m for m in after if m.split(".")[0] == "scipy"),
-}))
+    "loaded": [m for m in {LOAD_WATCH!r} if m in after],
+}}))
 """
 
 # keyed by command, or by `command@case` for a second run of one command
@@ -135,7 +145,7 @@ CLOCK_ARGS = {
         "--lambda", "0", "--samples", "50", "--horizon", "2", "--seed", "1",
     ],
     "fragmentation": ["--n", "8", "--trials", "5", "--seed", "1"],
-    # two chunks, so the worker pool runs inside the clock
+    # two chunks, run one after the other inside the clock
     "martingale": ["--t", "0.5", "--samples", "10005", "--workers", "2", "--seed", "1"],
     "w-tail": [
         "--horizon", "3", "--samples", "50", "--eps", "0.5", "--method", "cascade",
@@ -151,30 +161,68 @@ CLOCK_ARGS = {
 }
 
 
+# the LOAD_WATCH modules each case loads, in that order; scipy.special loads
+# numpy.random itself
+_TREES = ["recomblab.yule", "numpy.random"]
+_BLOCKS = ["recomblab.profiles", "recomblab.binomial"]
+_MIXTURE = ["recomblab.yule", "recomblab.profiles", "recomblab.binomial", "numpy.random"]
+CASE_LOADS = {
+    "collide": [],
+    "evolve-discrete": [],
+    "evolve-continuous": ["recomblab.yule"],
+    "profile-discrete": [*_BLOCKS, "numpy.random", "scipy"],
+    "profile-continuous": _MIXTURE,
+    "profile-continuous@limit": _MIXTURE,
+    "fragmentation": ["numpy.random"],
+    "martingale": _TREES,
+    "w-tail": _TREES,
+    "w-tail@limit": _TREES,
+    "lowerbound-discrete": _BLOCKS,
+    "lowerbound-continuous": _MIXTURE,
+    "spinal-check": _TREES,
+    "selftest": list(LOAD_WATCH),
+}
+
+
 def test_clock_probe_covers_every_command():
     commands = _subparsers(cli.build_parser())
     assert {case.partition("@")[0] for case in CLOCK_ARGS} == set(commands)
-    assert cli.SCIPY_COMMANDS <= set(commands)
+    assert set(cli.PRECLOCK_IMPORTS) == set(commands)
+    assert set(CASE_LOADS) == set(CLOCK_ARGS)
 
 
-@pytest.mark.parametrize("case", sorted(CLOCK_ARGS))
-def test_no_import_runs_inside_the_manifest_clock(tmp_path, case):
+@pytest.fixture(scope="module", params=sorted(CLOCK_ARGS))
+def clock_report(request, tmp_path_factory):
+    """The case and the CLOCK_PROBE report of one run of it."""
+    case = request.param
+    out = tmp_path_factory.mktemp("clock")
+    r = run_python(
+        ["-c", CLOCK_PROBE, case.partition("@")[0], *CLOCK_ARGS[case], "--out-dir", str(out)],
+        out,
+    )
+    assert r.returncode == 0, r.stderr
+    return case, json.loads(r.stdout.strip().splitlines()[-1])
+
+
+def test_no_import_runs_inside_the_manifest_clock(clock_report):
     # wall_seconds times the work alone; a module loaded lazily inside it
     # would count start-up cost, and a scipy import in a command that needs
     # none would bring back a quarter-second start
-    command = case.partition("@")[0]
-    r = run_python(
-        ["-c", CLOCK_PROBE, command, *CLOCK_ARGS[case], "--out-dir", str(tmp_path)],
-        tmp_path,
-    )
-    assert r.returncode == 0, r.stderr
-    report = json.loads(r.stdout.strip().splitlines()[-1])
+    case, report = clock_report
     assert report["status"] == 0
     assert report["imported"] == []
-    if command in cli.SCIPY_COMMANDS:
+    if "scipy.special" in cli.PRECLOCK_IMPORTS[case.partition("@")[0]]:
         assert "scipy.special" in report["scipy"]
     else:
         assert report["scipy"] == []
+
+
+def test_each_command_loads_only_what_it_runs(clock_report):
+    # every command starts from cube, discrete, errors and streams, and its
+    # row of cli.PRECLOCK_IMPORTS adds only what it runs: a module missing
+    # there fails the clock test above, a needless one fails here
+    case, report = clock_report
+    assert report["loaded"] == CASE_LOADS[case]
 
 
 # -----------------------------------------------------------------------
@@ -740,6 +788,21 @@ def test_manifest_names_the_collision_kernel(tmp_path):
         assert manifest["resolved"] == {"collision_kernel": kernel}
 
 
+@pytest.mark.parametrize("n", ["3", "11"])
+def test_evolve_continuous_manifest_records_the_worst_coefficient(tmp_path, n):
+    # the box check's largest |coeff| over the steps: the empty-set
+    # coefficient holds it at 1 at least, and the check at 1 + tol at most
+    args = ["evolve-continuous", "--n", n, "--start", "mono", "--t", "0.05"]
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "evolve_continuous_manifest.json").read_text())
+    worst = manifest["counters"]["rk4_worst_coeff"]
+    assert manifest["counters"] == {"rk4_worst_coeff": worst}
+    assert 1.0 <= worst <= 1.0 + yule.COEFF_BOX_TOL
+    counters = {}
+    yule.evolve_continuous(cube.monochromatic_pmf(int(n)), 0.05, counters=counters)
+    assert counters == {"rk4_worst_coeff": worst}
+
+
 # -----------------------------------------------------------------------
 # exit codes
 # -----------------------------------------------------------------------
@@ -1061,6 +1124,21 @@ def test_out_of_range_run_exits_3_and_is_recorded(tmp_path, capsys, monkeypatch,
     assert reason in event["message"]
 
 
+def test_leaves_past_the_budget_while_growing_exit_3(tmp_path, capsys, monkeypatch):
+    # 1000 trees at t = 1 expect 2718.3 leaves, and substream 1 grows 2753.
+    # With the budget at 32 B a leaf of the expected count, both checks
+    # before growth pass and growth stops once the leaves kept pass 2718
+    args = ["lowerbound-continuous", "--n", "1000", "--t", "1", "--trees", "1000", "--seed", "1"]
+    assert yule.sample_leaf_weights(1.0, 1000, rng_substream(1, 0))[0].size == 2753
+    monkeypatch.setattr(profiles, "_LEAF_BYTES_BUDGET", math.ceil(32 * 1000 * math.e))
+    assert cli.main([*args, "--out-dir", str(tmp_path)]) == 3
+    manifest = json.loads((tmp_path / "lowerbound_continuous_manifest.json").read_text())
+    (event,) = manifest["capacity_events"]
+    assert "leaves kept by depth" in event["message"]
+    assert event["leaf_cap"] == 2718 < event["leaves"] <= 2753
+    assert manifest["outputs"] == []
+
+
 def test_nan_integrator_state_exits_4(tmp_path, capsys):
     args = ["evolve-continuous", "--n", "4", "--start", "mono", "--t", "1e100", "--step", "1e100"]
     with np.errstate(all="ignore"):
@@ -1236,6 +1314,7 @@ def test_bad_real_exits_2(tmp_path, capsys, args, key, value):
 def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):
     # the real registry runs in the acceptance tests; here only the wiring:
     # nonzero exit when any criterion fails, zero when all pass
+    from recomblab import acceptance
     from recomblab.acceptance import CriterionResult
 
     def fake_run_all(seed, printer=print):
@@ -1247,7 +1326,7 @@ def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):
             printer(r.line)
         return results
 
-    monkeypatch.setattr(cli, "run_all", fake_run_all)
+    monkeypatch.setattr(acceptance, "run_all", fake_run_all)
     status = cli.main(["selftest", "--out-dir", str(tmp_path)])
     assert status == 1
     # a summary with a comma, a quote and a line break is quoted as csv quotes it
@@ -1258,7 +1337,7 @@ def test_selftest_exit_reflects_registry(tmp_path, monkeypatch):
     assert (tmp_path / "selftest.csv").read_bytes() == expect.getvalue().encode()
 
     monkeypatch.setattr(
-        cli,
+        acceptance,
         "run_all",
         lambda seed, printer=print: [CriterionResult(1, "alpha", True, "ok", 0.0)],
     )
@@ -1300,6 +1379,7 @@ def test_a_raising_criterion_fails_and_the_registry_goes_on(tmp_path, monkeypatc
 def test_selftest_csv_does_not_depend_on_timing(tmp_path, monkeypatch):
     # the same verdicts at two different timings give the same csv bytes;
     # each criterion's seconds go to the manifest instead
+    from recomblab import acceptance
     from recomblab.acceptance import CriterionResult
 
     tables, timings = [], []
@@ -1308,7 +1388,7 @@ def test_selftest_csv_does_not_depend_on_timing(tmp_path, monkeypatch):
             CriterionResult(1, "alpha", True, "ok", seconds),
             CriterionResult(2, "beta", False, "off", 2 * seconds),
         ]
-        monkeypatch.setattr(cli, "run_all", lambda seed, printer=print, rs=results: rs)
+        monkeypatch.setattr(acceptance, "run_all", lambda seed, printer=print, rs=results: rs)
         out = tmp_path / str(k)
         assert cli.main(["selftest", "--out-dir", str(out)]) == 1
         tables.append((out / "selftest.csv").read_bytes())

@@ -11,7 +11,7 @@ until it becomes an ordinary row.
 import numpy as np
 import pytest
 
-from recomblab import yule
+from recomblab import cube, discrete, profiles, yule
 from recomblab.acceptance import DEFAULT_SEED, get_criterion
 
 # criterion 10 checks only that the log tails steepen, criterion 14 only
@@ -43,3 +43,87 @@ def test_wrong_limit_law_fails_a_criterion(monkeypatch, law, criteria):
     monkeypatch.setattr(yule, "martingale_limit_samples", law)
     results = [get_criterion(number).run(DEFAULT_SEED) for number in criteria]
     assert not all(r.passed for r in results), [r.line for r in results]
+
+
+def _failing(criteria):
+    """The numbers among `criteria` that fail at DEFAULT_SEED."""
+    return [n for n in criteria if not get_criterion(n).run(DEFAULT_SEED).passed]
+
+
+def _rk4(weights):
+    """Fixed-step RK4 of the continuous dynamics on plain coefficient
+    vectors, with stage weights `weights` / 6 in place of (1, 2, 2, 1) / 6."""
+
+    def evolve(mu, t, step=0.01, counters=None):
+        nsteps = max(1, round(t / step))
+        h = t / nsteps
+        y = cube.wht_forward(mu).coeffs.copy()
+
+        def field(x):
+            return discrete.collide_coeffs(x, x, mu.n) - x
+
+        for _ in range(nsteps):
+            k1 = field(y)
+            k2 = field(y + h / 2 * k1)
+            k3 = field(y + h / 2 * k2)
+            k4 = field(y + h * k3)
+            w1, w2, w3, w4 = weights
+            y = y + h / 6 * (w1 * k1 + w2 * k2 + w3 * k3 + w4 * k4)
+        return cube.wht_inverse(cube.FourierTable(mu.n, y))
+
+    return evolve
+
+
+def _rank_scale_off_by_one(monkeypatch):
+    # degree r of the ranked ring product scaled by 2^-(r-1), not 2^-r, for r >= 1
+    lift, product, readout = discrete._KERNELS["ranked"]
+
+    def mutant(fz, gz, n, scratch=None):
+        out = product(fz, gz, n, scratch)
+        out[..., 1:, :] *= 2.0
+        return out
+
+    monkeypatch.setitem(discrete._KERNELS, "ranked", (lift, mutant, readout))
+
+
+def _rk4_stage_weight(monkeypatch):
+    # the first two stages' weights swapped: still consistent, but first order
+    monkeypatch.setattr(yule, "evolve_continuous", _rk4((2, 1, 2, 1)))
+
+
+def _gaussian_scale_halved(monkeypatch):
+    gaussian_tv = profiles.gaussian_tv
+    monkeypatch.setattr(profiles, "gaussian_tv", lambda s: gaussian_tv(s / 2))
+
+
+def _mixture_step_late(monkeypatch):
+    mono_mixture_tv = discrete.mono_mixture_tv
+    monkeypatch.setattr(discrete, "mono_mixture_tv", lambda n, t: mono_mixture_tv(n, t + 1))
+
+
+# each defect with every criterion that fails under it at DEFAULT_SEED;
+# criterion 12 fails without any defect, so no row names it
+@pytest.mark.parametrize(
+    "defect, criteria",
+    [
+        # the ranked kernel runs from n = 11: criterion 2 evolves to n = 12,
+        # criterion 4 collides to n = 12 (criterion 1 stops at n = 6)
+        pytest.param(_rank_scale_off_by_one, (2, 4), id="ranked-rank-scale"),
+        # criterion 7's halving ratio reads 2.05; criterion 8's 4-sigma gate at
+        # step 1e-3 does not see a first-order error
+        pytest.param(_rk4_stage_weight, (7,), id="rk4-stage-weight"),
+        pytest.param(_gaussian_scale_halved, (3, 14), id="gaussian-tv-half-scale"),
+        pytest.param(_mixture_step_late, (2, 3, 5), id="mixture-one-step-late"),
+    ],
+)
+def test_defect_fails_its_criteria(monkeypatch, defect, criteria):
+    defect(monkeypatch)
+    assert _failing(criteria) == list(criteria)
+
+
+def test_rk4_reference_with_the_right_weights_passes():
+    # the stage-weight row's kill is the weight's doing: the same loop with
+    # (1, 2, 2, 1) passes the integrator and representation criteria
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(yule, "evolve_continuous", _rk4((1, 2, 2, 1)))
+        assert _failing((7, 8)) == []

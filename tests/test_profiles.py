@@ -23,7 +23,7 @@ from recomblab import (
     mono_tv_large_n_limit,
     two_valued_extremal_density,
 )
-from recomblab import binomial, profiles
+from recomblab import binomial, profiles, yule
 from recomblab.errors import CapacityError, ConfigError, InvalidDistributionError
 from recomblab.streams import rng_substream
 from recomblab.yule import sample_leaf_weights
@@ -659,7 +659,7 @@ def test_leaf_past_the_key_depth_cap_raises_before_any_sign_is_drawn(monkeypatch
     for deepest in (62, 63):
         caterpillar = list(range(1, deepest + 1)) + [deepest]
         monkeypatch.setattr(
-            profiles, "sample_leaf_weights", lambda t, m, rng: _leaf_set([1, 1], caterpillar)
+            yule, "sample_leaf_weights", lambda t, m, rng, leaf_cap: _leaf_set([1, 1], caterpillar)
         )
         rng = np.random.default_rng(3)
         if deepest == 62:
@@ -677,7 +677,7 @@ def test_grown_group_over_the_byte_budget_raises_before_any_sign_is_drawn(monkey
     # the two-leaf tree's one, 37 kB
     caterpillar = list(range(1, 63)) + [62]
     monkeypatch.setattr(
-        profiles, "sample_leaf_weights", lambda t, m, rng: _leaf_set([1, 1], caterpillar)
+        yule, "sample_leaf_weights", lambda t, m, rng, leaf_cap: _leaf_set([1, 1], caterpillar)
     )
     monkeypatch.setattr(profiles, "_LEAF_BYTES_BUDGET", 10_000)
     rng = np.random.default_rng(3)
@@ -685,6 +685,26 @@ def test_grown_group_over_the_byte_budget_raises_before_any_sign_is_drawn(monkey
     with pytest.raises(CapacityError, match="a grown group's sign keys"):
         lowerbound_experiment_continuous(400, 1.0, 2, rng)
     assert rng.bit_generator.state == state
+
+
+def test_leaf_cap_stops_growth_and_a_cap_above_changes_nothing():
+    # 40 trees at t = 2 grow 275 leaves on this substream
+    def grow(cap):
+        rng = rng_substream(5, 2)
+        return sample_leaf_weights(2.0, 40, rng, leaf_cap=cap), rng.bit_generator.state
+
+    (owner, weight, nodes, widest), state = grow(None)
+    assert owner.size == 275
+    for cap in (275, 10**6):
+        (o, w, n_, wd), s = grow(cap)
+        assert np.array_equal(o, owner) and np.array_equal(w, weight)
+        assert (n_, wd, s) == (nodes, widest, state)
+    with pytest.raises(CapacityError, match="over the cap of 274") as err:
+        grow(274)
+    assert 274 < err.value.stats["leaves"] <= 275
+    with pytest.raises(CapacityError, match="over the cap of 10") as err:
+        grow(10)
+    assert err.value.stats["leaves"] < 275
 
 
 def test_block_count_is_capped():
