@@ -441,14 +441,16 @@ def _martingale_values(ns, ctx: RunContext) -> np.ndarray:
 def _cmd_collide(ns, ctx: RunContext) -> int:
     a = _load_start(ns.a, ns.n)
     b = _load_start(ns.b, ns.n)
-    out = discrete.collide_pmf(a, b)
+    out = discrete.collide_pmf(a, b, counters=ctx.counters)
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(a.n)
     ctx.write_rows(ns.out, ["index", "value"], _pmf_rows(out))
     return EXIT_OK
 
 
 def _cmd_evolve_discrete(ns, ctx: RunContext) -> int:
-    state = discrete.evolve_discrete(_load_start(ns.start, ns.n), ns.steps)
+    state = discrete.evolve_discrete(
+        _load_start(ns.start, ns.n), ns.steps, counters=ctx.counters
+    )
     ctx.resolved["collision_kernel"] = discrete.resolve_collision_method(state.n)
     ctx.write_rows(ns.out, ["index", "value"], _pmf_rows(state))
     return EXIT_OK

@@ -15,7 +15,8 @@ identity.  The ranked kernel (the fast subset convolution of Bjorklund,
 Husfeldt, Kaski and Koivisto) lifts by rank split and zeta transform,
 multiplies the rank polynomials of each mask, and reads out by Moebius
 transform; both transforms run on the butterfly that `cube` shares with
-the Walsh transform.  The readout maps ring products to collisions, so
+the Walsh transform, or, for an exchangeable vector, on its n+1 popcount
+classes in place of the 2^n masks.  The readout maps ring products to collisions, so
 `evolve_discrete` lifts once, squares in the ring and reads out once, and
 the integrator in `yule` lifts once per run and takes every stage in the
 ring.  The module also carries the fragmentation process that tracks which
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -143,8 +144,53 @@ def _collide_pairs(
     return out
 
 
+def _class_values(values: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """The n+1 popcount-class values of an exchangeable coefficient vector:
+    c[2^k - 1] for k = 0..n, when the 1-D float64 `values` holds exactly
+    that bit pattern at every mask of popcount k; None for any other input."""
+    if values.ndim != 1 or values.dtype != np.float64:
+        return None
+    classes = values[(1 << np.arange(n + 1)) - 1]
+    same = classes[popcount_table(n)].view(np.uint64) == values.view(np.uint64)
+    return classes if same.all() else None
+
+
+def _class_butterfly(lifted: np.ndarray, n: int, op) -> None:
+    """`_butterfly(values, n, op)` on a lift kept by popcount class, in place
+    on its last axis, the n+1 classes.
+
+    The butterfly updates a mask once per set bit, in increasing bit order,
+    each time from the mask with that bit cleared; at its j-th set bit a
+    mask of popcount a has taken j-1 updates and that neighbour, of popcount
+    a-1, has taken the same j-1.  So level j maps every class a >= j to
+    op(class a, class a-1), both as they stood before level j, and each mask
+    of an exchangeable lift goes through the very operations of its class.
+    """
+    for level in range(1, n + 1):
+        # the ufunc buffers the overlapping operands, so class a-1 is read
+        # as it was before this level
+        op(lifted[..., level:], lifted[..., level - 1 : -1], out=lifted[..., level:])
+
+
 def _rank_slices(values: np.ndarray, n: int) -> np.ndarray:
-    """Lift: split by popcount rank and apply the sum-over-submasks transform."""
+    """Lift: split by popcount rank and apply the sum-over-submasks transform.
+
+    An exchangeable vector (`_class_values`: its coefficient at every mask
+    of popcount k is c[2^k - 1], bit for bit) is lifted by popcount class,
+    an (n+1) x (n+1) array of ranks by classes.  The butterfly updates a
+    mask once per set bit, each time from the mask one bit below, so all
+    masks of one popcount meet the same operations on the same operands;
+    the class recurrence of `_class_butterfly` runs them once per class,
+    and each column equals, bit for bit, the column of every mask of that
+    popcount in the full (n+1) x 2^n lift.  Ring products act column by
+    column, so they keep the classes.  Stacks and other vectors take the
+    full lift.
+    """
+    classes = _class_values(values, n)
+    if classes is not None:
+        lifted = np.diag(classes)
+        _class_butterfly(lifted, n, np.add)
+        return lifted
     sliced = np.zeros(values.shape[:-1] + ((n + 1) << n,))
     sliced[..., _rank_positions(n)] = values
     _butterfly(sliced, n, np.add)
@@ -192,7 +238,18 @@ def _product_scratch(lifted: np.ndarray) -> np.ndarray:
 
 def _rank_readout(z: np.ndarray, n: int) -> np.ndarray:
     """Readout: the inverse transform, in place on z, then the rank-|S|
-    entry of every mask S."""
+    entry of every mask S.
+
+    A lift kept by popcount class (fewer than 2^n columns, see
+    `_rank_slices`) runs the class recurrence of `_class_butterfly` with
+    subtraction, reads rank a of each class a and expands the n+1 values to
+    masks by `popcount_table(n)`.  The Moebius butterfly, too, updates each
+    mask once per set bit from the mask one bit below, so this is bit for
+    bit the readout of the full lift the classes stand for.
+    """
+    if z.shape[-1] < 1 << n:
+        _class_butterfly(z, n, np.subtract)
+        return np.diagonal(z, axis1=-2, axis2=-1)[..., popcount_table(n)]
     _butterfly(z, n, np.subtract)
     return z.reshape(z.shape[:-2] + (-1,))[..., _rank_positions(n)]
 
@@ -206,7 +263,9 @@ def _unchanged(values: np.ndarray, n: int) -> np.ndarray:
 # rank |S| at mask S, ring products keep that, and the mass above rank |S|
 # never reaches the readout, so the readout maps ring products to collisions:
 # a run of products can stay lifted between one lift and one readout.  The
-# 2^-r scale of rank r is a power of two, so it changes no rounding.
+# 2^-r scale of rank r is a power of two, so it changes no rounding.  A
+# product acts column by column, so it runs on a lift kept by popcount class
+# (n+1 columns) as on a full one (2^n), and a readout tells them by width.
 _KERNELS = {
     "pairs": (_unchanged, _collide_pairs, _unchanged),
     "ranked": (_rank_slices, _ranked_product, _rank_readout),
@@ -237,7 +296,11 @@ def _collision_kernel(n: int, method: str = "auto"):
 
 
 def collide_coeffs(
-    f: np.ndarray, g: np.ndarray, n: int, method: str = "auto"
+    f: np.ndarray,
+    g: np.ndarray,
+    n: int,
+    method: str = "auto",
+    counters: Optional[Dict[str, float]] = None,
 ) -> np.ndarray:
     """Collision product on raw coefficient vectors (no validation).
 
@@ -252,21 +315,42 @@ def collide_coeffs(
     on that row's operands bit for bit.  Passing the same array twice
     (``g is f``) marks a self-collision, which both kernels compute with
     fewer products and bit-identical results.  `auto` is resolved by
-    `resolve_collision_method`.  Milliseconds per vector call, two operands /
-    self, best of 30 on a 2-core Xeon (Python 3.11, numpy 2.4):
+    `resolve_collision_method`.  A given `counters` receives `ring_columns`,
+    the columns the ring product ran on.  Milliseconds per vector call, two
+    operands / self, best of 30 on a 2-core Xeon (Python 3.11, numpy 2.4):
 
         n    pairs, table warm   ranked        pair table build
         10   0.32 / 0.17         0.80 / 0.54      6 ms
         11   0.96 / 0.54         1.34 / 0.94     38 ms
         12   3.4  / 1.8          2.7  / 1.8     142 ms
         14   43   / 23           13   / 8.7    1019 ms
+
+    The ranked timings are for generic vectors.  An exchangeable vector,
+    one whose coefficient depends on |S| alone bit for bit (a
+    monochromatic or uniform start), is lifted by popcount class (see
+    `_rank_slices`): both butterflies update a mask once per set bit from
+    the mask one bit below, so masks of one popcount meet the same
+    operations, and products and readout run on n+1 columns in place of
+    2^n with the same bytes; `ring_columns` is then n+1.  When only one
+    operand is exchangeable, its class lift is expanded to the 2^n mask
+    columns it stands for before the product.
     """
     method = resolve_collision_method(n, method)
     lift, product, readout = _collision_kernel(n, method)
 
     def kernel(a, b):
-        lifted = lift(a, n)
-        return readout(product(lifted, lifted if b is a else lift(b, n), n), n)
+        fz = lift(a, n)
+        gz = fz if b is a else lift(b, n)
+        if fz.shape != gz.shape:
+            # one operand was lifted by popcount class: expand it to masks, C
+            # order as the readout's butterfly needs
+            fz, gz = (
+                z if z.shape[-1] == 1 << n else z.take(popcount_table(n), axis=-1)
+                for z in (fz, gz)
+            )
+        if counters is not None:
+            counters["ring_columns"] = fz.shape[-1]
+        return readout(product(fz, gz, n), n)
 
     if f.ndim == 1:
         return kernel(f, g)
@@ -279,15 +363,17 @@ def collide_coeffs(
     return out
 
 
-def collide_pmf(mu: Pmf, nu: Pmf) -> Pmf:
+def collide_pmf(mu: Pmf, nu: Pmf, counters: Optional[Dict[str, float]] = None) -> Pmf:
     """Collision product in the weight representation (transform round trip).
 
     Exactly commutative: collide_pmf(mu, nu) and collide_pmf(nu, mu) agree
-    bit for bit.
+    bit for bit.  `counters` is passed to `collide_coeffs`.
     """
     if mu.n != nu.n:
         raise DimensionMismatchError("operands live on different cubes")
-    coeffs = collide_coeffs(wht_forward(mu).coeffs, wht_forward(nu).coeffs, mu.n)
+    coeffs = collide_coeffs(
+        wht_forward(mu).coeffs, wht_forward(nu).coeffs, mu.n, counters=counters
+    )
     return wht_inverse(FourierTable(mu.n, coeffs))
 
 
@@ -318,12 +404,18 @@ def collide_direct(mu: Pmf, nu: Pmf) -> Pmf:
     return Pmf(n, (acc / (1 << n)).reshape(-1))
 
 
-def evolve_discrete(mu: Pmf, steps: int) -> Pmf:
+def evolve_discrete(mu: Pmf, steps: int, counters: Optional[Dict[str, float]] = None) -> Pmf:
     """State after `steps` rounds of self-collision.
 
     The state stays in the collision kernel's lifted domain: one lift,
     `steps` ring squares, whose scratch rows are allocated once, and one
-    readout.
+    readout.  An exchangeable start, whose coefficients depend on |S| alone
+    bit for bit (`mono`, `uniform`), is lifted by popcount class (see
+    `_rank_slices`): the butterflies update a mask once per set bit from the
+    mask one bit below, so masks of one popcount meet the same operations,
+    and the squares run on n+1 columns in place of 2^n with the same
+    result bit for bit.  A given `counters` receives `ring_columns`, the
+    columns the squares ran on, when `steps` > 0.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -332,6 +424,8 @@ def evolve_discrete(mu: Pmf, steps: int) -> Pmf:
     if steps:
         lift, product, readout = _collision_kernel(n)
         state = lift(coeffs, n)
+        if counters is not None:
+            counters["ring_columns"] = state.shape[-1]
         scratch = _product_scratch(state)
         for _ in range(steps):
             state = product(state, state, n, scratch)

@@ -336,9 +336,16 @@ def evolve_continuous(
     exactly 1, and a read-out copy of the state must keep every coefficient
     inside [-1-tol, 1+tol]; leaving that box, or turning NaN, aborts the
     run, since it means the trajectory is no longer a probability measure.
+    An exchangeable start, whose coefficients depend on |S| alone bit for
+    bit (`mono`, `uniform`), is lifted by popcount class (see
+    `discrete._rank_slices`): the lift's and readout's butterflies update a
+    mask once per set bit from the mask one bit below, so masks of one
+    popcount meet the same operations, and every stage, the rank-0 hold and
+    the box check act column by column, so the run takes n+1 columns in
+    place of 2^n and gives the same bytes and the same worst coefficient.
     A given `counters` receives `rk4_worst_coeff`, the largest |coeff| the
-    box check saw.  More than RK4_STEP_CAP steps raise CapacityError before
-    any is taken.
+    box check saw, and `ring_columns`, the columns the ring ran on.  More
+    than RK4_STEP_CAP steps raise CapacityError before any is taken.
     """
     _check_horizon(t)
     if step <= 0:
@@ -397,7 +404,7 @@ def evolve_continuous(
                 )
             most = max(most, worst)
     if counters is not None:
-        counters["rk4_worst_coeff"] = most
+        counters.update(rk4_worst_coeff=most, ring_columns=y.shape[-1])
     return wht_inverse(FourierTable(n, c))
 
 

@@ -58,3 +58,15 @@ def test_summary_of_fixed_pairs():
 def test_seed_ranges():
     assert bench_pairs._seeds("500-509") == list(range(500, 510))
     assert bench_pairs._seeds("7") == [7]
+
+
+def test_traced_lists_every_layer_metric_of_both_sides():
+    parent = {"correct": True, "metrics": {"a_s": {"value": 2.0, "unit": "s"}}}
+    change = {
+        "correct": False,
+        "metrics": {"a_s": {"value": 1.0, "unit": "s"}, "b_ms": {"value": 3.0, "unit": "ms"}},
+    }
+    assert bench_pairs._traced({"parent": parent, "change": change}) == {
+        "correct": {"parent": True, "change": False},
+        "metrics": {"a_s": {"parent": 2.0, "change": 1.0}, "b_ms": {"parent": None, "change": 3.0}},
+    }

@@ -499,6 +499,23 @@ SEEDED_OUTPUT_SHA256 = [
         "spinal_check.csv",
         "d903d39f7218a1a9587a0f7330aae9adb74a78e629b796d269b552143c4a1e90",
     ),
+    # the exact bench commands, whose exchangeable starts run on popcount
+    # classes; recorded from the full 2^n-column ring
+    (
+        ("collide", "--n", "14", "--a", "mono", "--b", "uniform"),
+        "collide.csv",
+        "ef020af15cb8b99fe1d85516fbd1b6b92ef95186581fdccb60368710dab395a1",
+    ),
+    (
+        ("evolve-discrete", "--n", "16", "--start", "mono", "--steps", "8"),
+        "evolved_discrete.csv",
+        "7abf779da66e863b841ff358f7ae19bc81c337fa0a05fabea475ac6d0e378da7",
+    ),
+    (
+        ("evolve-continuous", "--n", "12", "--start", "mono", "--t", "0.5"),
+        "evolved_continuous.csv",
+        "6ac5a3fc82d3079e97a74150ea564fdf0cd215982b2a7c220ed5a7f45ad3a1c1",
+    ),
 ]
 
 
@@ -509,6 +526,7 @@ SEEDED_OUTPUT_SHA256 = [
         "martingale-direct", "martingale-direct-chunks", "martingale-cascade",
         "w-tail-cascade", "w-tail-limit",
         "fragmentation", "lowerbound-continuous", "spinal-check",
+        "collide-n14", "evolve-discrete-n16", "evolve-continuous-n12",
     ],
 )
 def test_seeded_output_bytes_are_pinned(tmp_path, capsys, args, name, digest):
@@ -774,18 +792,23 @@ def test_manifest_names_the_collision_kernel(tmp_path):
     assert discrete.resolve_collision_method(10) == "pairs"
     assert discrete.resolve_collision_method(11) == "ranked"
     assert discrete.resolve_collision_method(11, "pairs") == "pairs"
+    # ring_columns: n+1 popcount classes when every ranked operand is
+    # exchangeable (mono, uniform), 2^n masks otherwise
     runs = [
-        (["collide", "--n", "10", "--a", "mono", "--b", "uniform"], "pairs"),
-        (["collide", "--n", "11", "--a", "mono", "--b", "uniform"], "ranked"),
-        (["evolve-discrete", "--n", "11", "--start", "mono", "--steps", "1"], "ranked"),
-        (["evolve-continuous", "--n", "10", "--start", "mono", "--t", "0.02"], "pairs"),
+        (["collide", "--n", "10", "--a", "mono", "--b", "uniform"], "pairs", 1024),
+        (["collide", "--n", "11", "--a", "mono", "--b", "uniform"], "ranked", 12),
+        (["collide", "--n", "11", "--a", "mono", "--b", "point:1"], "ranked", 2048),
+        (["evolve-discrete", "--n", "11", "--start", "mono", "--steps", "1"], "ranked", 12),
+        (["evolve-discrete", "--n", "11", "--start", "point:1", "--steps", "1"], "ranked", 2048),
+        (["evolve-continuous", "--n", "10", "--start", "mono", "--t", "0.02"], "pairs", 1024),
     ]
-    for args, kernel in runs:
-        out = tmp_path / f"{args[0]}-{args[2]}"
+    for k, (args, kernel, columns) in enumerate(runs):
+        out = tmp_path / f"{k}-{args[0]}"
         assert cli.main([*args, "--out-dir", str(out)]) == 0
         name = args[0].replace("-", "_")
         manifest = json.loads((out / f"{name}_manifest.json").read_text())
         assert manifest["resolved"] == {"collision_kernel": kernel}
+        assert manifest["counters"]["ring_columns"] == columns
 
 
 @pytest.mark.parametrize("n", ["3", "11"])
@@ -796,11 +819,13 @@ def test_evolve_continuous_manifest_records_the_worst_coefficient(tmp_path, n):
     assert cli.main([*args, "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "evolve_continuous_manifest.json").read_text())
     worst = manifest["counters"]["rk4_worst_coeff"]
-    assert manifest["counters"] == {"rk4_worst_coeff": worst}
+    # the pairs kernel's 2^3 masks; the mono start's 12 popcount classes
+    columns = {"3": 8, "11": 12}[n]
+    assert manifest["counters"] == {"rk4_worst_coeff": worst, "ring_columns": columns}
     assert 1.0 <= worst <= 1.0 + yule.COEFF_BOX_TOL
     counters = {}
     yule.evolve_continuous(cube.monochromatic_pmf(int(n)), 0.05, counters=counters)
-    assert counters == {"rk4_worst_coeff": worst}
+    assert counters == {"rk4_worst_coeff": worst, "ring_columns": columns}
 
 
 # -----------------------------------------------------------------------

@@ -189,6 +189,90 @@ def test_evolve_discrete_with_pairs_is_the_collision_loop_bit_for_bit(n):
             assert evolve_discrete(mu, steps).weights.tobytes() == oracle.tobytes()
 
 
+def _full_ring(fn, *args):
+    """`fn(*args)` with every ranked lift taken over all 2^n mask columns:
+    the reference for the popcount-class path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discrete, "_class_values", lambda values, n: None)
+        return fn(*args)
+
+
+EXCHANGEABLE_STARTS = {"mono": monochromatic_pmf, "uniform": uniform_pmf}
+
+
+@pytest.mark.parametrize("start", sorted(EXCHANGEABLE_STARTS))
+@pytest.mark.parametrize("n", range(11, 17))
+def test_evolve_discrete_on_popcount_classes_is_the_full_ring_bit_for_bit(n, start):
+    mu = EXCHANGEABLE_STARTS[start](n)
+    for steps in range(9):
+        classes, full = {}, {}
+        state = evolve_discrete(mu, steps, classes)
+        reference = _full_ring(evolve_discrete, mu, steps, full)
+        assert state.weights.tobytes() == reference.weights.tobytes()
+        if steps:
+            assert (classes, full) == ({"ring_columns": n + 1}, {"ring_columns": 1 << n})
+
+
+@pytest.mark.parametrize("start", sorted(EXCHANGEABLE_STARTS))
+@pytest.mark.parametrize("n", [11, 12])
+def test_evolve_continuous_on_popcount_classes_is_the_full_ring_bit_for_bit(n, start):
+    from recomblab import yule
+
+    mu = EXCHANGEABLE_STARTS[start](n)
+    classes, full = {}, {}
+    state = yule.evolve_continuous(mu, 0.5, 0.01, classes)
+    reference = _full_ring(yule.evolve_continuous, mu, 0.5, 0.01, full)
+    assert state.weights.tobytes() == reference.weights.tobytes()
+    assert classes["rk4_worst_coeff"] == full["rk4_worst_coeff"]
+    assert (classes["ring_columns"], full["ring_columns"]) == (n + 1, 1 << n)
+
+
+@pytest.mark.parametrize("n", [11, 12, 14])
+def test_collide_pmf_on_popcount_classes_is_the_full_ring_bit_for_bit(n):
+    # mono x uniform runs on n+1 columns; against a random pmf, mono's class
+    # lift is expanded to the 2^n masks, and either order gives the same bits
+    mono, other = monochromatic_pmf(n), random_pmf(n, np.random.default_rng(90 + n))
+    for b, columns in ((uniform_pmf(n), n + 1), (other, 1 << n)):
+        for pair in ((mono, b), (b, mono)):
+            counters = {}
+            out = collide_pmf(*pair, counters).weights.tobytes()
+            assert out == _full_ring(collide_pmf, *pair).weights.tobytes()
+            assert counters == {"ring_columns": columns}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ranked_collide_coeffs_on_popcount_classes_is_the_full_ring(n):
+    # at n = 1 the two classes are the two masks, so both lifts are one array
+    rng = np.random.default_rng(95 + n)
+    starts = [
+        wht_forward(pmf).coeffs
+        for pmf in (monochromatic_pmf(n), uniform_pmf(n), random_pmf(n, rng))
+    ]
+    for f in starts:
+        for g in starts:
+            ring = collide_coeffs(f, g, n, "ranked")
+            assert ring.tobytes() == _full_ring(collide_coeffs, f, g, n, "ranked").tobytes()
+        square = collide_coeffs(f, f, n, "ranked")
+        assert square.tobytes() == _full_ring(collide_coeffs, f, f, n, "ranked").tobytes()
+
+
+@pytest.mark.parametrize("nudge", ["one ulp", "negative zero"])
+def test_a_start_off_its_popcount_classes_by_one_bit_takes_the_full_ring(nudge):
+    n = 12
+    coeffs = wht_forward(monochromatic_pmf(n)).coeffs.copy()
+    # mask 0b101 has class representative 0b11, and mask 0b100 has 0b1; a
+    # test by value would take -0.0 for 0.0
+    assert (coeffs[0b11], coeffs[0b1]) == (1.0, 0.0) and not np.signbit(coeffs[0b1])
+    if nudge == "one ulp":
+        coeffs[0b101] = np.nextafter(1.0, 0.0)
+    else:
+        coeffs[0b100] = -0.0
+    counters = {}
+    out = collide_coeffs(coeffs, coeffs, n, counters=counters)
+    assert counters == {"ring_columns": 1 << n}
+    assert out.tobytes() == _full_ring(collide_coeffs, coeffs, coeffs, n).tobytes()
+
+
 def test_trajectory_distances_decrease_eventually():
     pmf = monochromatic_pmf(6)
     target = stationary_product(pmf)

@@ -86,6 +86,34 @@ def _rank_scale_off_by_one(monkeypatch):
     monkeypatch.setitem(discrete._KERNELS, "ranked", (lift, mutant, readout))
 
 
+def _class_zeta_reads_updated_neighbour(monkeypatch):
+    # the popcount-class zeta run upward in place, so class a adds class a-1
+    # as already updated at the same level
+    class_butterfly = discrete._class_butterfly
+
+    def mutant(lifted, n, op):
+        if op is not np.add:
+            return class_butterfly(lifted, n, op)
+        for level in range(1, n + 1):
+            for a in range(level, n + 1):
+                lifted[..., a] += lifted[..., a - 1]
+
+    monkeypatch.setattr(discrete, "_class_butterfly", mutant)
+
+
+def _class_readout_off_by_one(monkeypatch):
+    # the class readout expanded to masks by popcount - 1, not popcount
+    lift, product, readout = discrete._KERNELS["ranked"]
+
+    def mutant(z, n):
+        out = readout(z, n)
+        if z.shape[-1] == 1 << n:
+            return out
+        return out[(1 << np.arange(n + 1)) - 1][cube.popcount_table(n) - 1]
+
+    monkeypatch.setitem(discrete._KERNELS, "ranked", (lift, product, mutant))
+
+
 def _rk4_stage_weight(monkeypatch):
     # the first two stages' weights swapped: still consistent, but first order
     monkeypatch.setattr(yule, "evolve_continuous", _rk4((2, 1, 2, 1)))
@@ -109,6 +137,10 @@ def _mixture_step_late(monkeypatch):
         # the ranked kernel runs from n = 11: criterion 2 evolves to n = 12,
         # criterion 4 collides to n = 12 (criterion 1 stops at n = 6)
         pytest.param(_rank_scale_off_by_one, (2, 4), id="ranked-rank-scale"),
+        # the mono starts of criteria 2 and 4 run on popcount classes from
+        # n = 11; both raise on the pmf the defect reads out
+        pytest.param(_class_zeta_reads_updated_neighbour, (2, 4), id="class-zeta-in-place"),
+        pytest.param(_class_readout_off_by_one, (2, 4), id="class-readout-popcount-1"),
         # criterion 7's halving ratio reads 2.05; criterion 8's 4-sigma gate at
         # step 1e-3 does not see a first-order error
         pytest.param(_rk4_stage_weight, (7,), id="rk4-stage-weight"),

@@ -16,7 +16,9 @@ first on odd ones, and reads each run's
 `PYTHONDONTWRITEBYTECODE` and a bare-interpreter start time), and per
 workload the runs' failures, the median and quartiles of each end-to-end
 metric on each side, the pairs in which the change read lower, and
-per-command medians over the runs.
+per-command medians over the runs.  With `--traced W`, each copy then runs
+one `--trace 1` pass of workload W at the first seed, parent first, and the
+output's `traced` block holds every layer metric of both passes.
 """
 
 from __future__ import annotations
@@ -107,11 +109,26 @@ def _export(repo: Path, revision: str, dest: Path) -> None:
         raise RuntimeError(f"git archive {revision} exited {archive.returncode}")
 
 
-def _run(copy: Path, workload: str, seed: int) -> dict:
-    argv = ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+def _run(copy: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    argv = ["python3", "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--trace", str(trace)]
     subprocess.run(argv, cwd=copy, check=True, stdout=subprocess.DEVNULL)
-    results = copy / "bench" / "out" / f"results-{workload}-seed{seed}-trace0.json"
+    results = copy / "bench" / "out" / f"results-{workload}-seed{seed}-trace{trace}.json"
     return json.loads(results.read_text())
+
+
+def _traced(runs: Dict[str, dict]) -> dict:
+    """Each layer metric of one traced pass per side, as {name: {side: value}}."""
+    names = sorted(set(runs["parent"]["metrics"]) | set(runs["change"]["metrics"]))
+    return {
+        "correct": {side: runs[side]["correct"] for side in SIDES},
+        "metrics": {
+            name: {
+                side: runs[side]["metrics"].get(name, {}).get("value") for side in SIDES
+            }
+            for name in names
+        },
+    }
 
 
 def _bare_start(runs: int = 15) -> float:
@@ -137,6 +154,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="500-509", help="first-last, inclusive")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--note", action="append", default=[], help="a line for `notes`")
+    parser.add_argument("--traced", default="", help="workloads to run one --trace 1 pass of")
     args = parser.parse_args(argv)
     repo = Path(__file__).resolve().parent.parent
     seeds = _seeds(args.seeds)
@@ -157,6 +175,10 @@ def main(argv=None) -> int:
                 print(workload, seed, {s: pair[s]["metrics"]["wall_s"]["value"] for s in SIDES},
                       file=sys.stderr)
             summary[workload] = summarize(pairs)
+        traced = {
+            workload: _traced({side: _run(copies[side], workload, seeds[0], 1) for side in SIDES})
+            for workload in filter(None, args.traced.split(","))
+        }
     machine.update(
         PYTHONDONTWRITEBYTECODE=os.environ.get("PYTHONDONTWRITEBYTECODE"),
         bare_python_start_s=_bare_start(),
@@ -172,8 +194,14 @@ def main(argv=None) -> int:
                 "(rss_max_MB: of each run's per-command maximum) from "
                 "bench/out/results-W-seedS-trace0.json"
             ),
+            "traced": (
+                f"python3 bench/run.py --workload W --seed {seeds[0]} --trace 1, once per side, "
+                f"parent first, for W in {sorted(traced)}; values from "
+                f"bench/out/results-W-seed{seeds[0]}-trace1.json"
+            ),
         },
         "workloads": summary,
+        "traced": traced,
         "notes": args.note,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
