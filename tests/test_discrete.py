@@ -242,7 +242,8 @@ def test_collide_pmf_on_popcount_classes_is_the_full_ring_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ranked_collide_coeffs_on_popcount_classes_is_the_full_ring(n):
-    # at n = 1 the two classes are the two masks, so both lifts are one array
+    # at n = 1 the two classes are the two masks, so both lifts are one array;
+    # g is f takes the self-collision
     rng = np.random.default_rng(95 + n)
     starts = [
         wht_forward(pmf).coeffs
@@ -252,8 +253,6 @@ def test_ranked_collide_coeffs_on_popcount_classes_is_the_full_ring(n):
         for g in starts:
             ring = collide_coeffs(f, g, n, "ranked")
             assert ring.tobytes() == _full_ring(collide_coeffs, f, g, n, "ranked").tobytes()
-        square = collide_coeffs(f, f, n, "ranked")
-        assert square.tobytes() == _full_ring(collide_coeffs, f, f, n, "ranked").tobytes()
 
 
 @pytest.mark.parametrize("nudge", ["one ulp", "negative zero"])
